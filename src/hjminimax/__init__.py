@@ -8,7 +8,7 @@ select the minimax section pointwise or by triangle elimination
 into solve/compare/classify commands.
 """
 
-from .characteristics import CharStrand, Periodic, ProblemSpec, Windowed, evolve
+from .characteristics import Periodic, ProblemSpec, Windowed, evolve
 from .errors import HJError
 from .expr import Expression, parse
 from .front import FrontAnalysis, FrontCurve, analyze, build_front
@@ -20,7 +20,7 @@ from .viscosity import ConvexHamiltonian, lax_friedrichs, lax_oleinik, legendre
 __version__ = "0.1.0"
 
 __all__ = [
-    "CharStrand", "ConvexHamiltonian", "Expression", "FiberFunction",
+    "ConvexHamiltonian", "Expression", "FiberFunction",
     "FrontAnalysis", "FrontCurve", "GridSolution", "HJError", "Periodic",
     "ProblemSpec", "SingularEvent", "Windowed", "analyze", "build_front",
     "classify", "couple", "eliminate", "evolve", "forbidden_report",

@@ -8,17 +8,14 @@ over seeds and deterministic for a fixed step.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import NonFinite, RefinementDepthExceeded
+from .errors import NonFinite
 from .expr import Expression
-
-MAX_REFINE_DEPTH = 12
 
 
 @dataclass(frozen=True)
@@ -28,9 +25,6 @@ class Periodic:
     def __post_init__(self):
         if not self.period > 0:
             raise ValueError("period must be positive")
-
-    def wrap(self, q):
-        return np.mod(q, self.period)
 
 
 @dataclass(frozen=True)
@@ -42,9 +36,6 @@ class Windowed:
     def __post_init__(self):
         if not self.qmin < self.qmax:
             raise ValueError("qmin must be < qmax")
-
-    def wrap(self, q):
-        return q
 
 
 @dataclass(frozen=True)
@@ -60,16 +51,6 @@ class ProblemSpec:
 
     def default_step(self):
         return self.t_max / 2000.0
-
-
-@dataclass(frozen=True)
-class CharStrand:
-    """One characteristic, sampled at the requested output times."""
-    q0: float
-    times: np.ndarray
-    q: np.ndarray
-    p: np.ndarray
-    z: np.ndarray
 
 
 def char_rhs(H: Expression, t, q, p):
@@ -121,12 +102,11 @@ def _rk4_span(spec, t0, t1, q, p, z, step):
 
 
 def evolve_states(spec: ProblemSpec, times: Sequence[float], seeds,
-                  step: float | None = None, workers: int = 1):
+                  step: float | None = None):
     """Integrate all seeds through the sorted output times.
 
     Returns (Q, P, Z), each of shape (len(times), len(seeds)). Each
-    inter-time span is subdivided into uniform RK4 substeps of size <= step,
-    so the result is independent of how seeds are chunked across workers.
+    inter-time span is subdivided into uniform RK4 substeps of size <= step.
     """
     times = list(times)
     if any(b < a for a, b in zip(times, times[1:])):
@@ -139,28 +119,15 @@ def evolve_states(spec: ProblemSpec, times: Sequence[float], seeds,
         raise ValueError("step must be positive")
     seeds = np.asarray(seeds, dtype=float)
 
-    def run(chunk):
-        q, p, z = initial_state(spec, chunk)
-        out_q = np.empty((len(times), len(chunk)))
-        out_p = np.empty_like(out_q)
-        out_z = np.empty_like(out_q)
-        t_prev = 0.0
-        for k, t in enumerate(times):
-            q, p, z = _rk4_span(spec, t_prev, t, q, p, z, step)
-            t_prev = t
-            out_q[k], out_p[k], out_z[k] = q, p, z
-        return out_q, out_p, out_z
-
-    if workers <= 1 or len(seeds) < 2 * workers:
-        Q, P, Z = run(seeds)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-        chunks = np.array_split(seeds, workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, chunks))
-        Q = np.concatenate([p[0] for p in parts], axis=1)
-        P = np.concatenate([p[1] for p in parts], axis=1)
-        Z = np.concatenate([p[2] for p in parts], axis=1)
+    q, p, z = initial_state(spec, seeds)
+    Q = np.empty((len(times), len(seeds)))
+    P = np.empty_like(Q)
+    Z = np.empty_like(Q)
+    t_prev = 0.0
+    for k, t in enumerate(times):
+        q, p, z = _rk4_span(spec, t_prev, t, q, p, z, step)
+        t_prev = t
+        Q[k], P[k], Z[k] = q, p, z
 
     bad = ~(np.isfinite(Q) & np.isfinite(P) & np.isfinite(Z))
     if bad.any():
@@ -170,66 +137,10 @@ def evolve_states(spec: ProblemSpec, times: Sequence[float], seeds,
 
 
 def evolve(spec: ProblemSpec, t: float, seeds: Sequence[float],
-           step: float | None = None) -> list[CharStrand]:
-    """Integrate each seed from 0 to t; states stored at t=0 and t."""
-    seeds = np.asarray(sorted(seeds), dtype=float)
-    times = [0.0, t] if t > 0 else [0.0]
-    Q, P, Z = evolve_states(spec, times, seeds, step)
-    ts = np.asarray(times)
-    return [CharStrand(q0=float(s), times=ts, q=Q[:, i].copy(),
-                       p=P[:, i].copy(), z=Z[:, i].copy())
-            for i, s in enumerate(seeds)]
+           step: float | None = None):
+    """Integrate each seed from 0 to t.
 
-
-def final_state(strands: Sequence[CharStrand]):
-    """(q0, q, p, z) arrays at the strands' last stored time."""
-    q0 = np.array([s.q0 for s in strands])
-    q = np.array([s.q[-1] for s in strands])
-    p = np.array([s.p[-1] for s in strands])
-    z = np.array([s.z[-1] for s in strands])
-    return q0, q, p, z
-
-
-def refine_seeds(spec: ProblemSpec, t: float, strands: Sequence[CharStrand],
-                 geometric_tol: float, step: float | None = None) -> list[CharStrand]:
-    """Insert midpoint seeds wherever the front is under-resolved.
-
-    A cell gets a midpoint when its endpoints are farther apart than
-    geometric_tol in (q,z), or when dq/dq0 changes sign at a neighbor (cusp
-    neighborhoods, refined to an 8x tighter spacing). Repeats to quiescence
-    or depth MAX_REFINE_DEPTH.
-    """
-    strands = sorted(strands, key=lambda s: s.q0)
-    for depth in range(MAX_REFINE_DEPTH + 1):
-        q0, q, _, z = final_state(strands)
-        dq = np.diff(q)
-        dist = np.hypot(np.diff(q), np.diff(z))
-        fold = np.zeros(len(dq), dtype=bool)
-        if len(dq) > 1:
-            sign_flip = dq[:-1] * dq[1:] < 0
-            fold[:-1] |= sign_flip
-            fold[1:] |= sign_flip
-        need = (dist > geometric_tol) | (fold & (dist > geometric_tol / 8.0))
-        # do not split cells already collapsed in seed space
-        need &= np.diff(q0) > 1e-12
-        if not need.any():
-            return list(strands)
-        if depth == MAX_REFINE_DEPTH:
-            raise RefinementDepthExceeded(
-                f"front not resolved to {geometric_tol} after {MAX_REFINE_DEPTH} rounds",
-                strands=list(strands))
-        mids = 0.5 * (q0[:-1][need] + q0[1:][need])
-        new = evolve(spec, t, mids, step)
-        strands = sorted(list(strands) + new, key=lambda s: s.q0)
-    return list(strands)
-
-
-def strands_to_csv(strands: Sequence[CharStrand]) -> str:
-    """CSV dump with columns q0,t,q,p,z (LF line endings)."""
-    buf = io.StringIO()
-    buf.write("q0,t,q,p,z\n")
-    for s in strands:
-        for k in range(len(s.times)):
-            buf.write(f"{s.q0:.17g},{s.times[k]:.17g},{s.q[k]:.17g},"
-                      f"{s.p[k]:.17g},{s.z[k]:.17g}\n")
-    return buf.getvalue()
+    Returns the seed-sorted arrays (q0, q, p, z) of the states at t."""
+    q0 = np.sort(np.asarray(seeds, dtype=float))
+    Q, P, Z = evolve_states(spec, [t], q0, step)
+    return q0, Q[0], P[0], Z[0]

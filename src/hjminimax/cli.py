@@ -32,7 +32,15 @@ def _fmt(x):
     return f"{float(x):.17g}"
 
 
-def load_config(path, grid_override=None, seed_override=None):
+def _number(section, key, default, kind):
+    """section[key] (or default) converted by kind; ConfigError if it is not a number."""
+    try:
+        return kind(section.get(key, default))
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be a number, got {section.get(key)!r}")
+
+
+def load_config(path, grid_override=None):
     """Parse and validate a run config; raises ConfigError on any problem."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     read = cp.read(path)
@@ -69,8 +77,8 @@ def load_config(path, grid_override=None, seed_override=None):
         raise ConfigError(f"invalid problem parameters: {exc}")
 
     grid = cp["grid"] if cp.has_section("grid") else {}
-    nt = int(grid.get("nt", 64))
-    nq = int(grid.get("nq", 128))
+    nt = _number(grid, "nt", 64, int)
+    nq = _number(grid, "nq", 128, int)
     if grid_override:
         try:
             nt_s, nq_s = grid_override.lower().split("x")
@@ -81,16 +89,24 @@ def load_config(path, grid_override=None, seed_override=None):
         raise ConfigError(f"grid must be at least 16x16, got {nt}x{nq}")
 
     sol = cp["solver"] if cp.has_section("solver") else {}
+    step = _number(sol, "step", None, float) if "step" in sol else None
+    n_seeds = _number(sol, "n_seeds", 4096, int)
+    cfl = _number(sol, "cfl", 0.5, float)
+    if step is not None and not step > 0:
+        raise ConfigError(f"step must be positive, got {step}")
+    if not n_seeds > 0:
+        raise ConfigError(f"n_seeds must be positive, got {n_seeds}")
+    if not cfl > 0:
+        raise ConfigError(f"cfl must be positive, got {cfl}")
+
     out = cp["output"] if cp.has_section("output") else {}
     cfg = {
         "spec": spec,
         "nt": nt,
         "nq": nq,
-        "step": float(sol["step"]) if "step" in sol else None,
-        "n_seeds": int(sol.get("n_seeds", 4096)),
-        "workers": int(sol.get("workers", 1)),
-        "cfl": float(sol.get("cfl", 0.5)),
-        "seed": seed_override if seed_override is not None else int(sol.get("seed", 0)),
+        "step": step,
+        "n_seeds": n_seeds,
+        "cfl": cfl,
         "out_dir": out.get("dir", "out"),
         "snapshot_times": [float(s) for s in out.get("snapshot_times", "").replace(
             ",", " ").split()],
@@ -117,7 +133,7 @@ def _write(path, text):
 def _solve_grid(cfg):
     t_grid, q_grid = _grids(cfg)
     return selector.minimax_grid(cfg["spec"], t_grid, q_grid, step=cfg["step"],
-                                 n_seeds=cfg["n_seeds"], workers=cfg["workers"])
+                                 n_seeds=cfg["n_seeds"])
 
 
 def _slice(cfg, t):
@@ -150,7 +166,7 @@ def cmd_compare(cfg):
     mm = _solve_grid(cfg)
     _write(os.path.join(cfg["out_dir"], "minimax.csv"), mm.to_csv())
 
-    lines = [f"grid nt={cfg['nt']} nq={cfg['nq']} h={_fmt(h)} seed={cfg['seed']}"]
+    lines = [f"grid nt={cfg['nt']} nq={cfg['nq']} h={_fmt(h)}"]
 
     lf = viscosity.lax_friedrichs(spec, t_grid, q_grid, cfl=cfg["cfl"])
     _write(os.path.join(cfg["out_dir"], "lax_friedrichs.csv"), lf.to_csv())
@@ -231,8 +247,6 @@ def build_parser():
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
         p.add_argument("--grid", default=None, metavar="NTxNQ")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--workers", type=int, default=None)
         if needs_time:
             p.add_argument("--time", type=float, required=True)
     return ap
@@ -241,12 +255,9 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, grid_override=args.grid,
-                          seed_override=args.seed)
+        cfg = load_config(args.config, grid_override=args.grid)
         if args.out:
             cfg["out_dir"] = args.out
-        if args.workers:
-            cfg["workers"] = args.workers
     except (ConfigError, configparser.Error) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

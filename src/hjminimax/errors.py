@@ -44,14 +44,6 @@ class MalformedInput(HJError):
 
 # --- characteristics / fronts ---
 
-class RefinementDepthExceeded(HJError):
-    """Seed refinement did not quiesce within the depth limit."""
-
-    def __init__(self, message, strands=None):
-        super().__init__(message)
-        self.strands = strands
-
-
 class NotLong(HJError):
     """Front endpoints are not graph-like."""
 

@@ -229,7 +229,7 @@ class Expression:
         return isinstance(other, Expression) and self.ast == other.ast
 
     def __hash__(self):
-        return hash(("Expression", self.source))
+        return hash(("Expression", self.ast))
 
 
 def parse(source: str) -> Expression:

@@ -20,6 +20,7 @@ from .errors import BallTooLarge, IndexInconsistency, NonGeneric, NotLong
 ANGLE_TOL = 1e-6      # radians; smaller intersection angles are non-generic
 TIE_TOL = 1e-9        # (q,z) coincidence tolerance after bbox scaling
 DEGENERACY_TOL = 1e-4  # |dq/dq0| floor (bbox-scaled) for a vanishing-slope plateau
+BLEND_POINTS = 17     # interior vertices of the cubic blend a surgery inserts
 
 
 @dataclass(frozen=True)
@@ -103,15 +104,8 @@ class FrontAnalysis:
         raise KeyError(v)
 
 
-def build_front(strands, time: float | None = None) -> FrontCurve:
-    """Assemble the isochrone front from strand final states."""
-    strands = sorted(strands, key=lambda s: s.q0)
-    q0 = np.array([s.q0 for s in strands])
-    q = np.array([s.q[-1] for s in strands])
-    p = np.array([s.p[-1] for s in strands])
-    z = np.array([s.z[-1] for s in strands])
-    if time is None:
-        time = float(strands[0].times[-1])
+def build_front(q0, q, p, z, time: float) -> FrontCurve:
+    """Assemble the isochrone front from seed-sorted final states."""
     f = FrontCurve(time=time, q=q, z=z, p=p, q0=q0)
     dq = np.diff(q)
     if len(dq) and (dq[0] <= 0 or dq[-1] <= 0):
@@ -119,7 +113,7 @@ def build_front(strands, time: float | None = None) -> FrontCurve:
     return f
 
 
-def detect_cusps(f: FrontCurve, degeneracy_tol: float = DEGENERACY_TOL) -> list[Cusp]:
+def detect_cusps(f: FrontCurve) -> list[Cusp]:
     """Cusps sit where dq/dq0 changes sign between consecutive cells.
 
     Positions are refined by a local quadratic fit in q0. The sign follows
@@ -138,7 +132,7 @@ def detect_cusps(f: FrontCurve, degeneracy_tol: float = DEGENERACY_TOL) -> list[
     # vanishing-slope plateau without a sign change: degenerate slice
     s_abs = np.abs(slope) / wq * (f.q0[-1] - f.q0[0])
     for i in range(1, len(slope) - 1):
-        if s_abs[i] < degeneracy_tol and np.sign(dq[i - 1]) == np.sign(dq[i + 1]) \
+        if s_abs[i] < DEGENERACY_TOL and np.sign(dq[i - 1]) == np.sign(dq[i + 1]) \
                 and dq[i - 1] * dq[i] > 0 and dq[i] * dq[i + 1] > 0:
             if s_abs[i] <= s_abs[i - 1] and s_abs[i] <= s_abs[i + 1]:
                 raise NonGeneric(
@@ -416,7 +410,7 @@ def default_ball_radius(f: FrontCurve, T: Triangle) -> float:
 
 
 def remove_triangle(f: FrontCurve, T: Triangle, ball_radius: float | None = None,
-                    blend_points: int = 17, return_cuts: bool = False):
+                    return_cuts: bool = False):
     """Delete the triangle subcurve and reconnect with a C1 cubic blend
     inside a ball around the vertex. Outside the ball the front is untouched."""
     if ball_radius is None:
@@ -452,7 +446,7 @@ def remove_triangle(f: FrontCurve, T: Triangle, ball_radius: float | None = None
     if not q1 < q2:
         raise BallTooLarge("ball boundary points are not q-ordered; radius too large")
 
-    qs = np.linspace(q1, q2, blend_points + 2)[1:-1]
+    qs = np.linspace(q1, q2, BLEND_POINTS + 2)[1:-1]
     h = q2 - q1
     s = (qs - q1) / h
     h00 = 2 * s ** 3 - 3 * s ** 2 + 1

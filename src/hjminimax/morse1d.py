@@ -76,21 +76,23 @@ def critical_points(f: FiberFunction, resolution: int = 2048,
     def deriv(x):
         return (f.values(x + h) - f.values(x - h)) / (2.0 * h)
 
-    # detect on the refined grid; compare against the coarse grid to catch
-    # features that a single cell cannot separate
-    coarse_cells = _derivative_sign_changes(deriv, a, b, resolution)
-    fine_cells = _derivative_sign_changes(deriv, a, b, 2 * resolution)
+    # detect on the refined grid; compare against the coarse grid (every
+    # other fine sample) to catch features that a single cell cannot separate
+    xs = np.linspace(a, b, 2 * resolution + 1)
+    ds = np.array([deriv(x) for x in xs.tolist()])
+    coarse_cells = _sign_change_cells(ds[::2])
+    fine_cells = _sign_change_cells(ds)
     if len(fine_cells) != len(coarse_cells):
         raise ResolutionTooCoarse(
             f"{len(coarse_cells)} sign changes at resolution {resolution}, "
             f"{len(fine_cells)} after one refinement round")
-    for (l0, _), (l1, _) in zip(fine_cells, fine_cells[1:]):
+    for l0, l1 in zip(fine_cells, fine_cells[1:]):
         if l1 - l0 <= 1:
             raise ResolutionTooCoarse("two derivative sign changes share a sample cell")
 
     points = []
     dx = width / (2 * resolution)
-    for cell, _ in fine_cells:
+    for cell in fine_cells:
         lo = a + cell * dx
         hi = lo + dx
         xi = _bisect(deriv, lo, hi, tol)
@@ -107,23 +109,17 @@ def critical_points(f: FiberFunction, resolution: int = 2048,
     return points
 
 
-def _derivative_sign_changes(deriv, a, b, n):
-    xs = np.linspace(a, b, n + 1)
-    ds = np.array([deriv(x) for x in xs])
-    s = np.sign(ds)
+def _sign_change_cells(ds):
+    """Indices of the sample cells over which the derivative samples ds
+    change sign (a zero sample marks the cell to its left)."""
+    s = np.sign(ds).tolist()
     cells = []
-    for i in range(n):
-        if s[i] != 0 and s[i + 1] != 0 and s[i] != s[i + 1]:
-            cells.append((i, (xs[i], xs[i + 1])))
-        elif s[i + 1] == 0 and i + 1 <= n:
-            # a root exactly on a sample: treat the right cell as the change
-            cells.append((i, (xs[i], xs[i + 1])))
-    # collapse duplicates from the zero-sample case
-    dedup = []
-    for c in cells:
-        if not dedup or c[0] > dedup[-1][0]:
-            dedup.append(c)
-    return dedup
+    for i in range(len(s) - 1):
+        if s[i + 1] == 0 or (s[i] != 0 and s[i] != s[i + 1]):
+            # collapse duplicates from the zero-sample case
+            if not cells or i > cells[-1]:
+                cells.append(i)
+    return cells
 
 
 def _bisect(g, lo, hi, tol):
@@ -209,13 +205,15 @@ def persistence_pairs(f: FiberFunction, resolution: int = 4096) -> OracleResult:
     """
     a, b = f.window
     xs = np.linspace(a, b, resolution)
-    ys = np.array([f.values(x) for x in xs], dtype=float)
+    ys = np.array([f.values(x) for x in xs.tolist()], dtype=float)
     if f.infinity_index == 1:
         ys = -ys
-    order = np.argsort(ys, kind="stable")
+    order = np.argsort(ys, kind="stable").tolist()
+    y = ys.tolist()
 
-    parent = {}
-    birth = {}  # root -> sample index of the component minimum
+    n = len(y)
+    parent = [-1] * n  # -1: sample not yet in the sublevel set
+    birth = [0] * n    # root -> sample index of the component minimum
 
     def find(i):
         root = i
@@ -227,15 +225,15 @@ def persistence_pairs(f: FiberFunction, resolution: int = 4096) -> OracleResult:
 
     pairs = []
     for i in order:
-        i = int(i)
         parent[i] = i
         birth[i] = i
-        neighbors = [j for j in (i - 1, i + 1) if j in parent]
-        roots = sorted({find(j) for j in neighbors}, key=lambda r: ys[birth[r]])
+        roots = [find(j) for j in (i - 1, i + 1) if 0 <= j < n and parent[j] >= 0]
         if len(roots) == 1:
             parent[i] = roots[0]
         elif len(roots) == 2:
             older, younger = roots
+            if y[birth[younger]] < y[birth[older]]:
+                older, younger = younger, older
             pairs.append((float(xs[i]), float(xs[birth[younger]])))
             parent[i] = older
             parent[younger] = older

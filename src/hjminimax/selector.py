@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -18,9 +18,17 @@ import numpy as np
 from . import characteristics as chars
 from . import front as frontmod
 from . import morse1d
-from .errors import (DegenerateFiber, HJError, InconsistentSweep, MalformedInput,
+from .errors import (DegenerateFiber, InconsistentSweep, MalformedInput,
                      NoVanishingTriangle, NonGeneric)
 from .front import FrontAnalysis, FrontCurve
+
+SWEEP_FIBERS = 512   # fibers `decompose` sweeps across a front
+MAX_SURGERIES = 64   # rounds `eliminate` may take before giving up
+TRIM_FRAC = 0.25     # share of the vertices `trim_long` may drop per end
+SLICE_SHIFTS = 4     # t+eps retries of a non-generic slice in `slice_analysis`
+
+# fiber failures that a small shift of the fiber abscissa may cure
+_RETRYABLE = (DegenerateFiber, NonGeneric, MalformedInput)
 
 
 @dataclass(frozen=True)
@@ -42,14 +50,6 @@ class XCurve:
     def q_span(self):
         return self.intervals[0][0], self.intervals[-1][1]
 
-    def sections(self):
-        out = []
-        for _, _, u, l in self.intervals:
-            for s in (u, l):
-                if s not in out:
-                    out.append(s)
-        return out
-
 
 @dataclass
 class SectionDecomposition:
@@ -66,7 +66,6 @@ class GridSolution:
     branch: np.ndarray         # (nt, nq) per-slice section ids
     branch_count: np.ndarray   # (nt, nq) fiber crossing counts
     provenance: str
-    events: list = field(default_factory=list)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -142,18 +141,33 @@ def _couple_fiber(pts: Sequence[FiberPoint]):
     return morse1d.couple(crits)
 
 
+def _coupled_fiber(analysis: FrontAnalysis, q: float, dq: float = 0.0,
+                   attempts: int = 1):
+    """Fiber points and their coupling (None on a single crossing) at the
+    first of q, q+dq, ... whose fiber is generic; re-raises the last
+    failure when all `attempts` fail."""
+    for k in range(attempts):
+        try:
+            pts = fiber_points(analysis, q + k * dq)
+            return pts, (_couple_fiber(pts) if len(pts) > 1 else None)
+        except _RETRYABLE:
+            # raised, not kept: a kept exception would tie this frame, and
+            # the front it holds, into a reference cycle
+            if k == attempts - 1:
+                raise
+
+
+def _free_point(pts, dec) -> FiberPoint:
+    return pts[0] if dec is None else pts[int(dec.free.xi)]
+
+
 def select_pointwise(analysis: FrontAnalysis, q: float):
     """(z, section id) of the free critical point of the fiber at q."""
-    pts = fiber_points(analysis, q)
-    if len(pts) == 1:
-        return pts[0].z, pts[0].section
-    dec = _couple_fiber(pts)
-    free = pts[int(dec.free.xi)]
+    free = _free_point(*_coupled_fiber(analysis, q))
     return free.z, free.section
 
 
-def decompose(analysis: FrontAnalysis, n_sweep: int = 512,
-              validate: bool = True) -> SectionDecomposition:
+def decompose(analysis: FrontAnalysis, validate: bool = True) -> SectionDecomposition:
     """Sweep fibers across the front, record couplings, and stitch the
     minimax section and the closed coupled curves X_i."""
     f = analysis.front
@@ -162,7 +176,7 @@ def decompose(analysis: FrontAnalysis, n_sweep: int = 512,
     # the fiber loses the noncompact branch and its crossing count is even
     q_lo, q_hi = float(f.q[0]), float(f.q[-1])
     pad = (q_hi - q_lo) * 1e-6
-    qs = np.linspace(q_lo + pad, q_hi - pad, n_sweep)
+    qs = np.linspace(q_lo + pad, q_hi - pad, SWEEP_FIBERS)
     dq_sweep = qs[1] - qs[0]
 
     cusp_qs = np.array([c.q for c in analysis.cusps])
@@ -171,24 +185,14 @@ def decompose(analysis: FrontAnalysis, n_sweep: int = 512,
     mu = []           # (q, free_section)
     sweep_pairs = []  # (q, [(upper_sec, lower_sec), ...])
     for q in qs:
-        got = None
-        for k in range(6):
-            try:
-                pts = fiber_points(analysis, q + k * dq_sweep * 1e-3)
-                if len(pts) == 1:
-                    got = (pts[0].section, [])
-                else:
-                    dec = _couple_fiber(pts)
-                    prs = [(pts[int(u.xi)].section, pts[int(l.xi)].section)
-                           for u, l in dec.pairs]
-                    got = (pts[int(dec.free.xi)].section, prs)
-                break
-            except (DegenerateFiber, NonGeneric, MalformedInput):
-                continue
-        if got is None:
+        try:
+            pts, dec = _coupled_fiber(analysis, q, dq_sweep * 1e-3, attempts=6)
+        except _RETRYABLE:
             continue
-        mu.append((q, got[0]))
-        sweep_pairs.append((q, got[1]))
+        pairs = [] if dec is None else dec.pairs
+        mu.append((q, _free_point(pts, dec).section))
+        sweep_pairs.append((q, [(pts[int(u.xi)].section, pts[int(l.xi)].section)
+                                for u, l in pairs]))
 
     minimax_pieces = _stitch_mu(mu)
     xcurves = _stitch_pairs(sweep_pairs, cusp_qs, homog, dq_sweep, validate)
@@ -284,13 +288,11 @@ def triangle_is_coupled(analysis: FrontAnalysis, T) -> bool:
     q_lo, q_hi = float(qx.min()), float(qx.max())
     span = q_hi - q_lo
     for frac in (0.37, 0.61, 0.23, 0.79, 0.5):
-        q_test = q_lo + frac * span
         try:
-            pts = fiber_points(analysis, q_test)
-            if len(pts) < 3:
-                continue
-            dec = _couple_fiber(pts)
-        except (DegenerateFiber, NonGeneric, MalformedInput):
+            pts, dec = _coupled_fiber(analysis, q_lo + frac * span)
+        except _RETRYABLE:
+            continue
+        if dec is None:
             continue
         loop_pts = {k for k, pt in enumerate(pts)
                     if T.start_seg <= pt.seg <= T.end_seg}
@@ -308,7 +310,7 @@ def _loop_area(f: FrontCurve, T) -> float:
     return 0.5 * abs(np.dot(qs, np.roll(zs, -1)) - np.dot(zs, np.roll(qs, -1)))
 
 
-def eliminate(f: FrontCurve, max_rounds: int = 64):
+def eliminate(f: FrontCurve):
     """Vanishing-triangle elimination loop (returns the smooth front and the
     ordered surgery log). Each removal deletes one coupled pair.
 
@@ -319,7 +321,7 @@ def eliminate(f: FrontCurve, max_rounds: int = 64):
     see which steps went through the fallback."""
     log = []
     current = f
-    for _ in range(max_rounds):
+    for _ in range(MAX_SURGERIES):
         analysis = frontmod.analyze(current)
         if not analysis.cusps:
             return current, log
@@ -368,41 +370,42 @@ def default_seeds(spec: chars.ProblemSpec, n: int, t: float | None = None):
                        int(n * (base_hi - base_lo + 2 * margin) / (base_hi - base_lo)))
 
 
-def trim_long(strands, max_frac: float = 0.25):
-    """Drop end strands sitting inside a fold so the front is graph-like at
-    both ends. At most max_frac of the strands may go per side."""
-    strands = sorted(strands, key=lambda s: s.q0)
-    limit = int(len(strands) * max_frac)
-    lo, hi = 0, len(strands) - 1
+def trim_long(q0, q, p, z):
+    """Drop end vertices sitting inside a fold so the front is graph-like at
+    both ends. Takes and returns seed-sorted arrays (q0, q, p, z); at most
+    TRIM_FRAC of the vertices may go per end."""
+    limit = int(len(q) * TRIM_FRAC)
+    lo, hi = 0, len(q) - 1
     for _ in range(limit):
-        if strands[hi].q[-1] - strands[hi - 1].q[-1] > 0:
+        if q[hi] - q[hi - 1] > 0:
             break
         hi -= 1
     for _ in range(limit):
-        if strands[lo + 1].q[-1] - strands[lo].q[-1] > 0:
+        if q[lo + 1] - q[lo] > 0:
             break
         lo += 1
-    return strands[lo:hi + 1]
+    keep = slice(lo, hi + 1)
+    return q0[keep], q[keep], p[keep], z[keep]
+
+
+def _long_front(t: float, q0, q, p, z) -> FrontCurve:
+    """The long front at time t from seed-sorted states: every slice, on the
+    grid or alone, is built here."""
+    return frontmod.build_front(*trim_long(q0, q, p, z), time=t)
 
 
 def slice_analysis(spec: chars.ProblemSpec, t: float, seeds,
-                   step: float | None = None, refine_tol: float | None = None,
-                   max_shifts: int = 4):
+                   step: float | None = None):
     """Front analysis at time t; non-generic slices are retried at t+eps."""
     eps = max(spec.t_max / 200000.0, 1e-9)
-    t_try = t
-    last = None
-    for k in range(max_shifts + 1):
+    for k in range(SLICE_SHIFTS + 1):
+        t_try = t + k * eps if k else t
         try:
-            strands = chars.evolve(spec, t_try, seeds, step)
-            if refine_tol is not None:
-                strands = chars.refine_seeds(spec, t_try, strands, refine_tol, step)
-            f = frontmod.build_front(trim_long(strands), time=t_try)
+            f = _long_front(t_try, *chars.evolve(spec, t_try, seeds, step))
             return frontmod.analyze(f)
-        except NonGeneric as exc:
-            last = exc
-            t_try = t + (k + 1) * eps
-    raise last
+        except NonGeneric:
+            if k == SLICE_SHIFTS:
+                raise
 
 
 def _light_sections(f: FrontCurve):
@@ -412,14 +415,13 @@ def _light_sections(f: FrontCurve):
 
 
 def minimax_grid(spec: chars.ProblemSpec, t_grid, q_grid,
-                 step: float | None = None, n_seeds: int = 4096,
-                 workers: int = 1) -> GridSolution:
+                 step: float | None = None, n_seeds: int = 4096) -> GridSolution:
     """Minimax solution values on the (t,q) grid via pointwise selection."""
     t_grid = np.asarray(t_grid, dtype=float)
     q_grid = np.asarray(q_grid, dtype=float)
     seeds = default_seeds(spec, n_seeds)
     times = [float(t) for t in t_grid]
-    Q, P, Z = chars.evolve_states(spec, times, seeds, step, workers=workers)
+    Q, P, Z = chars.evolve_states(spec, times, seeds, step)
 
     nt, nq = len(t_grid), len(q_grid)
     u = np.empty((nt, nq))
@@ -428,40 +430,27 @@ def minimax_grid(spec: chars.ProblemSpec, t_grid, q_grid,
 
     u0q = spec.u0.eval(q=q_grid)
     eps_t = max((t_grid[1] - t_grid[0]) / 100.0 if nt > 1 else 1e-6, 1e-9)
+    dq_nudge = (q_grid[1] - q_grid[0]) * 1e-4 if nq > 1 else 1e-7
 
-    for i, t in enumerate(t_grid):
+    for i, t in enumerate(times):
         if t == 0.0:
             u[i] = u0q
             continue
-        f = FrontCurve(time=float(t), q=Q[i], z=Z[i], p=P[i], q0=seeds)
+        f = _long_front(t, seeds, Q[i], P[i], Z[i])
         try:
             cusps, sections = _light_sections(f)
         except NonGeneric:
             # perestroika instant: redo this slice at t + eps
-            strands = chars.evolve(spec, float(t) + eps_t, seeds, step)
-            f = frontmod.build_front(strands, time=float(t) + eps_t)
+            t_eps = t + eps_t
+            f = _long_front(t_eps, *chars.evolve(spec, t_eps, seeds, step))
             cusps, sections = _light_sections(f)
         analysis = FrontAnalysis(front=f, cusps=tuple(cusps),
                                  sections=tuple(sections), doubles=(), triangles=())
-        dq_nudge = (q_grid[1] - q_grid[0]) * 1e-4 if nq > 1 else 1e-7
         for j, qv in enumerate(q_grid):
-            z, sec, cnt = _select_with_retry(analysis, float(qv), dq_nudge)
-            u[i, j] = z
-            branch[i, j] = sec
-            count[i, j] = cnt
+            pts, dec = _coupled_fiber(analysis, float(qv), dq_nudge, attempts=8)
+            free = _free_point(pts, dec)
+            u[i, j] = free.z
+            branch[i, j] = free.section
+            count[i, j] = len(pts)
     return GridSolution(t=t_grid, q=q_grid, u=u, branch=branch,
                         branch_count=count, provenance="minimax")
-
-
-def _select_with_retry(analysis, q, dq_nudge, attempts: int = 8):
-    for k in range(attempts):
-        try:
-            pts = fiber_points(analysis, q + k * dq_nudge)
-            if len(pts) == 1:
-                return pts[0].z, pts[0].section, 1
-            dec = _couple_fiber(pts)
-            free = pts[int(dec.free.xi)]
-            return free.z, free.section, len(pts)
-        except (DegenerateFiber, NonGeneric, MalformedInput):
-            continue
-    raise HJError(f"fiber selection failed at q={q} after {attempts} nudges")

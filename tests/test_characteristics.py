@@ -3,7 +3,7 @@ import pytest
 
 import hjminimax as hj
 from hjminimax import characteristics as chars
-from hjminimax.errors import NonFinite, RefinementDepthExceeded
+from hjminimax.errors import NonFinite
 
 
 def exact_burgers(q0, t):
@@ -24,8 +24,7 @@ def test_rhs_signs():
 
 def test_burgers_matches_closed_form(burgers_spec):
     seeds = np.linspace(-1.0, 7.0, 200)
-    strands = chars.evolve(burgers_spec, 1.5, seeds, step=0.01)
-    q0, q, p, z = chars.final_state(strands)
+    q0, q, p, z = chars.evolve(burgers_spec, 1.5, seeds, step=0.01)
     qe, pe, ze = exact_burgers(q0, 1.5)
     np.testing.assert_allclose(q, qe, atol=1e-12)
     np.testing.assert_allclose(p, pe, atol=1e-12)
@@ -41,8 +40,7 @@ def test_rk4_fourth_order():
     seeds = np.linspace(0.5, 2.0, 9)
     errs = []
     for step in (0.1, 0.05, 0.025):
-        strands = chars.evolve(spec, 2.0, seeds, step=step)
-        q0, q, p, z = chars.final_state(strands)
+        q0, q, p, z = chars.evolve(spec, 2.0, seeds, step=step)
         errs.append(np.max(np.abs(q - q0 * np.exp(2.0))))
     assert errs[0] / errs[1] >= 8.0
     assert errs[1] / errs[2] >= 8.0
@@ -55,14 +53,12 @@ def test_output_times_monotone_required(burgers_spec):
         chars.evolve_states(burgers_spec, [0.0, 5.0], [0.0])
 
 
-def test_worker_chunking_bit_identical(burgers_spec):
-    seeds = np.linspace(-1.0, 7.0, 64)
-    times = [0.5, 1.5, 3.0]
-    Q1, P1, Z1 = chars.evolve_states(burgers_spec, times, seeds, 0.01, workers=1)
-    Q4, P4, Z4 = chars.evolve_states(burgers_spec, times, seeds, 0.01, workers=4)
-    assert np.array_equal(Q1, Q4)
-    assert np.array_equal(P1, P4)
-    assert np.array_equal(Z1, Z4)
+def test_evolve_sorts_seeds_and_matches_states(burgers_spec):
+    seeds = np.array([3.0, -1.0, 0.5, 6.0])
+    q0, q, p, z = chars.evolve(burgers_spec, 1.5, seeds, step=0.01)
+    assert np.array_equal(q0, np.sort(seeds))
+    Q, P, Z = chars.evolve_states(burgers_spec, [1.5], q0, 0.01)
+    assert np.array_equal(q, Q[0]) and np.array_equal(p, P[0]) and np.array_equal(z, Z[0])
 
 
 def test_incremental_times_match_direct(burgers_spec):
@@ -78,10 +74,10 @@ def test_windowed_strands_freeze():
     H = hj.parse("p^2/2")
     u0 = hj.parse("tanh(q)")
     spec = hj.ProblemSpec(H=H, u0=u0, domain=hj.Windowed(-5.0, 5.0), t_max=1.0)
-    strands = chars.evolve(spec, 1.0, [-8.0, 0.0, 8.0], step=0.01)
-    assert strands[0].q[-1] == -8.0  # outside the window: frozen
-    assert strands[2].q[-1] == 8.0
-    assert strands[1].q[-1] != 0.0
+    _, q, _, _ = chars.evolve(spec, 1.0, [-8.0, 0.0, 8.0], step=0.01)
+    assert q[0] == -8.0  # outside the window: frozen
+    assert q[2] == 8.0
+    assert q[1] != 0.0
 
 
 def test_nonfinite_detected():
@@ -91,31 +87,3 @@ def test_nonfinite_detected():
     spec = hj.ProblemSpec(H=H, u0=u0, domain=hj.Windowed(-1e300, 1e300), t_max=5.0)
     with pytest.raises(NonFinite):
         chars.evolve(spec, 5.0, [3.0], step=0.05)
-
-
-def test_refine_seeds_resolves_fold(burgers_spec):
-    seeds = np.linspace(-1.0, 7.0, 40)
-    strands = chars.evolve(burgers_spec, 1.5, seeds, step=0.01)
-    refined = chars.refine_seeds(burgers_spec, 1.5, strands, 0.05, step=0.01)
-    assert len(refined) > len(strands)
-    q0, q, p, z = chars.final_state(refined)
-    gaps = np.hypot(np.diff(q), np.diff(z))
-    assert gaps.max() <= 0.05
-
-
-def test_refine_depth_limit(burgers_spec):
-    seeds = np.linspace(-1.0, 7.0, 8)
-    strands = chars.evolve(burgers_spec, 1.5, seeds, step=0.05)
-    with pytest.raises(RefinementDepthExceeded) as ei:
-        chars.refine_seeds(burgers_spec, 1.5, strands, 1e-9, step=0.05)
-    assert ei.value.strands  # partial result is recoverable
-
-
-def test_csv_roundtrip(burgers_spec):
-    strands = chars.evolve(burgers_spec, 0.5, [0.2, 1.0], step=0.01)
-    text = chars.strands_to_csv(strands)
-    lines = text.strip().split("\n")
-    assert lines[0] == "q0,t,q,p,z"
-    assert len(lines) == 1 + 2 * 2
-    row = [float(v) for v in lines[-1].split(",")]
-    assert row[0] == 1.0 and row[1] == 0.5

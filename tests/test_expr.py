@@ -111,6 +111,13 @@ def test_canonical_roundtrip():
     np.testing.assert_array_equal(e.eval(q=qs, p=0.3), again.eval(q=qs, p=0.3))
 
 
+def test_equal_expressions_hash_equal():
+    a, b = expr.parse("p^2/2"), expr.parse("p ^ 2 / 2")
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert len({a, expr.parse("p^2/3")}) == 2
+
+
 def test_variables_property():
     assert expr.parse("p^2/2").variables == frozenset({"p"})
     assert expr.parse("cos(q)*t").variables == frozenset({"q", "t"})

@@ -61,21 +61,12 @@ def test_fish_triangle():
     assert frontmod.is_vanishing(a.front, T, a.sections, a.doubles)
 
 
-class _Strand:
-    def __init__(self, q0, q, p, z):
-        self.q0 = q0
-        self.times = np.array([0.0])
-        self.q = np.array([q])
-        self.p = np.array([p])
-        self.z = np.array([z])
-
-
 def test_not_long_rejected():
     # q(q0) = -q0^2 folds back at the right end: not graph-like there
     q0 = np.linspace(-1, 1, 101)
-    strands = [_Strand(a, -a * a, 0.0, 0.0) for a in q0]
+    zero = np.zeros_like(q0)
     with pytest.raises(NotLong):
-        frontmod.build_front(strands)
+        frontmod.build_front(q0, -q0 * q0, zero, zero, time=0.0)
 
 
 def test_vertical_tangency_is_nongeneric():

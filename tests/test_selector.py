@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import hjminimax as hj
 from hjminimax import front as frontmod
 from hjminimax import selector
 from hjminimax.errors import DegenerateFiber
@@ -114,6 +115,33 @@ def test_minimax_grid_initial_slice(burgers_spec):
     np.testing.assert_allclose(g.u[0], np.cos(q_grid), atol=1e-12)
     assert g.provenance == "minimax"
     assert np.all(g.branch_count >= 1)
+
+
+@pytest.mark.parametrize("H, u0", [
+    ("p^2/2 + 0.5*sin(q)*cos(t)", "cos(q + 1.91)"),
+    ("cos(p) - 1 + 0.5*sin(q)*cos(t)", "cos(q)"),
+])
+def test_minimax_grid_trims_folded_ends(H, u0):
+    # some slices of these flows fold back at a seed-window end; the grid
+    # fronts must be trimmed to long fronts like every other slice, or the
+    # index walk over the sections does not close
+    spec = hj.ProblemSpec(H=hj.parse(H), u0=hj.parse(u0),
+                          domain=hj.Periodic(2 * np.pi), t_max=2.0)
+    t_grid = np.linspace(0.0, 2.0, 16)
+    q_grid = np.linspace(0.0, 2 * np.pi, 32, endpoint=False)
+    g = selector.minimax_grid(spec, t_grid, q_grid, n_seeds=1024)
+    assert np.all(g.branch_count % 2 == 1)
+
+
+def test_trim_long_drops_folded_ends():
+    q0 = np.linspace(-1.0, 1.0, 41)
+    q = q0 ** 3 - 0.5 * q0  # folds only inside: already long
+    assert all(len(a) == 41 for a in selector.trim_long(q0, q, q0, q0))
+    q = np.minimum(q0, 1.6 - q0)  # the last four vertices fold back
+    t0, tq, tp, tz = selector.trim_long(q0, q, q0, 2 * q0)
+    assert len(t0) == 37 and t0[-1] == pytest.approx(0.8)
+    assert np.array_equal(tq, q[:37]) and np.array_equal(tz, 2 * t0)
+    frontmod.build_front(t0, tq, tp, tz, time=1.0)  # long now: no NotLong
 
 
 def test_grid_csv_schema(burgers_grid):
