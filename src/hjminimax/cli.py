@@ -96,10 +96,14 @@ def load_config(path, grid_override=None):
         raise ConfigError(f"step must be positive, got {step}")
     if not n_seeds > 0:
         raise ConfigError(f"n_seeds must be positive, got {n_seeds}")
-    if not cfl > 0:
-        raise ConfigError(f"cfl must be positive, got {cfl}")
+    if not 0 < cfl <= viscosity.CFL_MAX:
+        raise ConfigError(f"cfl must lie in (0, {viscosity.CFL_MAX}], got {cfl}")
 
     out = cp["output"] if cp.has_section("output") else {}
+    snapshot_times = [float(s) for s in
+                      out.get("snapshot_times", "").replace(",", " ").split()]
+    if not all(0 <= t <= t_max for t in snapshot_times):
+        raise ConfigError(f"snapshot_times must lie in [0, t_max={t_max}], got {snapshot_times}")
     cfg = {
         "spec": spec,
         "nt": nt,
@@ -108,8 +112,7 @@ def load_config(path, grid_override=None):
         "n_seeds": n_seeds,
         "cfl": cfl,
         "out_dir": out.get("dir", "out"),
-        "snapshot_times": [float(s) for s in out.get("snapshot_times", "").replace(
-            ",", " ").split()],
+        "snapshot_times": snapshot_times,
     }
     return cfg
 
@@ -258,6 +261,9 @@ def main(argv=None):
         cfg = load_config(args.config, grid_override=args.grid)
         if args.out:
             cfg["out_dir"] = args.out
+        t_max = cfg["spec"].t_max
+        if args.command in ("dump-front", "render") and not 0 <= args.time <= t_max:
+            raise ConfigError(f"--time must lie in [0, t_max={t_max}], got {args.time}")
     except (ConfigError, configparser.Error) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

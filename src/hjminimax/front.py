@@ -113,23 +113,13 @@ def build_front(q0, q, p, z, time: float) -> FrontCurve:
     return f
 
 
-def detect_cusps(f: FrontCurve) -> list[Cusp]:
-    """Cusps sit where dq/dq0 changes sign between consecutive cells.
-
-    Positions are refined by a local quadratic fit in q0. The sign follows
-    the coorientation rule: positive when the traversal passes onto the
-    branch lying above (in +z) the branch it leaves.
-    """
-    n = len(f)
+def _check_tangency(f: FrontCurve):
+    """NonGeneric on a vanishing-slope plateau without a fold (perestroika)."""
     dq = np.diff(f.q)
     dq0 = np.diff(f.q0)
-    wq, wz = f.bbox_scale()
+    wq, _ = f.bbox_scale()
     with np.errstate(divide="ignore", invalid="ignore"):
         slope = np.where(dq0 > 0, dq / np.where(dq0 > 0, dq0, 1.0), 0.0)
-
-    flips = [i for i in range(len(dq) - 1) if dq[i] * dq[i + 1] < 0]
-
-    # vanishing-slope plateau without a sign change: degenerate slice
     s_abs = np.abs(slope) / wq * (f.q0[-1] - f.q0[0])
     for i in range(1, len(slope) - 1):
         if s_abs[i] < DEGENERACY_TOL and np.sign(dq[i - 1]) == np.sign(dq[i + 1]) \
@@ -139,6 +129,18 @@ def detect_cusps(f: FrontCurve) -> list[Cusp]:
                     f"near-vertical tangency at q0~{f.q0[i]:.6g} without a fold "
                     "(perestroika instant); shift t by epsilon")
 
+
+def detect_cusps(f: FrontCurve) -> list[Cusp]:
+    """Cusps sit where dq/dq0 changes sign between consecutive cells.
+
+    Positions are refined by a local quadratic fit in q0. The sign follows
+    the coorientation rule: positive when the traversal passes onto the
+    branch lying above (in +z) the branch it leaves. Only cusps are found
+    here and nothing is raised: the tangency check is `analyze`'s.
+    """
+    n = len(f)
+    dq = np.diff(f.q)
+    flips = [i for i in range(len(dq) - 1) if dq[i] * dq[i + 1] < 0]
     cusps = []
     for i in flips:
         v = i + 1  # vertex where the direction reverses
@@ -481,7 +483,9 @@ def _segment_slope(f: FrontCurve, seg: int) -> float:
 
 
 def analyze(f: FrontCurve) -> FrontAnalysis:
-    """Full combinatorial analysis of a front."""
+    """Full combinatorial analysis of a front; NonGeneric at a vertical
+    tangency without a fold."""
+    _check_tangency(f)
     cusps = detect_cusps(f)
     sections = split_sections(f, cusps)
     doubles = double_points(f, sections, cusps)

@@ -60,11 +60,10 @@ class OracleResult:
     pairs: tuple[tuple[float, float], ...] = field(default=())  # (xi_saddle, xi_birth)
 
 
-def critical_points(f: FiberFunction, resolution: int = 2048,
-                    tol: float = XI_TOL) -> list[CriticalPoint]:
+def critical_points(f: FiberFunction, resolution: int = 2048) -> list[CriticalPoint]:
     """Locate the Morse critical points of f inside its window.
 
-    Sign changes of the sampled derivative are bisected to |xi error| <= tol;
+    Sign changes of the sampled derivative are bisected to |xi error| <= XI_TOL;
     indices come from the sign of the second difference at the root.
     """
     if resolution < 64:
@@ -95,8 +94,8 @@ def critical_points(f: FiberFunction, resolution: int = 2048,
     for cell in fine_cells:
         lo = a + cell * dx
         hi = lo + dx
-        xi = _bisect(deriv, lo, hi, tol)
-        d2 = f.values(xi + 10 * tol) - 2.0 * f.values(xi) + f.values(xi - 10 * tol)
+        xi = _bisect(deriv, lo, hi, XI_TOL)
+        d2 = f.values(xi + 10 * XI_TOL) - 2.0 * f.values(xi) + f.values(xi - 10 * XI_TOL)
         index = 0 if d2 > 0 else 1
         points.append(CriticalPoint(xi=xi, value=float(f.values(xi)), index=index))
     points.sort(key=lambda cp: cp.xi)
@@ -154,8 +153,7 @@ def incidence(a: CriticalPoint, b: CriticalPoint,
     return 0
 
 
-def couple(points: Sequence[CriticalPoint],
-           tol: float = VALUE_TOL) -> CouplingDecomposition:
+def couple(points: Sequence[CriticalPoint]) -> CouplingDecomposition:
     """Greedy coupling: repeatedly remove the incident (adjacent max/min)
     pair with the smallest value gap, re-linking neighbors, until a single
     free point remains."""
@@ -183,7 +181,7 @@ def couple(points: Sequence[CriticalPoint],
             upper, lower = (u, v) if u.index > v.index else (v, u)
             gaps.append((upper.value - lower.value, k, upper, lower))
         gaps.sort(key=lambda g: g[0])
-        if len(gaps) > 1 and gaps[1][0] - gaps[0][0] <= tol * scale:
+        if len(gaps) > 1 and gaps[1][0] - gaps[0][0] <= VALUE_TOL * scale:
             raise NonGeneric("tied coupling gaps; perturb the input and retry")
         _, k, upper, lower = gaps[0]
         pairs.append((upper, lower))

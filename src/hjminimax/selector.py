@@ -11,7 +11,6 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -25,7 +24,8 @@ from .front import FrontAnalysis, FrontCurve
 SWEEP_FIBERS = 512   # fibers `decompose` sweeps across a front
 MAX_SURGERIES = 64   # rounds `eliminate` may take before giving up
 TRIM_FRAC = 0.25     # share of the vertices `trim_long` may drop per end
-SLICE_SHIFTS = 4     # t+eps retries of a non-generic slice in `slice_analysis`
+SLICE_SHIFTS = 4     # time shifts of a non-generic slice in `slice_analysis`
+FIBER_TOL = 1e-9     # bbox-scaled distance of a fiber from a cusp or double point
 
 # fiber failures that a small shift of the fiber abscissa may cure
 _RETRYABLE = (DegenerateFiber, NonGeneric, MalformedInput)
@@ -77,17 +77,16 @@ class GridSolution:
         return buf.getvalue()
 
 
-def fiber_points(analysis: FrontAnalysis, q: float,
-                 tol: float = 1e-9) -> list[FiberPoint]:
+def fiber_points(analysis: FrontAnalysis, q: float) -> list[FiberPoint]:
     """Crossings of the vertical line at q with every section, ordered along
     the curve. The count is odd on a long front interior abscissa."""
     f = analysis.front
     wq, _ = f.bbox_scale()
     for c in analysis.cusps:
-        if abs(c.q - q) / wq < tol:
+        if abs(c.q - q) / wq < FIBER_TOL:
             raise DegenerateFiber(f"fiber at q={q} passes through a cusp projection")
     for d in analysis.doubles:
-        if abs(d.q - q) / wq < tol:
+        if abs(d.q - q) / wq < FIBER_TOL:
             raise DegenerateFiber(f"fiber at q={q} passes through a double point")
     pts = _raw_crossings(f, q)
     if len(pts) % 2 == 0:
@@ -135,12 +134,6 @@ def _hermite_z(f: FrontCurve, seg: int, s: float) -> float:
     return float(h00 * z0 + h10 * h * m0 + h01 * z1 + h11 * h * m1)
 
 
-def _couple_fiber(pts: Sequence[FiberPoint]):
-    crits = [morse1d.CriticalPoint(xi=float(k), value=pt.z, index=pt.index)
-             for k, pt in enumerate(pts)]
-    return morse1d.couple(crits)
-
-
 def _coupled_fiber(analysis: FrontAnalysis, q: float, dq: float = 0.0,
                    attempts: int = 1):
     """Fiber points and their coupling (None on a single crossing) at the
@@ -149,7 +142,11 @@ def _coupled_fiber(analysis: FrontAnalysis, q: float, dq: float = 0.0,
     for k in range(attempts):
         try:
             pts = fiber_points(analysis, q + k * dq)
-            return pts, (_couple_fiber(pts) if len(pts) > 1 else None)
+            if len(pts) == 1:
+                return pts, None
+            return pts, morse1d.couple([
+                morse1d.CriticalPoint(xi=float(j), value=pt.z, index=pt.index)
+                for j, pt in enumerate(pts)])
         except _RETRYABLE:
             # raised, not kept: a kept exception would tie this frame, and
             # the front it holds, into a reference cycle
@@ -171,7 +168,6 @@ def decompose(analysis: FrontAnalysis, validate: bool = True) -> SectionDecompos
     """Sweep fibers across the front, record couplings, and stitch the
     minimax section and the closed coupled curves X_i."""
     f = analysis.front
-    wq, _ = f.bbox_scale()
     # sweep between the end vertices: a fold can dip past them in q, where
     # the fiber loses the noncompact branch and its crossing count is even
     q_lo, q_hi = float(f.q[0]), float(f.q[-1])
@@ -396,10 +392,14 @@ def _long_front(t: float, q0, q, p, z) -> FrontCurve:
 
 def slice_analysis(spec: chars.ProblemSpec, t: float, seeds,
                    step: float | None = None):
-    """Front analysis at time t; non-generic slices are retried at t+eps."""
+    """Front analysis at time t. A non-generic slice is retried at t+k*eps,
+    or at t-k*eps where t+SLICE_SHIFTS*eps would pass t_max, so every try
+    stays inside [0, t_max]."""
     eps = max(spec.t_max / 200000.0, 1e-9)
+    if t + SLICE_SHIFTS * eps > spec.t_max:
+        eps = -eps
     for k in range(SLICE_SHIFTS + 1):
-        t_try = t + k * eps if k else t
+        t_try = t + k * eps
         try:
             f = _long_front(t_try, *chars.evolve(spec, t_try, seeds, step))
             return frontmod.analyze(f)
@@ -408,15 +408,11 @@ def slice_analysis(spec: chars.ProblemSpec, t: float, seeds,
                 raise
 
 
-def _light_sections(f: FrontCurve):
-    cusps = frontmod.detect_cusps(f)
-    sections = frontmod.split_sections(f, cusps)
-    return cusps, sections
-
-
 def minimax_grid(spec: chars.ProblemSpec, t_grid, q_grid,
                  step: float | None = None, n_seeds: int = 4096) -> GridSolution:
-    """Minimax solution values on the (t,q) grid via pointwise selection."""
+    """Minimax solution values on the (t,q) grid via pointwise selection.
+    Each row is the front at exactly its grid time, from that time's
+    `evolve_states` row; no time is shifted."""
     t_grid = np.asarray(t_grid, dtype=float)
     q_grid = np.asarray(q_grid, dtype=float)
     seeds = default_seeds(spec, n_seeds)
@@ -429,7 +425,6 @@ def minimax_grid(spec: chars.ProblemSpec, t_grid, q_grid,
     count = np.ones((nt, nq), dtype=int)
 
     u0q = spec.u0.eval(q=q_grid)
-    eps_t = max((t_grid[1] - t_grid[0]) / 100.0 if nt > 1 else 1e-6, 1e-9)
     dq_nudge = (q_grid[1] - q_grid[0]) * 1e-4 if nq > 1 else 1e-7
 
     for i, t in enumerate(times):
@@ -437,15 +432,10 @@ def minimax_grid(spec: chars.ProblemSpec, t_grid, q_grid,
             u[i] = u0q
             continue
         f = _long_front(t, seeds, Q[i], P[i], Z[i])
-        try:
-            cusps, sections = _light_sections(f)
-        except NonGeneric:
-            # perestroika instant: redo this slice at t + eps
-            t_eps = t + eps_t
-            f = _long_front(t_eps, *chars.evolve(spec, t_eps, seeds, step))
-            cusps, sections = _light_sections(f)
+        cusps = frontmod.detect_cusps(f)
         analysis = FrontAnalysis(front=f, cusps=tuple(cusps),
-                                 sections=tuple(sections), doubles=(), triangles=())
+                                 sections=tuple(frontmod.split_sections(f, cusps)),
+                                 doubles=(), triangles=())
         for j, qv in enumerate(q_grid):
             pts, dec = _coupled_fiber(analysis, float(qv), dq_nudge, attempts=8)
             free = _free_point(pts, dec)

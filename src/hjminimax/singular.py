@@ -17,6 +17,8 @@ import numpy as np
 from .selector import GridSolution
 
 KINDS = ("Shock", "ShockBirth", "ShockMerge", "ForbiddenA", "ForbiddenB", "Unclassified")
+BRIDGE_CELLS = 3         # gap, in cells, that still joins two singular runs
+MATCH_RADIUS_CELLS = 8.0  # q-distance, in cells, an arc may move per slice
 
 
 @dataclass(frozen=True)
@@ -27,8 +29,7 @@ class SingularEvent:
     evidence: dict = field(default_factory=dict)
 
 
-def singular_set(g: GridSolution, periodic: bool = False,
-                 period: float | None = None) -> np.ndarray:
+def singular_set(g: GridSolution, periodic: bool = False) -> np.ndarray:
     """Boolean mask over grid points: selected branch id changes across the
     cell, or the q-slope jump is an outlier (5x the median local variation
     and a sizeable fraction of the slice's slope range)."""
@@ -58,21 +59,20 @@ def singular_set(g: GridSolution, periodic: bool = False,
     return mask
 
 
-def _clusters(row_mask: np.ndarray, q: np.ndarray, periodic: bool,
-              bridge: int = 3):
+def _clusters(row_mask: np.ndarray, q: np.ndarray, periodic: bool):
     """Connected runs of singular grid points, bridging gaps of up to
-    `bridge` cells; returns center q per cluster."""
+    BRIDGE_CELLS cells; returns center q per cluster."""
     idx = np.nonzero(row_mask)[0]
     if len(idx) == 0:
         return []
     groups = [[int(idx[0])]]
     for j in idx[1:]:
-        if j - groups[-1][-1] <= 1 + bridge:
+        if j - groups[-1][-1] <= 1 + BRIDGE_CELLS:
             groups[-1].append(int(j))
         else:
             groups.append([int(j)])
     if periodic and len(groups) > 1 and \
-            groups[0][0] + len(q) - groups[-1][-1] <= 1 + bridge:
+            groups[0][0] + len(q) - groups[-1][-1] <= 1 + BRIDGE_CELLS:
         wrap = groups.pop()
         groups[0] = wrap + groups[0]
     period = q[-1] - q[0] + (q[1] - q[0])
@@ -97,14 +97,14 @@ def _circ_dist(a, b, period):
     return d
 
 
-def classify(g: GridSolution, mask: np.ndarray, periodic: bool = False,
-             match_radius_cells: float = 8.0) -> list[SingularEvent]:
+def classify(g: GridSolution, mask: np.ndarray,
+             periodic: bool = False) -> list[SingularEvent]:
     """Chain per-slice singular clusters into arcs and classify their
     endpoints and junctions."""
     nt, nq = g.u.shape
     dq = float(g.q[1] - g.q[0])
     period = nq * dq if periodic else None
-    radius = match_radius_cells * dq
+    radius = MATCH_RADIUS_CELLS * dq
 
     per_slice = [_clusters(mask[i], g.q, periodic) for i in range(nt)]
 

@@ -11,34 +11,30 @@ from __future__ import annotations
 import numpy as np
 
 _COLORS = ["#1f77b4", "#2ca02c", "#9467bd", "#8c564b", "#17becf", "#7f7f7f"]
+WIDTH, HEIGHT, PAD = 800, 500, 30.0  # canvas size and front margin in pixels
 
 
 def _fmt(x):
     return f"{x:.4f}"
 
 
-class _Mapper:
-    def __init__(self, q, z, width, height, pad=30.0):
-        self.qmin, self.qmax = float(np.min(q)), float(np.max(q))
-        self.zmin, self.zmax = float(np.min(z)), float(np.max(z))
-        self.width, self.height, self.pad = width, height, pad
-
-    def __call__(self, q, z):
-        wq = (self.qmax - self.qmin) or 1.0
-        wz = (self.zmax - self.zmin) or 1.0
-        x = self.pad + (q - self.qmin) / wq * (self.width - 2 * self.pad)
-        y = self.height - self.pad - (z - self.zmin) / wz * (self.height - 2 * self.pad)
-        return x, y
+def _mapper(q, z):
+    """(q, z) -> (x, y) pixel coordinates fitting the front's bounding box."""
+    qmin, zmin = float(np.min(q)), float(np.min(z))
+    wq = (float(np.max(q)) - qmin) or 1.0
+    wz = (float(np.max(z)) - zmin) or 1.0
+    return lambda qv, zv: (PAD + (qv - qmin) / wq * (WIDTH - 2 * PAD),
+                           HEIGHT - PAD - (zv - zmin) / wz * (HEIGHT - 2 * PAD))
 
 
-def render_front(analysis, minimax_pieces=None, width=800, height=500) -> str:
+def render_front(analysis, minimax_pieces=None) -> str:
     f = analysis.front
-    m = _Mapper(f.q, f.z, width, height)
+    m = _mapper(f.q, f.z)
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
         f'<!-- front at t={f.time:.6g} -->',
     ]
     for s in analysis.sections:

@@ -18,6 +18,13 @@ from .expr import Expression
 from .selector import GridSolution
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+CFL_MAX = 0.9               # largest Courant number `lax_friedrichs` accepts
+SLOPE_SAMPLES = 4097        # p samples of the attainable slope range H'(p)
+CONVEXITY_SAMPLES = 2048    # p samples of the second-difference certificate
+CONVEXITY_TOL = 1e-8        # floor the sampled H'' must exceed
+CONVEXITY_WINDOW = (-5.0, 5.0)  # p-window `is_convex_in_p` certifies
+TABLE_V = TABLE_P = 8192    # tabulated slopes v of L(v), p samples maximized over per v
+N_SEED = 2049               # seed abscissae of the Lax-Oleinik minimization
 
 
 @dataclass(frozen=True)
@@ -34,27 +41,26 @@ class ConvexHamiltonian:
             raise MalformedInput("sampled second differences are not positive: H is not convex "
                                  "on the window")
 
-    def slope_range(self, samples: int = 4097):
-        ps = np.linspace(*self.p_window, samples)
+    def slope_range(self):
+        ps = np.linspace(*self.p_window, SLOPE_SAMPLES)
         _, hp = self.H.eval_d(p=ps, wrt="p")
         return float(hp.min()), float(hp.max())
 
 
-def _convexity_certificate(H: Expression, window, samples: int = 2048,
-                           tol: float = 1e-8) -> bool:
+def _convexity_certificate(H: Expression, window) -> bool:
     """Sampled second-difference positivity: H'' > 0 on the window."""
-    ps = np.linspace(window[0], window[1], samples)
+    ps = np.linspace(window[0], window[1], CONVEXITY_SAMPLES)
     vals = H.eval(p=ps)
     dp = ps[1] - ps[0]
     d2 = (vals[2:] - 2.0 * vals[1:-1] + vals[:-2]) / (dp * dp)
-    return bool(np.all(d2 > tol))
+    return bool(np.all(d2 > CONVEXITY_TOL))
 
 
-def is_convex_in_p(H: Expression, window=(-5.0, 5.0)) -> bool:
+def is_convex_in_p(H: Expression) -> bool:
     """Convexity certificate usable on general H(p) candidates."""
     if H.variables - {"p"}:
         return False
-    return _convexity_certificate(H, window)
+    return _convexity_certificate(H, CONVEXITY_WINDOW)
 
 
 def legendre(Hc: ConvexHamiltonian, v: float) -> float:
@@ -93,20 +99,20 @@ def legendre(Hc: ConvexHamiltonian, v: float) -> float:
 class _LegendreTable:
     """Dense tabulation of the conjugate for vectorized Lax-Oleinik."""
 
-    def __init__(self, Hc: ConvexHamiltonian, n_v: int = 8192, n_p: int = 8192):
+    def __init__(self, Hc: ConvexHamiltonian):
         self.Hc = Hc
         self.vmin, self.vmax = Hc.slope_range()
-        self.vs = np.linspace(self.vmin, self.vmax, n_v)
-        ps = np.linspace(*Hc.p_window, n_p)
+        self.vs = np.linspace(self.vmin, self.vmax, TABLE_V)
+        ps = np.linspace(*Hc.p_window, TABLE_P)
         hs = Hc.H.eval(p=ps)
         dp = ps[1] - ps[0]
-        Ls = np.empty(n_v)
+        Ls = np.empty(TABLE_V)
         chunk = 512
-        for i0 in range(0, n_v, chunk):
+        for i0 in range(0, TABLE_V, chunk):
             v = self.vs[i0:i0 + chunk, None]
             g = v * ps[None, :] - hs[None, :]
             k = np.argmax(g, axis=1)
-            k = np.clip(k, 1, n_p - 2)
+            k = np.clip(k, 1, TABLE_P - 2)
             rows = np.arange(len(k))
             gm1, g0, gp1 = g[rows, k - 1], g[rows, k], g[rows, k + 1]
             denom = gm1 - 2 * g0 + gp1
@@ -122,8 +128,7 @@ class _LegendreTable:
 
 
 def lax_oleinik(Hc: ConvexHamiltonian, u0: Expression, t: float, q_grid,
-                n_seed: int = 2049, table: _LegendreTable | None = None,
-                period: float | None = None):
+                table: _LegendreTable | None = None):
     """u(t,q) = min_{q0} [u0(q0) + t L((q-q0)/t)] over a seed grid, with
     3-point parabolic refinement of the argmin. Returns values on q_grid."""
     q_grid = np.asarray(q_grid, dtype=float)
@@ -134,7 +139,7 @@ def lax_oleinik(Hc: ConvexHamiltonian, u0: Expression, t: float, q_grid,
     vmin, vmax = table.vmin, table.vmax
     lo = float(q_grid.min()) + vmin * t
     hi = float(q_grid.max()) + vmax * t
-    q0s = np.linspace(lo, hi, n_seed)
+    q0s = np.linspace(lo, hi, N_SEED)
     u0s = u0.eval(q=q0s)
     v = (q_grid[:, None] - q0s[None, :]) / t
     phi = np.where((v >= vmin) & (v <= vmax),
@@ -146,7 +151,7 @@ def lax_oleinik(Hc: ConvexHamiltonian, u0: Expression, t: float, q_grid,
     u = phi[np.arange(len(q_grid)), k]
 
     # parabolic refinement of the minimizing seed
-    kk = np.clip(k, 1, n_seed - 2)
+    kk = np.clip(k, 1, N_SEED - 2)
     rows = np.arange(len(q_grid))
     f0, fm, fp = phi[rows, kk], phi[rows, kk - 1], phi[rows, kk + 1]
     good = np.isfinite(fm) & np.isfinite(fp) & (fm - 2 * f0 + fp > 0)
@@ -162,14 +167,13 @@ def lax_oleinik(Hc: ConvexHamiltonian, u0: Expression, t: float, q_grid,
     return u
 
 
-def lax_oleinik_grid(Hc: ConvexHamiltonian, u0: Expression, t_grid, q_grid,
-                     n_seed: int = 2049) -> GridSolution:
+def lax_oleinik_grid(Hc: ConvexHamiltonian, u0: Expression, t_grid, q_grid) -> GridSolution:
     t_grid = np.asarray(t_grid, dtype=float)
     q_grid = np.asarray(q_grid, dtype=float)
     table = _LegendreTable(Hc)
     u = np.empty((len(t_grid), len(q_grid)))
     for i, t in enumerate(t_grid):
-        u[i] = lax_oleinik(Hc, u0, float(t), q_grid, n_seed=n_seed, table=table)
+        u[i] = lax_oleinik(Hc, u0, float(t), q_grid, table=table)
     zeros = np.zeros_like(u, dtype=int)
     return GridSolution(t=t_grid, q=q_grid, u=u, branch=zeros,
                         branch_count=np.ones_like(zeros), provenance="viscosity")
@@ -179,8 +183,8 @@ def lax_friedrichs(spec: ProblemSpec, t_grid, q_grid, cfl: float = 0.5) -> GridS
     """Explicit monotone scheme
     u+ = u - dt [H(t, q, Dc u) - theta (u_{j+1} - 2 u_j + u_{j-1}) / (2 dq)],
     Dc the centered slope, theta = 1.05 x max sampled |H_p|."""
-    if cfl > 0.9:
-        raise CFLViolation(f"cfl={cfl} exceeds the 0.9 bound")
+    if cfl > CFL_MAX:
+        raise CFLViolation(f"cfl={cfl} exceeds the {CFL_MAX} bound")
     t_grid = np.asarray(t_grid, dtype=float)
     q_grid = np.asarray(q_grid, dtype=float)
     dq = float(q_grid[1] - q_grid[0])

@@ -20,7 +20,7 @@ from hjminimax.morse1d import FiberFunction
 TWO_PI = 2.0 * np.pi
 
 # golden numbers: measured once on the reference run, pinned to +-20%
-GOLDEN_LINF_CONVEX_PAIR = 5.9e-5
+GOLDEN_LINF_CONVEX_PAIR = 1.42e-6
 
 
 # --- shared expensive artifacts ---

@@ -140,6 +140,7 @@ def test_determinism_across_runs(burgers_cfg, tmp_path):
     ("solver", "step = 0"),
     ("solver", "cfl = half"),
     ("solver", "cfl = 0"),
+    ("solver", "cfl = 1.5"),
 ])
 def test_bad_numeric_settings_exit_2(tmp_path, monkeypatch, capsys, section, line):
     def no_solver(*args, **kwargs):
@@ -153,4 +154,26 @@ def test_bad_numeric_settings_exit_2(tmp_path, monkeypatch, capsys, section, lin
         cli.load_config(str(path))
     assert cli.main(["compare", "--config", str(path),
                      "--out", str(tmp_path / "out")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, snapshot", [
+    (["dump-front", "--time", "2.0"], ""),
+    (["dump-front", "--time", "-0.5"], ""),
+    (["render", "--time", "2.0"], ""),
+    (["solve"], "snapshot_times = 0.5, 2.0"),
+    (["solve"], "snapshot_times = -0.5"),
+], ids=["dump-front-late", "dump-front-negative", "render-late", "snapshot-late",
+        "snapshot-negative"])
+def test_time_outside_range_exit_2(tmp_path, monkeypatch, capsys, argv, snapshot):
+    def no_solver(*args, **kwargs):
+        raise AssertionError("solver ran on an invalid time")
+
+    monkeypatch.setattr(cli.selector, "minimax_grid", no_solver)
+    monkeypatch.setattr(cli.selector, "slice_analysis", no_solver)
+    path = tmp_path / "times.ini"
+    path.write_text("[problem]\nH = p^2/2\nu0 = cos(q)\nt_max = 1.0\n"
+                    f"[output]\n{snapshot}\n")
+    assert cli.main([argv[0], "--config", str(path), "--out", str(tmp_path / "out"),
+                     *argv[1:]]) == 2
     assert "config error" in capsys.readouterr().err

@@ -3,7 +3,7 @@ import pytest
 
 import hjminimax as hj
 from hjminimax import front as frontmod
-from hjminimax import selector
+from hjminimax import selector, viscosity
 from hjminimax.errors import DegenerateFiber
 from hjminimax.front import FrontCurve
 
@@ -115,6 +115,32 @@ def test_minimax_grid_initial_slice(burgers_spec):
     np.testing.assert_allclose(g.u[0], np.cos(q_grid), atol=1e-12)
     assert g.provenance == "minimax"
     assert np.all(g.branch_count >= 1)
+
+
+@pytest.fixture(scope="module")
+def burgers_to_birth():
+    """Burgers ending at its shock birth, t_max = 1."""
+    return hj.ProblemSpec(H=hj.parse("p^2/2"), u0=hj.parse("cos(q)"),
+                          domain=hj.Periodic(2 * np.pi), t_max=1.0)
+
+
+def test_minimax_grid_evaluates_perestroika_row_at_its_time(burgers_to_birth):
+    # the shock birth is the last grid row: it must be solved at t=1
+    # itself, not at a later time past t_max
+    spec = burgers_to_birth
+    t_grid = np.linspace(0.0, 1.0, 16)
+    q_grid = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
+    g = selector.minimax_grid(spec, t_grid, q_grid, n_seeds=256)
+    Hc = viscosity.ConvexHamiltonian(H=spec.H, p_window=(-4.0, 4.0))
+    lo = viscosity.lax_oleinik_grid(Hc, spec.u0, t_grid, q_grid)
+    assert np.abs(g.u - lo.u).max() <= 1e-6
+
+
+def test_slice_analysis_stays_inside_time_range(burgers_to_birth):
+    # t = t_max is a perestroika instant; the retry shifts toward t=0
+    spec = burgers_to_birth
+    a = selector.slice_analysis(spec, 1.0, selector.default_seeds(spec, 256))
+    assert 0.0 <= a.front.time <= 1.0
 
 
 @pytest.mark.parametrize("H, u0", [
