@@ -100,8 +100,11 @@ def load_config(path, grid_override=None):
         raise ConfigError(f"cfl must lie in (0, {viscosity.CFL_MAX}], got {cfl}")
 
     out = cp["output"] if cp.has_section("output") else {}
-    snapshot_times = [float(s) for s in
-                      out.get("snapshot_times", "").replace(",", " ").split()]
+    try:
+        snapshot_times = [float(s) for s in
+                          out.get("snapshot_times", "").replace(",", " ").split()]
+    except ValueError:
+        raise ConfigError(f"snapshot_times must be numbers, got {out.get('snapshot_times')!r}")
     if not all(0 <= t <= t_max for t in snapshot_times):
         raise ConfigError(f"snapshot_times must lie in [0, t_max={t_max}], got {snapshot_times}")
     cfg = {

@@ -4,7 +4,9 @@ A front is a polyline in (q,z), ordered by the seed coordinate q0, carrying
 the momentum p per vertex. This module extracts cusps with signs, sections
 with branch indices, transversal double points, triangles hanging from
 homogeneous double points, the triangle surgery, and the conservative
-vanishing-triangle decision rule.
+vanishing-triangle decision rule. Per-vertex and per-pair tests run as
+numpy array passes; a pass of points against edges works in chunks of at
+most CHUNK_ELEMENTS point-edge elements.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ ANGLE_TOL = 1e-6      # radians; smaller intersection angles are non-generic
 TIE_TOL = 1e-9        # (q,z) coincidence tolerance after bbox scaling
 DEGENERACY_TOL = 1e-4  # |dq/dq0| floor (bbox-scaled) for a vanishing-slope plateau
 BLEND_POINTS = 17     # interior vertices of the cubic blend a surgery inserts
+CHUNK_ELEMENTS = 4096  # point x edge elements per temporary of an array pass
 
 
 @dataclass(frozen=True)
@@ -121,13 +124,17 @@ def _check_tangency(f: FrontCurve):
     with np.errstate(divide="ignore", invalid="ignore"):
         slope = np.where(dq0 > 0, dq / np.where(dq0 > 0, dq0, 1.0), 0.0)
     s_abs = np.abs(slope) / wq * (f.q0[-1] - f.q0[0])
-    for i in range(1, len(slope) - 1):
-        if s_abs[i] < DEGENERACY_TOL and np.sign(dq[i - 1]) == np.sign(dq[i + 1]) \
-                and dq[i - 1] * dq[i] > 0 and dq[i] * dq[i + 1] > 0:
-            if s_abs[i] <= s_abs[i - 1] and s_abs[i] <= s_abs[i + 1]:
-                raise NonGeneric(
-                    f"near-vertical tangency at q0~{f.q0[i]:.6g} without a fold "
-                    "(perestroika instant); shift t by epsilon")
+    # cell i in 1..len(slope)-2 against its neighbours i-1 and i+1
+    prev, mid, nxt = slice(None, -2), slice(1, -1), slice(2, None)
+    plateau = ((s_abs[mid] < DEGENERACY_TOL) & (np.sign(dq[prev]) == np.sign(dq[nxt]))
+               & (dq[prev] * dq[mid] > 0) & (dq[mid] * dq[nxt] > 0)
+               & (s_abs[mid] <= s_abs[prev]) & (s_abs[mid] <= s_abs[nxt]))
+    hits = np.flatnonzero(plateau)
+    if len(hits):
+        i = hits[0] + 1
+        raise NonGeneric(
+            f"near-vertical tangency at q0~{f.q0[i]:.6g} without a fold "
+            "(perestroika instant); shift t by epsilon")
 
 
 def detect_cusps(f: FrontCurve) -> list[Cusp]:
@@ -140,7 +147,7 @@ def detect_cusps(f: FrontCurve) -> list[Cusp]:
     """
     n = len(f)
     dq = np.diff(f.q)
-    flips = [i for i in range(len(dq) - 1) if dq[i] * dq[i + 1] < 0]
+    flips = np.flatnonzero(dq[:-1] * dq[1:] < 0).tolist()
     cusps = []
     for i in flips:
         v = i + 1  # vertex where the direction reverses
@@ -220,61 +227,72 @@ def split_sections(f: FrontCurve, cusps: Sequence[Cusp]) -> list[Section]:
 
 def double_points(f: FrontCurve, sections: Sequence[Section] | None = None,
                   cusps: Sequence[Cusp] = ()) -> list[DoublePoint]:
-    """All transversal self-intersections between non-adjacent segments,
-    found with a uniform spatial hash over bbox-scaled (q,z) boxes."""
+    """All transversal self-intersections between non-adjacent segments.
+
+    Candidate pairs are the segments whose bbox-scaled (q,z) boxes share a
+    cell of a uniform spatial hash; all candidates are intersected in one
+    array pass."""
     pts = f.scaled_points()
     n_seg = len(f) - 1
     if n_seg < 3:
         return []
-    seg_lo = np.minimum(pts[:-1], pts[1:])
-    seg_hi = np.maximum(pts[:-1], pts[1:])
     cell = max(1e-9, float(np.median(np.linalg.norm(pts[1:] - pts[:-1], axis=1))) * 4.0)
-
-    grid: dict[tuple[int, int], list[int]] = {}
-    for i in range(n_seg):
-        x0, y0 = np.floor(seg_lo[i] / cell).astype(int)
-        x1, y1 = np.floor(seg_hi[i] / cell).astype(int)
-        for cx in range(x0, x1 + 1):
-            for cy in range(y0, y1 + 1):
-                grid.setdefault((cx, cy), []).append(i)
-
-    seen = set()
-    found = []
-    for bucket in grid.values():
-        for ai in range(len(bucket)):
-            for bi in range(ai + 1, len(bucket)):
-                i, j = bucket[ai], bucket[bi]
-                if j - i <= 1 or (i, j) in seen:
-                    continue
-                seen.add((i, j))
-                hit = _segment_intersection(pts[i], pts[i + 1], pts[j], pts[j + 1])
-                if hit is None:
-                    continue
-                u, v = hit
-                qx = f.q[i] + u * (f.q[i + 1] - f.q[i])
-                zx = f.z[i] + u * (f.z[i + 1] - f.z[i])
-                found.append((i, u, j, v, qx, zx))
+    i, j = _hash_pairs(pts, cell)
+    i, u, j, v = _segment_intersections(pts, i, j)
+    qx = f.q[i] + u * (f.q[i + 1] - f.q[i])
+    zx = f.z[i] + u * (f.z[i + 1] - f.z[i])
 
     wq, wz = f.bbox_scale()
     for c in cusps:
-        for i, u, j, v, qx, zx in found:
-            if abs(qx - c.q) / wq < 10 * TIE_TOL and abs(zx - c.z) / wz < 10 * TIE_TOL:
-                raise NonGeneric("cusp and double point coincide (degenerate time slice)")
+        if np.any((np.abs(qx - c.q) / wq < 10 * TIE_TOL)
+                  & (np.abs(zx - c.z) / wz < 10 * TIE_TOL)):
+            raise NonGeneric("cusp and double point coincide (degenerate time slice)")
 
     result = []
-    for i, u, j, v, qx, zx in sorted(found):
+    for k in np.lexsort((j, u, i)):  # along the curve: by seg_a, frac_a, seg_b
+        a, b = int(i[k]), int(j[k])
         if sections is not None:
-            sa = _section_of_segment(sections, i)
-            sb = _section_of_segment(sections, j)
+            sa = _section_of_segment(sections, a)
+            sb = _section_of_segment(sections, b)
             homog = sa.index == sb.index
             ids = (sa.id, sb.id)
         else:
             homog = False
             ids = (-1, -1)
-        result.append(DoublePoint(q=float(qx), z=float(zx), sections=ids,
-                                  homogeneous=homog, seg_a=i, frac_a=float(u),
-                                  seg_b=j, frac_b=float(v)))
+        result.append(DoublePoint(q=float(qx[k]), z=float(zx[k]), sections=ids,
+                                  homogeneous=homog, seg_a=a, frac_a=float(u[k]),
+                                  seg_b=b, frac_b=float(v[k])))
     return result
+
+
+def _hash_pairs(pts, cell):
+    """Segment pairs (i, j), i < j - 1, whose boxes share a hash cell; each
+    pair once, ordered by (i, j)."""
+    lo = np.floor(np.minimum(pts[:-1], pts[1:]) / cell).astype(np.int64)
+    hi = np.floor(np.maximum(pts[:-1], pts[1:]) / cell).astype(np.int64)
+    nx, ny = (hi - lo + 1).T
+    # one (cell, segment) entry per cell each segment's box covers
+    per_seg = nx * ny
+    seg = np.repeat(np.arange(len(lo)), per_seg)
+    k = _counting(per_seg)
+    cx = lo[seg, 0] + k // ny[seg]
+    cy = lo[seg, 1] + k % ny[seg]
+    order = np.lexsort((seg, cy, cx))
+    cx, cy, seg = cx[order], cy[order], seg[order]
+    # within a cell run, pair every entry with each later one
+    new_cell = np.r_[True, (cx[1:] != cx[:-1]) | (cy[1:] != cy[:-1])]
+    run_end = np.r_[np.flatnonzero(new_cell)[1:], len(seg)]
+    later = run_end[np.cumsum(new_cell) - 1] - np.arange(len(seg)) - 1
+    first = np.repeat(np.arange(len(seg)), later)
+    second = first + 1 + _counting(later)
+    i, j = seg[first], seg[second]
+    key = np.unique((i * len(lo) + j)[j - i > 1])
+    return key // len(lo), key % len(lo)
+
+
+def _counting(counts):
+    """0, 1, ..., c-1 for each c in counts, concatenated."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
 def _section_of_segment(sections, seg):
@@ -288,31 +306,33 @@ def _section_of_segment(sections, seg):
     raise KeyError(seg)
 
 
-def _segment_intersection(a0, a1, b0, b1):
-    """Intersection params (u, v) in (0,1)x(0,1), or None. Raises NonGeneric
-    on a tangential (near-parallel, overlapping) crossing."""
-    d1 = a1 - a0
-    d2 = b1 - b0
-    den = d1[0] * d2[1] - d1[1] * d2[0]
-    n1 = np.hypot(*d1)
-    n2 = np.hypot(*d2)
-    if n1 == 0 or n2 == 0:
-        return None
+def _segment_intersections(pts, i, j):
+    """(i, u, j, v) of the pairs of segments i and j of the polyline pts that
+    cross at params (u, v) in (0,1)x(0,1). Raises NonGeneric when a pair
+    crosses tangentially (near-parallel and overlapping)."""
+    a0, b0 = pts[i], pts[j]
+    d1 = pts[i + 1] - a0
+    d2 = pts[j + 1] - b0
     r = b0 - a0
-    if abs(den) < ANGLE_TOL * n1 * n2:
+    den = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    n1 = np.hypot(d1[:, 0], d1[:, 1])
+    n2 = np.hypot(d2[:, 0], d2[:, 1])
+    cross_r1 = r[:, 0] * d1[:, 1] - r[:, 1] * d1[:, 0]
+    live = (n1 != 0) & (n2 != 0)
+    parallel = live & (np.abs(den) < ANGLE_TOL * n1 * n2)
+    with np.errstate(divide="ignore", invalid="ignore"):
         # near-parallel: tangential only if the supporting lines nearly touch
-        dist = abs(r[0] * d1[1] - r[1] * d1[0]) / n1
-        if dist < 1e-7 * max(n1, n2):
-            u = np.dot(r, d1) / (n1 * n1)
-            if -0.5 <= u <= 1.5:
-                raise NonGeneric("tangential self-intersection")
-        return None
-    u = (r[0] * d2[1] - r[1] * d2[0]) / den
-    v = (r[0] * d1[1] - r[1] * d1[0]) / den
+        touch = parallel & (np.abs(cross_r1) / n1 < 1e-7 * np.maximum(n1, n2))
+        u = (r[:, 0] * d2[:, 1] - r[:, 1] * d2[:, 0]) / den
+        v = cross_r1 / den
+    # the few touching pairs overlap when the projection of b0 lies along a;
+    # np.dot keeps the rounding of the per-pair test
+    for k in np.flatnonzero(touch):
+        if -0.5 <= np.dot(r[k], d1[k]) / (n1[k] * n1[k]) <= 1.5:
+            raise NonGeneric("tangential self-intersection")
     eps = 1e-12
-    if eps < u < 1 - eps and eps < v < 1 - eps:
-        return float(u), float(v)
-    return None
+    hit = live & ~parallel & (eps < u) & (u < 1 - eps) & (eps < v) & (v < 1 - eps)
+    return i[hit], u[hit], j[hit], v[hit]
 
 
 def find_triangles(f: FrontCurve, cusps: Sequence[Cusp],
@@ -344,16 +364,34 @@ def _loop_polygon(f: FrontCurve, T: Triangle):
     return qx, zx
 
 
+def _row_chunks(n_rows: int, width: int):
+    """Row slices covering n_rows, each at most CHUNK_ELEMENTS / width rows."""
+    step = max(1, CHUNK_ELEMENTS // max(1, width))
+    return (slice(k, k + step) for k in range(0, n_rows, step))
+
+
 def _point_in_polygon(qx, zx, q, z):
-    inside = False
-    n = len(qx) - 1
-    for i in range(n):
-        q1, z1, q2, z2 = qx[i], zx[i], qx[i + 1], zx[i + 1]
-        if (z1 > z) != (z2 > z):
-            q_at = q1 + (z - z1) / (z2 - z1) * (q2 - q1)
-            if q_at > q:
-                inside = not inside
+    """Even-odd test of the points (q[k], z[k]) against the closed polygon
+    (qx, zx), whose last vertex repeats the first: a point is inside when a
+    ray to +q crosses an odd number of edges. Returns a boolean array."""
+    q1, z1, q2, z2 = qx[:-1], zx[:-1], qx[1:], zx[1:]
+    inside = np.zeros(len(q), dtype=bool)
+    for rows in _row_chunks(len(q), len(q1)):
+        qv, zv = q[rows, None], z[rows, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q_at = q1 + (zv - z1) / (z2 - z1) * (q2 - q1)
+        crossed = ((z1 > zv) != (z2 > zv)) & (q_at > qv)
+        inside[rows] = np.count_nonzero(crossed, axis=1) % 2 == 1
     return inside
+
+
+def _on_polygon_vertex(qx, zx, q, z, wq, wz):
+    """Per point: within 10*TIE_TOL (bbox-scaled) of some polygon vertex."""
+    near = np.zeros(len(q), dtype=bool)
+    for rows in _row_chunks(len(q), len(qx)):
+        near[rows] = np.any((np.abs(qx - q[rows, None]) / wq < 10 * TIE_TOL)
+                            & (np.abs(zx - z[rows, None]) / wz < 10 * TIE_TOL), axis=1)
+    return near
 
 
 def is_vanishing(f: FrontCurve, T: Triangle, sections: Sequence[Section],
@@ -363,21 +401,19 @@ def is_vanishing(f: FrontCurve, T: Triangle, sections: Sequence[Section],
     T is vanishing iff (i) no vertex of an outside section lies strictly
     inside T's bounded region, (ii) no homogeneous double point involving an
     outside section sits on T's arcs, and (iii) no outside section of index
-    equal to T's branch index crosses the arcs.
+    equal to T's branch index crosses the arcs. Rule (i) tests every outside
+    vertex against the loop polygon in one array pass.
     """
     qx, zx = _loop_polygon(f, T)
     wq, wz = f.bbox_scale()
     lo, hi = T.start_seg, T.end_seg
 
     # (i) outside-section vertices strictly inside the region
-    for v in range(len(f)):
-        if lo + 1 <= v <= hi:
-            continue
-        qv, zv = f.q[v], f.z[v]
-        on_boundary = np.any((np.abs(qx - qv) / wq < 10 * TIE_TOL)
-                             & (np.abs(zx - zv) / wz < 10 * TIE_TOL))
-        if not on_boundary and _point_in_polygon(qx, zx, qv, zv):
-            return False
+    outside = np.r_[0:lo + 1, hi + 1:len(f)]
+    qv, zv = f.q[outside], f.z[outside]
+    inside = _point_in_polygon(qx, zx, qv, zv)
+    if not np.all(_on_polygon_vertex(qx, zx, qv[inside], zv[inside], wq, wz)):
+        return False
 
     for d in doubles:
         if d is T.vertex:
@@ -404,10 +440,12 @@ def default_ball_radius(f: FrontCurve, T: Triangle) -> float:
     d = T.vertex
     vx, vz = d.q / wq, d.z / wz
     pts = f.scaled_points()
-    incident = set(range(d.seg_a - 1, d.seg_a + 3)) | set(range(d.seg_b - 1, d.seg_b + 3))
-    dists = [np.hypot(pts[i, 0] - vx, pts[i, 1] - vz)
-             for i in range(len(f)) if i not in incident and not d.seg_a + 1 <= i <= d.seg_b]
-    dmin = min(dists) if dists else 1.0
+    # the loop seg_a+1..seg_b and the vertices incident to the two crossing
+    # segments, seg_a-1..seg_a+2 and seg_b-1..seg_b+2, form one run
+    idx = np.arange(len(f))
+    far = (idx < d.seg_a - 1) | (idx > d.seg_b + 2)
+    dists = np.hypot(pts[far, 0] - vx, pts[far, 1] - vz)
+    dmin = dists.min() if len(dists) else 1.0
     return 0.25 * float(dmin)
 
 
@@ -421,25 +459,24 @@ def remove_triangle(f: FrontCurve, T: Triangle, ball_radius: float | None = None
     d = T.vertex
     vx, vz = d.q / wq, d.z / wz
 
-    def dist(i):
-        return np.hypot(f.q[i] / wq - vx, f.z[i] / wz - vz)
+    dist = np.hypot(f.q / wq - vx, f.z / wz - vz)
 
     # walk outward along the retained branches to the ball boundary
     i1 = d.seg_a
-    while i1 > 0 and dist(i1) <= ball_radius:
+    while i1 > 0 and dist[i1] <= ball_radius:
         i1 -= 1
     i2 = d.seg_b + 1
-    while i2 < len(f) - 1 and dist(i2) <= ball_radius:
+    while i2 < len(f) - 1 and dist[i2] <= ball_radius:
         i2 += 1
-    if dist(i1) <= ball_radius or dist(i2) <= ball_radius:
+    if dist[i1] <= ball_radius or dist[i2] <= ball_radius:
         raise BallTooLarge("ball swallows a retained noncompact branch")
 
-    # third sections inside the ball
-    for v in range(len(f)):
-        if i1 < v < i2 and (v <= d.seg_a or v > d.seg_b):
-            continue  # vertices of the two incident branches inside the ball
-        if (v <= i1 or v >= i2) and dist(v) < ball_radius:
-            raise BallTooLarge(f"a third section enters the ball (vertex {v})")
+    # third sections inside the ball: every vertex outside the two cut points
+    # (the incident branches and the loop between the cuts are exempt)
+    idx = np.arange(len(f))
+    third = np.flatnonzero(((idx <= i1) | (idx >= i2)) & (dist < ball_radius))
+    if len(third):
+        raise BallTooLarge(f"a third section enters the ball (vertex {third[0]})")
 
     q1, z1 = f.q[i1], f.z[i1]
     q2, z2 = f.q[i2], f.z[i2]

@@ -17,8 +17,8 @@ import numpy as np
 from . import characteristics as chars
 from . import front as frontmod
 from . import morse1d
-from .errors import (DegenerateFiber, InconsistentSweep, MalformedInput,
-                     NoVanishingTriangle, NonGeneric)
+from .errors import (DegenerateFiber, InconsistentSweep, IndexInconsistency,
+                     MalformedInput, NoVanishingTriangle, NonGeneric)
 from .front import FrontAnalysis, FrontCurve
 
 SWEEP_FIBERS = 512   # fibers `decompose` sweeps across a front
@@ -29,6 +29,9 @@ FIBER_TOL = 1e-9     # bbox-scaled distance of a fiber from a cusp or double poi
 
 # fiber failures that a small shift of the fiber abscissa may cure
 _RETRYABLE = (DegenerateFiber, NonGeneric, MalformedInput)
+# slice failures that a small shift of the slice time may cure: a tangency
+# or coincidence at a perestroika, or a cusp missed or missigned just after one
+_SLICE_RETRYABLE = (NonGeneric, IndexInconsistency)
 
 
 @dataclass(frozen=True)
@@ -392,9 +395,10 @@ def _long_front(t: float, q0, q, p, z) -> FrontCurve:
 
 def slice_analysis(spec: chars.ProblemSpec, t: float, seeds,
                    step: float | None = None):
-    """Front analysis at time t. A non-generic slice is retried at t+k*eps,
-    or at t-k*eps where t+SLICE_SHIFTS*eps would pass t_max, so every try
-    stays inside [0, t_max]."""
+    """Front analysis at time t. A non-generic slice, or one whose branch
+    indices do not close, is retried at t+k*eps, or at t-k*eps where
+    t+SLICE_SHIFTS*eps would pass t_max, so every try stays inside
+    [0, t_max]; the last failure is re-raised."""
     eps = max(spec.t_max / 200000.0, 1e-9)
     if t + SLICE_SHIFTS * eps > spec.t_max:
         eps = -eps
@@ -403,7 +407,7 @@ def slice_analysis(spec: chars.ProblemSpec, t: float, seeds,
         try:
             f = _long_front(t_try, *chars.evolve(spec, t_try, seeds, step))
             return frontmod.analyze(f)
-        except NonGeneric:
+        except _SLICE_RETRYABLE:
             if k == SLICE_SHIFTS:
                 raise
 

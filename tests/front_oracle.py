@@ -1,0 +1,152 @@
+"""Scalar reference versions of the array passes in `hjminimax.front`.
+
+These are the per-vertex and per-pair loops the array code replaced, kept
+only as test oracles: on the same input the array passes must give the
+same booleans, the same double points (bit for bit) and the same errors.
+"""
+
+import numpy as np
+
+from hjminimax import front as frontmod
+from hjminimax.errors import NonGeneric
+from hjminimax.front import TIE_TOL, DoublePoint
+
+
+def point_in_polygon(qx, zx, q, z):
+    """Even-odd test of one point, one edge at a time."""
+    inside = False
+    n = len(qx) - 1
+    for i in range(n):
+        q1, z1, q2, z2 = qx[i], zx[i], qx[i + 1], zx[i + 1]
+        if (z1 > z) != (z2 > z):
+            q_at = q1 + (z - z1) / (z2 - z1) * (q2 - q1)
+            if q_at > q:
+                inside = not inside
+    return inside
+
+
+def segment_intersection(a0, a1, b0, b1):
+    """Intersection params (u, v) in (0,1)x(0,1), or None. Raises NonGeneric
+    on a tangential (near-parallel, overlapping) crossing."""
+    d1 = a1 - a0
+    d2 = b1 - b0
+    den = d1[0] * d2[1] - d1[1] * d2[0]
+    n1 = np.hypot(*d1)
+    n2 = np.hypot(*d2)
+    if n1 == 0 or n2 == 0:
+        return None
+    r = b0 - a0
+    if abs(den) < frontmod.ANGLE_TOL * n1 * n2:
+        dist = abs(r[0] * d1[1] - r[1] * d1[0]) / n1
+        if dist < 1e-7 * max(n1, n2):
+            u = np.dot(r, d1) / (n1 * n1)
+            if -0.5 <= u <= 1.5:
+                raise NonGeneric("tangential self-intersection")
+        return None
+    u = (r[0] * d2[1] - r[1] * d2[0]) / den
+    v = (r[0] * d1[1] - r[1] * d1[0]) / den
+    eps = 1e-12
+    if eps < u < 1 - eps and eps < v < 1 - eps:
+        return float(u), float(v)
+    return None
+
+
+def double_points(f, sections=None, cusps=()):
+    """Spatial hash in a dict, then one `segment_intersection` per pair."""
+    pts = f.scaled_points()
+    n_seg = len(f) - 1
+    if n_seg < 3:
+        return []
+    seg_lo = np.minimum(pts[:-1], pts[1:])
+    seg_hi = np.maximum(pts[:-1], pts[1:])
+    cell = max(1e-9, float(np.median(np.linalg.norm(pts[1:] - pts[:-1], axis=1))) * 4.0)
+
+    grid = {}
+    for i in range(n_seg):
+        x0, y0 = np.floor(seg_lo[i] / cell).astype(int)
+        x1, y1 = np.floor(seg_hi[i] / cell).astype(int)
+        for cx in range(x0, x1 + 1):
+            for cy in range(y0, y1 + 1):
+                grid.setdefault((cx, cy), []).append(i)
+
+    seen = set()
+    found = []
+    for bucket in grid.values():
+        for ai in range(len(bucket)):
+            for bi in range(ai + 1, len(bucket)):
+                i, j = bucket[ai], bucket[bi]
+                if j - i <= 1 or (i, j) in seen:
+                    continue
+                seen.add((i, j))
+                hit = segment_intersection(pts[i], pts[i + 1], pts[j], pts[j + 1])
+                if hit is None:
+                    continue
+                u, v = hit
+                qx = f.q[i] + u * (f.q[i + 1] - f.q[i])
+                zx = f.z[i] + u * (f.z[i + 1] - f.z[i])
+                found.append((i, u, j, v, qx, zx))
+
+    wq, wz = f.bbox_scale()
+    for c in cusps:
+        for i, u, j, v, qx, zx in found:
+            if abs(qx - c.q) / wq < 10 * TIE_TOL and abs(zx - c.z) / wz < 10 * TIE_TOL:
+                raise NonGeneric("cusp and double point coincide (degenerate time slice)")
+
+    result = []
+    for i, u, j, v, qx, zx in sorted(found):
+        if sections is not None:
+            sa = frontmod._section_of_segment(sections, i)
+            sb = frontmod._section_of_segment(sections, j)
+            homog = sa.index == sb.index
+            ids = (sa.id, sb.id)
+        else:
+            homog = False
+            ids = (-1, -1)
+        result.append(DoublePoint(q=float(qx), z=float(zx), sections=ids,
+                                  homogeneous=homog, seg_a=i, frac_a=float(u),
+                                  seg_b=j, frac_b=float(v)))
+    return result
+
+
+def is_vanishing(f, T, sections, doubles):
+    """The vanishing rule with rule (i) one outside vertex at a time."""
+    qx, zx = frontmod._loop_polygon(f, T)
+    wq, wz = f.bbox_scale()
+    lo, hi = T.start_seg, T.end_seg
+
+    for v in range(len(f)):
+        if lo + 1 <= v <= hi:
+            continue
+        qv, zv = f.q[v], f.z[v]
+        on_boundary = np.any((np.abs(qx - qv) / wq < 10 * TIE_TOL)
+                             & (np.abs(zx - zv) / wz < 10 * TIE_TOL))
+        if not on_boundary and point_in_polygon(qx, zx, qv, zv):
+            return False
+
+    for d in doubles:
+        if d is T.vertex:
+            continue
+        a_in = lo <= d.seg_a <= hi
+        b_in = lo <= d.seg_b <= hi
+        if a_in == b_in:
+            continue
+        out_seg = d.seg_b if a_in else d.seg_a
+        out_sec = frontmod._section_of_segment(sections, out_seg)
+        if d.homogeneous and out_sec.id not in T.loop_sections:
+            return False
+        if out_sec.index == T.branch_index and out_sec.id not in T.loop_sections:
+            return False
+    return True
+
+
+def default_ball_radius(f, T):
+    """Nearest non-incident vertex, one vertex at a time."""
+    wq, wz = f.bbox_scale()
+    d = T.vertex
+    vx, vz = d.q / wq, d.z / wz
+    pts = f.scaled_points()
+    incident = set(range(d.seg_a - 1, d.seg_a + 3)) | set(range(d.seg_b - 1, d.seg_b + 3))
+    dists = [np.hypot(pts[i, 0] - vx, pts[i, 1] - vz)
+             for i in range(len(f)) if i not in incident and not d.seg_a + 1 <= i <= d.seg_b]
+    dmin = min(dists) if dists else 1.0
+    return 0.25 * float(dmin)

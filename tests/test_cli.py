@@ -141,6 +141,7 @@ def test_determinism_across_runs(burgers_cfg, tmp_path):
     ("solver", "cfl = half"),
     ("solver", "cfl = 0"),
     ("solver", "cfl = 1.5"),
+    ("output", "snapshot_times = 0.5 abc"),
 ])
 def test_bad_numeric_settings_exit_2(tmp_path, monkeypatch, capsys, section, line):
     def no_solver(*args, **kwargs):

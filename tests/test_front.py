@@ -122,7 +122,7 @@ def test_double_point_blocks_vanishing():
     qx, zx = frontmod._loop_polygon(f, T)
     q_in = float(T.vertex.q)
     z_in = float(T.vertex.z) + 0.55 * (max(zx) - float(T.vertex.z))
-    assert frontmod._point_in_polygon(qx, zx, q_in, z_in)
+    assert frontmod._point_in_polygon(qx, zx, np.array([q_in]), np.array([z_in]))[0]
 
 
 def test_front_json_schema(burgers_front_t15):

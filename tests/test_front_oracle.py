@@ -1,0 +1,122 @@
+"""The array passes of `hjminimax.front` against the scalar loops they replaced."""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import front_oracle as oracle
+from hjminimax import front as frontmod
+from hjminimax import selector
+from hjminimax.errors import NonGeneric
+from hjminimax.front import FrontCurve
+
+# half-integer coordinates: ties between vertices, edges and test points are exact
+coord = st.integers(-6, 6).map(lambda k: 0.5 * k)
+vertex = st.tuples(coord, coord)
+chunk = st.sampled_from([1, 3, 4096])
+
+
+@st.composite
+def polygon_and_points(draw):
+    verts = draw(st.lists(vertex, min_size=3, max_size=12))
+    qx = np.array([v[0] for v in verts] + [verts[0][0]])
+    zx = np.array([v[1] for v in verts] + [verts[0][1]])
+    pts = list(verts)                                   # on the vertices
+    pts += [(0.5 * (qx[k] + qx[k + 1]), 0.5 * (zx[k] + zx[k + 1]))
+            for k in range(len(verts))]                 # on the edges, horizontal ones too
+    free = st.floats(-4.0, 4.0, allow_nan=False)
+    pts += [(draw(free), z) for z in zx[:-1]]           # at the z of a vertex
+    pts += draw(st.lists(st.tuples(free, free), max_size=8))
+    return qx, zx, np.array([p[0] for p in pts]), np.array([p[1] for p in pts])
+
+
+def _with_chunk(elements, fn, *args):
+    saved = frontmod.CHUNK_ELEMENTS
+    frontmod.CHUNK_ELEMENTS = elements
+    try:
+        return fn(*args)
+    finally:
+        frontmod.CHUNK_ELEMENTS = saved
+
+
+@settings(max_examples=300, deadline=None)
+@given(polygon_and_points(), chunk)
+def test_point_in_polygon_matches_scalar_loop(case, elements):
+    qx, zx, q, z = case
+    got = _with_chunk(elements, frontmod._point_in_polygon, qx, zx, q, z)
+    expected = [oracle.point_in_polygon(qx, zx, qv, zv) for qv, zv in zip(q, z)]
+    assert got.tolist() == expected
+    # the on-boundary exemption of rule (i) in `is_vanishing`
+    wq, wz = 3.0, 0.5
+    near = _with_chunk(elements, frontmod._on_polygon_vertex, qx, zx, q, z, wq, wz)
+    assert near.tolist() == [
+        bool(np.any((np.abs(qx - qv) / wq < 10 * frontmod.TIE_TOL)
+                    & (np.abs(zx - zv) / wz < 10 * frontmod.TIE_TOL)))
+        for qv, zv in zip(q, z)]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NonGeneric as e:
+        return f"NonGeneric: {e}"
+
+
+# unit and doubled steps: a doubled segment overlapped by a unit one puts the
+# overlap projection exactly on the -0.5 and 1.5 bounds of the tangency test
+step = st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1),
+                        (2, 0), (0, -2), (-2, -2), (2, 1), (-1, 2), (3, -2)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(step, min_size=2, max_size=40))
+# the walk closes onto its first segment from behind: projection exactly -0.5
+@example([(2, 0), (0, 1), (-1, 0), (-1, 0), (-1, 0), (0, -1), (1, 0)])
+def test_double_points_match_pairwise_loop(steps):
+    # lattice walks cross, touch, retrace and overlap collinearly, so both
+    # transversal crossings and tangential NonGeneric pairs come up
+    qz = np.cumsum(np.array([(0, 0)] + steps, dtype=float), axis=0)
+    f = FrontCurve(time=0.0, q=qz[:, 0], z=qz[:, 1], p=np.zeros(len(qz)),
+                   q0=np.arange(len(qz), dtype=float))
+    assert _outcome(frontmod.double_points, f) == _outcome(oracle.double_points, f)
+
+
+@pytest.fixture(scope="module")
+def two_hump_front_t20(two_hump_spec):
+    """Analyzed two-hump front at t=2.0: overlapping swallowtails."""
+    seeds = selector.default_seeds(two_hump_spec, 600, t=2.0)
+    return selector.slice_analysis(two_hump_spec, 2.0, seeds, step=0.005)
+
+
+@pytest.mark.parametrize("front_fixture, surgeries", [
+    ("burgers_front_t15", 2),
+    ("two_hump_front_t20", 5),
+])
+def test_eliminate_rounds_match_oracles(front_fixture, surgeries, request, monkeypatch):
+    analysis = request.getfixturevalue(front_fixture)
+    calls = Counter()
+
+    def checked(name, oracle_fn):
+        fn = getattr(frontmod, name)
+
+        def wrapper(*args):
+            expected = _outcome(oracle_fn, *args)
+            got = _outcome(fn, *args)
+            assert got == expected, name
+            calls[name] += 1
+            if isinstance(got, str):
+                raise NonGeneric(got)
+            return got
+        monkeypatch.setattr(frontmod, name, wrapper)
+
+    checked("is_vanishing", oracle.is_vanishing)
+    checked("double_points", oracle.double_points)
+    checked("default_ball_radius", oracle.default_ball_radius)
+    smooth, log = selector.eliminate(analysis.front)
+    assert len(log) == surgeries
+    assert calls["double_points"] == surgeries + 1  # one analysis per round
+    assert calls["default_ball_radius"] == surgeries
+    assert calls["is_vanishing"] >= surgeries - sum(not s.strict for s in log)

@@ -143,6 +143,16 @@ def test_slice_analysis_stays_inside_time_range(burgers_to_birth):
     assert 0.0 <= a.front.time <= 1.0
 
 
+def test_slice_analysis_retries_index_inconsistency(burgers_spec):
+    # just after the shock birth at t=1 the 1024-seed slice fails the
+    # tangency check, then the index walk; the next shift closes it
+    seeds = selector.default_seeds(burgers_spec, 1024, t=1.0)
+    a = selector.slice_analysis(burgers_spec, 1.0, seeds)
+    assert 1.0 < a.front.time <= 1.0 + selector.SLICE_SHIFTS * 3.0 / 200000
+    assert len(a.cusps) == 4
+    assert sum(c.sign for c in a.cusps) == 0
+
+
 @pytest.mark.parametrize("H, u0", [
     ("p^2/2 + 0.5*sin(q)*cos(t)", "cos(q + 1.91)"),
     ("cos(p) - 1 + 0.5*sin(q)*cos(t)", "cos(q)"),
