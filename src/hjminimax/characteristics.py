@@ -55,8 +55,7 @@ class ProblemSpec:
 
 def char_rhs(H: Expression, t, q, p):
     """(dq, dp, dz) = (H_p, -H_q, p*H_p - H)."""
-    hval, hp = H.eval_d(t=t, q=q, p=p, wrt="p")
-    _, hq = H.eval_d(t=t, q=q, p=p, wrt="q")
+    hval, hp, hq = H.eval_d(t=t, q=q, p=p, wrt=("p", "q"))
     return hp, -hq, p * hp - hval
 
 

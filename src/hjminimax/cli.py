@@ -148,18 +148,27 @@ def _slice(cfg, t):
     return selector.slice_analysis(spec, t, seeds, step=cfg["step"])
 
 
+def _snapshot_path(cfg, t, ext):
+    tag = f"{t:.6g}".replace(".", "_")
+    return os.path.join(cfg["out_dir"], f"front_t{tag}.{ext}")
+
+
+def _write_svg(cfg, t, analysis):
+    """front_t<t>.svg: the slice at t with its minimax section highlighted.
+    `decompose` skips the fibers it cannot couple, and without validation
+    it raises nothing of its own."""
+    dec = selector.decompose(analysis, validate=False)
+    _write(_snapshot_path(cfg, t, "svg"), svg.render_front(analysis, dec.minimax_pieces))
+
+
 def cmd_solve(cfg):
     os.makedirs(cfg["out_dir"], exist_ok=True)
     g = _solve_grid(cfg)
     _write(os.path.join(cfg["out_dir"], "solution.csv"), g.to_csv())
     for t in cfg["snapshot_times"]:
         analysis = _slice(cfg, t)
-        tag = f"{t:.6g}".replace(".", "_")
-        _write(os.path.join(cfg["out_dir"], f"front_t{tag}.json"),
-               frontmod.front_to_json(analysis))
-        dec = selector.decompose(analysis, validate=False)
-        _write(os.path.join(cfg["out_dir"], f"front_t{tag}.svg"),
-               svg.render_front(analysis, dec.minimax_pieces))
+        _write(_snapshot_path(cfg, t, "json"), frontmod.front_to_json(analysis))
+        _write_svg(cfg, t, analysis)
     return 0
 
 
@@ -229,15 +238,7 @@ def cmd_dump_front(cfg, t):
 
 def cmd_render(cfg, t):
     os.makedirs(cfg["out_dir"], exist_ok=True)
-    analysis = _slice(cfg, t)
-    try:
-        dec = selector.decompose(analysis, validate=False)
-        pieces = dec.minimax_pieces
-    except HJError:
-        pieces = None
-    tag = f"{t:.6g}".replace(".", "_")
-    _write(os.path.join(cfg["out_dir"], f"front_t{tag}.svg"),
-           svg.render_front(analysis, pieces))
+    _write_svg(cfg, t, _slice(cfg, t))
     return 0
 
 

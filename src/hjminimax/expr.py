@@ -1,7 +1,9 @@
 """Parser and forward-mode evaluator for scalar formulas in (t, q, p).
 
 Expressions supply the Hamiltonian H(t,q,p) and initial condition u0(q).
-First derivatives come from dual-number arithmetic, exact to rounding.
+First derivatives come from dual-number arithmetic, exact to rounding: one
+walk of the tree carries the value and a tangent per differentiation
+variable, and no tangent for plain evaluation.
 The function whitelist is smooth-only; see docs/expr-grammar.md.
 """
 
@@ -12,32 +14,56 @@ import numpy as np
 from .errors import DomainError, ExprSyntaxError, NonFinite, UnknownIdentifier
 
 VARIABLES = ("t", "q", "p")
-FUNCTIONS = ("sin", "cos", "exp", "tanh", "sqrt")
+# function -> (value, slope from the argument x and the value v)
+_FUNCTION_TABLE = {
+    "sin": (np.sin, lambda x, v: np.cos(x)),
+    "cos": (np.cos, lambda x, v: -np.sin(x)),
+    "exp": (np.exp, lambda x, v: v),
+    "tanh": (np.tanh, lambda x, v: 1.0 - v * v),
+    "sqrt": (np.sqrt, lambda x, v: 0.5 / v),
+}
+FUNCTIONS = tuple(_FUNCTION_TABLE)
 
 _BIN_OPS = {"+", "-", "*", "/", "^"}
 
 
 class Dual:
-    """Value + derivative pair; works elementwise on scalars and numpy arrays."""
+    """A value and its tangents, one per differentiation variable (none for
+    plain evaluation); works elementwise on scalars and numpy arrays."""
 
-    __slots__ = ("val", "dot")
+    __slots__ = ("val", "dots")
 
-    def __init__(self, val, dot):
+    def __init__(self, val, dots):
         self.val = val
-        self.dot = dot
+        self.dots = dots
 
     def __add__(self, other):
-        return Dual(self.val + other.val, self.dot + other.dot)
+        return Dual(self.val + other.val,
+                    tuple(a + b for a, b in zip(self.dots, other.dots)))
 
     def __sub__(self, other):
-        return Dual(self.val - other.val, self.dot - other.dot)
+        return Dual(self.val - other.val,
+                    tuple(a - b for a, b in zip(self.dots, other.dots)))
 
     def __mul__(self, other):
         return Dual(self.val * other.val,
-                    self.dot * other.val + self.val * other.dot)
+                    tuple(a * other.val + self.val * b
+                          for a, b in zip(self.dots, other.dots)))
+
+    def __truediv__(self, other):
+        if not self.dots:
+            return Dual(self.val / other.val, ())
+        inv = 1.0 / other.val
+        return Dual(self.val / other.val,
+                    tuple((a - self.val * b * inv) * inv
+                          for a, b in zip(self.dots, other.dots)))
 
     def __neg__(self):
-        return Dual(-self.val, -self.dot)
+        return Dual(-self.val, tuple(-a for a in self.dots))
+
+
+_ARITH = {"+": Dual.__add__, "-": Dual.__sub__, "*": Dual.__mul__,
+          "/": Dual.__truediv__}
 
 
 def _any(mask):
@@ -47,7 +73,6 @@ def _any(mask):
 def _check_finite(x, context):
     if not np.all(np.isfinite(x)):
         raise NonFinite(f"non-finite value in {context}")
-    return x
 
 
 # --- tokenizer ---
@@ -193,30 +218,37 @@ class Expression:
     def variables(self):
         return self._vars
 
-    def __call__(self, t=0.0, q=0.0, p=0.0):
-        return self.eval(t, q, p)
-
     def eval(self, t=0.0, q=0.0, p=0.0):
         """Evaluate at (t,q,p); scalars or broadcastable numpy arrays."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            val = _eval_plain(self.ast, {"t": t, "q": q, "p": p})
-        return _check_finite(val, f"eval of {self.source!r}")
+        return self._walk(t, q, p, ()).val
 
     def eval_d(self, t=0.0, q=0.0, p=0.0, wrt="q"):
-        """Return (value, d/d<wrt>) via dual-number forward mode."""
-        if wrt not in VARIABLES:
-            raise ValueError(f"wrt must be one of {VARIABLES}, got {wrt!r}")
-        env = {}
-        shape = np.broadcast(t, q, p).shape
+        """Return (value, d/d<wrt>) via dual-number forward mode. A tuple wrt
+        returns (value, d/dw1, d/dw2, ...) from the same single walk."""
+        names = (wrt,) if isinstance(wrt, str) else tuple(wrt)
+        if not names or any(w not in VARIABLES for w in names):
+            raise ValueError(
+                f"wrt must be one of {VARIABLES} or a tuple of them, got {wrt!r}")
+        d = self._walk(t, q, p, names)
+        return (d.val, *d.dots)
+
+    def _walk(self, t, q, p, wrt):
+        """One walk of the tree carrying a tangent per name in wrt; the value
+        and every tangent are checked to be finite."""
+        shape = np.broadcast(t, q, p).shape if wrt else ()
         one = np.ones(shape) if shape else 1.0
         zero = np.zeros(shape) if shape else 0.0
-        for name, v in (("t", t), ("q", q), ("p", p)):
-            env[name] = Dual(v, one if name == wrt else zero)
+        env = {name: Dual(v, tuple(one if name == w else zero for w in wrt))
+               for name, v in (("t", t), ("q", q), ("p", p))}
         with np.errstate(over="ignore", invalid="ignore"):
-            d = _eval_dual(self.ast, env)
+            try:
+                d = _eval(self.ast, env, (0.0,) * len(wrt))
+            except OverflowError:  # a Python float ** overflows by raising
+                raise NonFinite(f"non-finite value in eval of {self.source!r}") from None
         _check_finite(d.val, f"eval of {self.source!r}")
-        _check_finite(d.dot, f"derivative of {self.source!r}")
-        return d.val, d.dot
+        for dot in d.dots:
+            _check_finite(dot, f"derivative of {self.source!r}")
+        return d
 
     def canonical(self):
         """Fully parenthesized canonical form; parse(canonical()) is a fixed point."""
@@ -262,114 +294,60 @@ def _const_int_exponent(ast):
     return None
 
 
-def _eval_plain(ast, env):
+def _eval(ast, env, zero):
+    """The Dual of ast; env maps variables to Duals, zero is a constant's tangents."""
     kind = ast[0]
     if kind == "num":
-        return ast[1]
+        return Dual(ast[1], zero)
     if kind == "var":
         return env[ast[1]]
     if kind == "neg":
-        return -_eval_plain(ast[1], env)
+        return -_eval(ast[1], env, zero)
     if kind == "call":
-        return _apply_fn(ast[1], _eval_plain(ast[2], env))
+        return _apply_fn(ast[1], _eval(ast[2], env, zero))
     op = ast[1]
-    a = _eval_plain(ast[2], env)
+    a = _eval(ast[2], env, zero)
     if op == "^":
-        return _apply_pow(a, ast[3], env, dual=False)
-    b = _eval_plain(ast[3], env)
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        if _any(b == 0):
-            raise DomainError("division by zero")
-        return a / b
-    raise AssertionError(op)
+        return _apply_pow(a, ast[3], env, zero)
+    b = _eval(ast[3], env, zero)
+    if op == "/" and _any(b.val == 0):
+        raise DomainError("division by zero")
+    return _ARITH[op](a, b)
 
 
-def _eval_dual(ast, env):
-    kind = ast[0]
-    if kind == "num":
-        return Dual(ast[1], 0.0)
-    if kind == "var":
-        return env[ast[1]]
-    if kind == "neg":
-        return -_eval_dual(ast[1], env)
-    if kind == "call":
-        return _apply_fn_dual(ast[1], _eval_dual(ast[2], env))
-    op = ast[1]
-    a = _eval_dual(ast[2], env)
-    if op == "^":
-        return _apply_pow(a, ast[3], env, dual=True)
-    b = _eval_dual(ast[3], env)
-    if op in "+-*":
-        return {"+": a.__add__, "-": a.__sub__, "*": a.__mul__}[op](b)
-    if op == "/":
-        if _any(b.val == 0):
-            raise DomainError("division by zero")
-        inv = 1.0 / b.val
-        return Dual(a.val * inv, (a.dot - a.val * b.dot * inv) * inv)
-    raise AssertionError(op)
-
-
-def _apply_fn(name, x):
-    if name == "sqrt":
-        if _any(x < 0):
-            raise DomainError("sqrt of a negative value")
-        return np.sqrt(x)
-    return getattr(np, name)(x)
-
-
-def _apply_fn_dual(name, d):
+def _apply_fn(name, d):
     x = d.val
-    if name == "sin":
-        return Dual(np.sin(x), np.cos(x) * d.dot)
-    if name == "cos":
-        return Dual(np.cos(x), -np.sin(x) * d.dot)
-    if name == "exp":
-        e = np.exp(x)
-        return Dual(e, e * d.dot)
-    if name == "tanh":
-        th = np.tanh(x)
-        return Dual(th, (1.0 - th * th) * d.dot)
     if name == "sqrt":
         if _any(x < 0):
             raise DomainError("sqrt of a negative value")
-        if _any(x == 0):
+        if d.dots and _any(x == 0):
             raise DomainError("sqrt derivative at zero")
-        s = np.sqrt(x)
-        return Dual(s, 0.5 / s * d.dot)
-    raise AssertionError(name)
+    value, slope = _FUNCTION_TABLE[name]
+    v = value(x)
+    if not d.dots:
+        return Dual(v, ())
+    s = slope(x, v)
+    return Dual(v, tuple(s * dot for dot in d.dots))
 
 
-def _apply_pow(base, exp_ast, env, dual):
+def _apply_pow(base, exp_ast, env, zero):
     """x^n for constant integer n, else b^e requiring b > 0."""
+    b = base.val
     n = _const_int_exponent(exp_ast)
     if n is not None:
-        if dual:
-            if n == 0:
-                return Dual(base.val ** 0, 0.0 * base.dot)
-            if n < 0 and _any(base.val == 0):
-                raise DomainError("zero base with negative exponent")
-            v = base.val ** n
-            return Dual(v, n * base.val ** (n - 1) * base.dot)
-        if n < 0 and _any(base == 0):
+        if n < 0 and _any(b == 0):
             raise DomainError("zero base with negative exponent")
-        return base ** n
-    if dual:
-        e = _eval_dual(exp_ast, env)
-        if _any(base.val <= 0):
-            raise DomainError("non-integer power of a non-positive base")
-        lg = np.log(base.val)
-        v = np.exp(e.val * lg)
-        return Dual(v, v * (e.dot * lg + e.val * base.dot / base.val))
-    e = _eval_plain(exp_ast, env)
-    if _any(base <= 0):
+        slope = 0.0 if n == 0 or not base.dots else n * b ** (n - 1)
+        return Dual(b ** n, tuple(slope * d for d in base.dots))
+    e = _eval(exp_ast, env, zero)
+    if _any(b <= 0):
         raise DomainError("non-integer power of a non-positive base")
-    return base ** e
+    if not base.dots:
+        return Dual(b ** e.val, ())
+    lg = np.log(b)
+    v = np.exp(e.val * lg)
+    return Dual(b ** e.val, tuple(v * (de * lg + e.val * db / b)
+                                  for db, de in zip(base.dots, e.dots)))
 
 
 def _print(ast):

@@ -117,16 +117,21 @@ def build_front(q0, q, p, z, time: float) -> FrontCurve:
 
 
 def _check_tangency(f: FrontCurve):
-    """NonGeneric on a vanishing-slope plateau without a fold (perestroika)."""
+    """NonGeneric on a vanishing-slope plateau without a fold (perestroika).
+    Cells touching a surgery blend's vertices (origin < 0) are not tested:
+    their q0 is a placeholder, so dq/dq0 there says nothing."""
     dq = np.diff(f.q)
     dq0 = np.diff(f.q0)
     wq, _ = f.bbox_scale()
     with np.errstate(divide="ignore", invalid="ignore"):
         slope = np.where(dq0 > 0, dq / np.where(dq0 > 0, dq0, 1.0), 0.0)
     s_abs = np.abs(slope) / wq * (f.q0[-1] - f.q0[0])
+    synthetic = f.origin < 0
+    seeded = ~(synthetic[:-1] | synthetic[1:])
     # cell i in 1..len(slope)-2 against its neighbours i-1 and i+1
     prev, mid, nxt = slice(None, -2), slice(1, -1), slice(2, None)
-    plateau = ((s_abs[mid] < DEGENERACY_TOL) & (np.sign(dq[prev]) == np.sign(dq[nxt]))
+    plateau = (seeded[mid] & (s_abs[mid] < DEGENERACY_TOL)
+               & (np.sign(dq[prev]) == np.sign(dq[nxt]))
                & (dq[prev] * dq[mid] > 0) & (dq[mid] * dq[nxt] > 0)
                & (s_abs[mid] <= s_abs[prev]) & (s_abs[mid] <= s_abs[nxt]))
     hits = np.flatnonzero(plateau)
@@ -449,10 +454,11 @@ def default_ball_radius(f: FrontCurve, T: Triangle) -> float:
     return 0.25 * float(dmin)
 
 
-def remove_triangle(f: FrontCurve, T: Triangle, ball_radius: float | None = None,
-                    return_cuts: bool = False):
+def remove_triangle(f: FrontCurve, T: Triangle, ball_radius: float | None = None):
     """Delete the triangle subcurve and reconnect with a C1 cubic blend
-    inside a ball around the vertex. Outside the ball the front is untouched."""
+    inside a ball around the vertex. Outside the ball the front is untouched.
+    Returns the new front and the q-extent (q_lo, q_hi) of the replaced
+    subcurve, cut to cut."""
     if ball_radius is None:
         ball_radius = default_ball_radius(f, T)
     wq, wz = f.bbox_scale()
@@ -488,11 +494,7 @@ def remove_triangle(f: FrontCurve, T: Triangle, ball_radius: float | None = None
     qs = np.linspace(q1, q2, BLEND_POINTS + 2)[1:-1]
     h = q2 - q1
     s = (qs - q1) / h
-    h00 = 2 * s ** 3 - 3 * s ** 2 + 1
-    h10 = s ** 3 - 2 * s ** 2 + s
-    h01 = -2 * s ** 3 + 3 * s ** 2
-    h11 = s ** 3 - s ** 2
-    zs = h00 * z1 + h10 * h * m1 + h01 * z2 + h11 * h * m2
+    zs = hermite(s, h, z1, m1, z2, m2)
     # p on the blend is the Hermite derivative dz/dq
     ps = (6 * s ** 2 - 6 * s) / h * z1 + (3 * s ** 2 - 4 * s + 1) * m1 \
         + (-6 * s ** 2 + 6 * s) / h * z2 + (3 * s ** 2 - 2 * s) * m2
@@ -507,9 +509,17 @@ def remove_triangle(f: FrontCurve, T: Triangle, ball_radius: float | None = None
                                  f.origin[i2:]])
     out = FrontCurve(time=f.time, q=new_q, z=new_z, p=new_p, q0=new_q0,
                      origin=new_origin)
-    if return_cuts:
-        return out, (float(q1), float(q2))
-    return out
+    return out, (float(q1), float(q2))
+
+
+def hermite(s, h, z0, m0, z1, m1):
+    """Cubic Hermite interpolant at s in [0, 1] of values z0, z1 and slopes
+    m0, m1 at the two ends of an abscissa interval of length h."""
+    h00 = 2 * s ** 3 - 3 * s ** 2 + 1
+    h10 = s ** 3 - 2 * s ** 2 + s
+    h01 = -2 * s ** 3 + 3 * s ** 2
+    h11 = s ** 3 - s ** 2
+    return h00 * z0 + h10 * h * m0 + h01 * z1 + h11 * h * m1
 
 
 def _segment_slope(f: FrontCurve, seg: int) -> float:

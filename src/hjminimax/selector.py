@@ -130,11 +130,7 @@ def _hermite_z(f: FrontCurve, seg: int, s: float) -> float:
     if not (np.isfinite(m0) and np.isfinite(m1)) or \
             max(abs(m0 - lin), abs(m1 - lin)) > 10.0 * (1.0 + abs(lin)):
         return float(z0 + s * (z1 - z0))
-    h00 = 2 * s ** 3 - 3 * s ** 2 + 1
-    h10 = s ** 3 - 2 * s ** 2 + s
-    h01 = -2 * s ** 3 + 3 * s ** 2
-    h11 = s ** 3 - s ** 2
-    return float(h00 * z0 + h10 * h * m0 + h01 * z1 + h11 * h * m1)
+    return float(frontmod.hermite(s, h, z0, m0, z1, m1))
 
 
 def _coupled_fiber(analysis: FrontAnalysis, q: float, dq: float = 0.0,
@@ -341,8 +337,7 @@ def eliminate(f: FrontCurve):
         candidates.sort(key=lambda T: (T.vertex.q, T.vertex.z))
         T = candidates[0]
         radius = frontmod.default_ball_radius(current, T)
-        current, (q_lo, q_hi) = frontmod.remove_triangle(current, T, radius,
-                                                         return_cuts=True)
+        current, (q_lo, q_hi) = frontmod.remove_triangle(current, T, radius)
         log.append(Surgery(vertex_q=T.vertex.q, vertex_z=T.vertex.z,
                            ball_radius=radius, loop_sections=T.loop_sections,
                            strict=strict, q_lo=q_lo, q_hi=q_hi))

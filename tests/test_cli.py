@@ -121,6 +121,18 @@ def test_render_svg(burgers_cfg, tmp_path):
     assert text.count("<circle") >= 4
 
 
+def test_solve_snapshot_svg_equals_render(tmp_path):
+    path = tmp_path / "snap.ini"
+    path.write_text(BURGERS_INI.format(out=tmp_path / "solve")
+                    + "snapshot_times = 1.5\n")
+    assert cli.main(["solve", "--config", str(path), "--grid", "16x32"]) == 0
+    assert cli.main(["render", "--config", str(path), "--time", "1.5",
+                     "--out", str(tmp_path / "render")]) == 0
+    solved = (tmp_path / "solve" / "front_t1_5.svg").read_bytes()
+    assert solved == (tmp_path / "render" / "front_t1_5.svg").read_bytes()
+    assert b'stroke="#d62728" stroke-width="3"' in solved  # minimax highlighted
+
+
 def test_determinism_across_runs(burgers_cfg, tmp_path):
     outs = []
     for tag in ("a", "b"):

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hjminimax import expr
-from hjminimax.errors import DomainError, ExprSyntaxError, NonFinite, UnknownIdentifier
+from hjminimax.errors import (DomainError, ExprSyntaxError, HJError, NonFinite,
+                              UnknownIdentifier)
 
 
 def test_arithmetic_precedence():
@@ -101,6 +104,34 @@ def test_nonfinite_detected():
         expr.parse("exp(q)^100").eval(q=100.0)
 
 
+def test_python_float_power_overflow_is_nonfinite():
+    # a Python float raises OverflowError where numpy would give inf
+    with pytest.raises(NonFinite):
+        expr.parse("q^2").eval(q=1e200)
+    with pytest.raises(NonFinite):
+        expr.parse("3^3^3^3").eval_d(wrt="q")
+
+
+def test_sqrt_at_zero_has_a_value_but_no_derivative():
+    e = expr.parse("sqrt(q^2)")
+    assert e.eval(q=0.0) == 0.0
+    with pytest.raises(DomainError):
+        e.eval_d(q=0.0, wrt="q")
+
+
+def test_eval_d_tuple_returns_value_then_each_derivative():
+    e = expr.parse("sin(q)*exp(p) + t^2")
+    v, dp, dq, dt = e.eval_d(t=0.5, q=0.3, p=0.2, wrt=("p", "q", "t"))
+    assert v == e.eval(t=0.5, q=0.3, p=0.2)
+    assert (dp, dq, dt) == (np.sin(0.3) * np.exp(0.2), np.cos(0.3) * np.exp(0.2), 1.0)
+    for wrt in ((), ("q", "x"), "x"):
+        with pytest.raises(ValueError):
+            e.eval_d(wrt=wrt)
+    # every derivative is checked, not only the first: here d/dq = -1e400
+    with pytest.raises(NonFinite, match="derivative"):
+        expr.parse("1/q").eval_d(q=1e-200, wrt=("p", "q"))
+
+
 def test_canonical_roundtrip():
     src = "p^2/2 + cos(q) - 0.7*sin(2*q)"
     e = expr.parse(src)
@@ -139,3 +170,65 @@ def test_ad_matches_finite_differences():
                 dn = dict(args); dn[wrt] -= h
                 fd = (e.eval(**up) - e.eval(**dn)) / (2 * h)
                 assert d == pytest.approx(fd, rel=1e-5, abs=1e-8)
+
+
+# every production of the grammar: the five functions, unary minus, the four
+# arithmetic operators, and integer, non-integer and non-constant exponents
+_leaf = st.sampled_from(["t", "q", "p", "2", "0.5", "3", "1.7"])
+
+
+def _grow(sub):
+    return st.one_of(
+        st.tuples(st.sampled_from(expr.FUNCTIONS), sub).map(lambda a: f"{a[0]}({a[1]})"),
+        sub.map(lambda a: f"-({a})"),
+        st.tuples(sub, st.sampled_from("+-*/"), sub).map(lambda a: f"({a[0]}) {a[1]} ({a[2]})"),
+        st.tuples(sub, st.one_of(st.sampled_from(["2", "3", "-1", "0", "0.5", "1.5"]), sub))
+        .map(lambda a: f"({a[0]})^({a[1]})"),
+    )
+
+
+_sources = st.recursive(_leaf, _grow, max_leaves=10)
+_coord = st.floats(-3.0, 3.0, allow_nan=False)
+_points = st.lists(st.tuples(_coord, _coord, _coord), min_size=1, max_size=4)
+
+
+def _at(pts):
+    """(t, q, p) as scalars for one point, as arrays for several."""
+    if len(pts) == 1:
+        return dict(zip("tqp", pts[0]))
+    return dict(zip("tqp", (np.array(c) for c in zip(*pts))))
+
+
+def _outcome(fn, **kw):
+    """The result as bytes per component, or the error it raised."""
+    try:
+        return tuple(np.asarray(x, dtype=float).tobytes() for x in fn(**kw))
+    except HJError as exc:
+        return type(exc), str(exc)
+
+
+def _ok(outcome):
+    return isinstance(outcome[0], bytes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(src=_sources, pts=_points)
+def test_one_walk_serves_eval_and_eval_d(src, pts):
+    e = expr.parse(src)
+    args = _at(pts)
+    plain = _outcome(lambda **kw: (e.eval(**kw),), **args)
+    singles = {w: _outcome(e.eval_d, wrt=w, **args) for w in expr.VARIABLES}
+    derivative_failures = {(DomainError, "sqrt derivative at zero"),
+                           (NonFinite, f"non-finite value in derivative of {src!r}")}
+    for single in singles.values():
+        if _ok(single):
+            assert plain == single[:1]  # eval(x) == eval_d(x, wrt=w)[0], bit for bit
+        elif _ok(plain):
+            assert single in derivative_failures
+    # one walk with two tangents: the two single walks, or the first failure
+    both = _outcome(e.eval_d, wrt=("p", "q"), **args)
+    p, q = singles["p"], singles["q"]
+    if _ok(p) and _ok(q):
+        assert both == (p[0], p[1], q[1])
+    else:
+        assert both == (q if _ok(p) else p)

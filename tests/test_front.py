@@ -81,7 +81,7 @@ def test_vertical_tangency_is_nongeneric():
 def test_surgery_removes_triangle():
     f = fish_front()
     a = frontmod.analyze(f)
-    g = frontmod.remove_triangle(f, a.triangles[0])
+    g, _ = frontmod.remove_triangle(f, a.triangles[0])
     a2 = frontmod.analyze(g)
     assert a2.cusps == () and a2.doubles == ()
     assert np.all(np.diff(g.q) > 0)
@@ -95,7 +95,8 @@ def test_surgery_preserves_front_outside_ball():
     a = frontmod.analyze(f)
     T = a.triangles[0]
     radius = frontmod.default_ball_radius(f, T)
-    g = frontmod.remove_triangle(f, T, radius)
+    g, (q_lo, q_hi) = frontmod.remove_triangle(f, T, radius)
+    assert q_lo < T.vertex.q < q_hi
     wq, wz = f.bbox_scale()
     # vertices off the loop and outside the ball must be bitwise retained
     idx = np.arange(len(f))
