@@ -23,8 +23,8 @@ class Periodic:
     period: float
 
     def __post_init__(self):
-        if not self.period > 0:
-            raise ValueError("period must be positive")
+        if not 0 < self.period < math.inf:
+            raise ValueError("period must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -34,8 +34,8 @@ class Windowed:
     qmax: float
 
     def __post_init__(self):
-        if not self.qmin < self.qmax:
-            raise ValueError("qmin must be < qmax")
+        if not -math.inf < self.qmin < self.qmax < math.inf:
+            raise ValueError("qmin must be < qmax, both finite")
 
 
 @dataclass(frozen=True)
@@ -46,8 +46,8 @@ class ProblemSpec:
     t_max: float
 
     def __post_init__(self):
-        if not self.t_max > 0:
-            raise ValueError("t_max must be positive")
+        if not 0 < self.t_max < math.inf:
+            raise ValueError("t_max must be positive and finite")
 
     def default_step(self):
         return self.t_max / 2000.0

@@ -156,7 +156,11 @@ def incidence(a: CriticalPoint, b: CriticalPoint,
 def couple(points: Sequence[CriticalPoint]) -> CouplingDecomposition:
     """Greedy coupling: repeatedly remove the incident (adjacent max/min)
     pair with the smallest value gap, re-linking neighbors, until a single
-    free point remains."""
+    free point remains. Equal gaps go to the first pair along the fiber.
+
+    With two index levels the free value is the extreme of the end points'
+    level whichever tied pair goes first: the tie is a shock, not a failure.
+    With three or more, tie order can change it, and a tie raises NonGeneric."""
     pts = list(points)
     if len(pts) % 2 == 0:
         raise MalformedInput(f"expected an odd number of critical points, got {len(pts)}")
@@ -172,6 +176,7 @@ def couple(points: Sequence[CriticalPoint]) -> CouplingDecomposition:
                 f"({upper.value} <= {lower.value})")
 
     scale = max(1.0, max(abs(p.value) for p in pts))
+    two_level = len({p.index for p in pts}) == 2
     alive = list(range(len(pts)))
     pairs = []
     while len(alive) > 1:
@@ -181,8 +186,9 @@ def couple(points: Sequence[CriticalPoint]) -> CouplingDecomposition:
             upper, lower = (u, v) if u.index > v.index else (v, u)
             gaps.append((upper.value - lower.value, k, upper, lower))
         gaps.sort(key=lambda g: g[0])
-        if len(gaps) > 1 and gaps[1][0] - gaps[0][0] <= VALUE_TOL * scale:
-            raise NonGeneric("tied coupling gaps; perturb the input and retry")
+        if not two_level and len(gaps) > 1 \
+                and gaps[1][0] - gaps[0][0] <= VALUE_TOL * scale:
+            raise NonGeneric("tied coupling gaps over three or more index levels")
         _, k, upper, lower = gaps[0]
         pairs.append((upper, lower))
         del alive[k:k + 2]

@@ -27,8 +27,8 @@ TRIM_FRAC = 0.25     # share of the vertices `trim_long` may drop per end
 SLICE_SHIFTS = 4     # time shifts of a non-generic slice in `slice_analysis`
 FIBER_TOL = 1e-9     # bbox-scaled distance of a fiber from a cusp or double point
 
-# fiber failures that a small shift of the fiber abscissa may cure
-_RETRYABLE = (DegenerateFiber, NonGeneric, MalformedInput)
+# fiber failures on which a sweep skips the fiber; the grid lets them raise
+_SKIPPABLE = (DegenerateFiber, NonGeneric, MalformedInput)
 # slice failures that a small shift of the slice time may cure: a tangency
 # or coincidence at a perestroika, or a cusp missed or missigned just after one
 _SLICE_RETRYABLE = (NonGeneric, IndexInconsistency)
@@ -133,24 +133,15 @@ def _hermite_z(f: FrontCurve, seg: int, s: float) -> float:
     return float(frontmod.hermite(s, h, z0, m0, z1, m1))
 
 
-def _coupled_fiber(analysis: FrontAnalysis, q: float, dq: float = 0.0,
-                   attempts: int = 1):
-    """Fiber points and their coupling (None on a single crossing) at the
-    first of q, q+dq, ... whose fiber is generic; re-raises the last
-    failure when all `attempts` fail."""
-    for k in range(attempts):
-        try:
-            pts = fiber_points(analysis, q + k * dq)
-            if len(pts) == 1:
-                return pts, None
-            return pts, morse1d.couple([
-                morse1d.CriticalPoint(xi=float(j), value=pt.z, index=pt.index)
-                for j, pt in enumerate(pts)])
-        except _RETRYABLE:
-            # raised, not kept: a kept exception would tie this frame, and
-            # the front it holds, into a reference cycle
-            if k == attempts - 1:
-                raise
+def _coupled_fiber(analysis: FrontAnalysis, q: float):
+    """Fiber points at exactly q and their coupling (None on a single
+    crossing)."""
+    pts = fiber_points(analysis, q)
+    if len(pts) == 1:
+        return pts, None
+    return pts, morse1d.couple([
+        morse1d.CriticalPoint(xi=float(j), value=pt.z, index=pt.index)
+        for j, pt in enumerate(pts)])
 
 
 def _free_point(pts, dec) -> FiberPoint:
@@ -181,8 +172,8 @@ def decompose(analysis: FrontAnalysis, validate: bool = True) -> SectionDecompos
     sweep_pairs = []  # (q, [(upper_sec, lower_sec), ...])
     for q in qs:
         try:
-            pts, dec = _coupled_fiber(analysis, q, dq_sweep * 1e-3, attempts=6)
-        except _RETRYABLE:
+            pts, dec = _coupled_fiber(analysis, q)
+        except _SKIPPABLE:
             continue
         pairs = [] if dec is None else dec.pairs
         mu.append((q, _free_point(pts, dec).section))
@@ -285,7 +276,7 @@ def triangle_is_coupled(analysis: FrontAnalysis, T) -> bool:
     for frac in (0.37, 0.61, 0.23, 0.79, 0.5):
         try:
             pts, dec = _coupled_fiber(analysis, q_lo + frac * span)
-        except _RETRYABLE:
+        except _SKIPPABLE:
             continue
         if dec is None:
             continue
@@ -411,7 +402,8 @@ def minimax_grid(spec: chars.ProblemSpec, t_grid, q_grid,
                  step: float | None = None, n_seeds: int = 4096) -> GridSolution:
     """Minimax solution values on the (t,q) grid via pointwise selection.
     Each row is the front at exactly its grid time, from that time's
-    `evolve_states` row; no time is shifted."""
+    `evolve_states` row, and each fiber is at exactly its grid q; neither
+    is shifted. A fiber that cannot be coupled raises."""
     t_grid = np.asarray(t_grid, dtype=float)
     q_grid = np.asarray(q_grid, dtype=float)
     seeds = default_seeds(spec, n_seeds)
@@ -424,7 +416,6 @@ def minimax_grid(spec: chars.ProblemSpec, t_grid, q_grid,
     count = np.ones((nt, nq), dtype=int)
 
     u0q = spec.u0.eval(q=q_grid)
-    dq_nudge = (q_grid[1] - q_grid[0]) * 1e-4 if nq > 1 else 1e-7
 
     for i, t in enumerate(times):
         if t == 0.0:
@@ -436,7 +427,7 @@ def minimax_grid(spec: chars.ProblemSpec, t_grid, q_grid,
                                  sections=tuple(frontmod.split_sections(f, cusps)),
                                  doubles=(), triangles=())
         for j, qv in enumerate(q_grid):
-            pts, dec = _coupled_fiber(analysis, float(qv), dq_nudge, attempts=8)
+            pts, dec = _coupled_fiber(analysis, float(qv))
             free = _free_point(pts, dec)
             u[i, j] = free.z
             branch[i, j] = free.section

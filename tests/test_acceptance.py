@@ -20,7 +20,7 @@ from hjminimax.morse1d import FiberFunction
 TWO_PI = 2.0 * np.pi
 
 # golden numbers: measured once on the reference run, pinned to +-20%
-GOLDEN_LINF_CONVEX_PAIR = 1.42e-6
+GOLDEN_LINF_CONVEX_PAIR = 3.578e-7
 
 
 # --- shared expensive artifacts ---

@@ -154,15 +154,25 @@ def test_determinism_across_runs(burgers_cfg, tmp_path):
     ("solver", "cfl = 0"),
     ("solver", "cfl = 1.5"),
     ("output", "snapshot_times = 0.5 abc"),
+    ("problem", "t_max = inf"),
+    ("problem", "period = inf"),
+    ("problem", "domain = window, qmin = -inf, qmax = 5"),
+    ("problem", "domain = window, qmin = -5, qmax = inf"),
 ])
 def test_bad_numeric_settings_exit_2(tmp_path, monkeypatch, capsys, section, line):
     def no_solver(*args, **kwargs):
         raise AssertionError("solver ran on an invalid config")
 
     monkeypatch.setattr(cli.selector, "minimax_grid", no_solver)
+    # a [problem] case replaces or adds its comma-separated settings
+    problem = {"H": "p^2/2", "u0": "cos(q)", "t_max": "1.0"}
+    other = f"[{section}]\n{line}\n"
+    if section == "problem":
+        problem.update(kv.split(" = ") for kv in line.split(", "))
+        other = ""
     path = tmp_path / "bad.ini"
-    path.write_text("[problem]\nH = p^2/2\nu0 = cos(q)\nt_max = 1.0\n"
-                    f"[{section}]\n{line}\n")
+    path.write_text("[problem]\n" + "".join(f"{k} = {v}\n" for k, v in problem.items())
+                    + other)
     with pytest.raises(cli.ConfigError):
         cli.load_config(str(path))
     assert cli.main(["compare", "--config", str(path),

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hjminimax import morse1d
 from hjminimax.errors import MalformedInput, NonGeneric
@@ -96,12 +98,51 @@ def test_couple_rejects_nonalternating():
         morse1d.couple(pts)
 
 
-def test_couple_ties_raise_nongeneric():
+def test_couple_two_level_tie_goes_to_first_pair():
+    # every gap is 1: the first pair along the fiber goes first each round
     pts = [CriticalPoint(0.0, 0.0, 0), CriticalPoint(1.0, 1.0, 1),
            CriticalPoint(2.0, 0.0, 0), CriticalPoint(3.0, 1.0, 1),
            CriticalPoint(4.0, 0.0, 0)]
+    dec = morse1d.couple(pts)
+    assert dec.free == pts[4]
+    assert dec.free.value == 0.0
+
+
+def test_couple_three_level_tie_raises_nongeneric():
+    # gaps 1, 3, 1, 4: taking the first tied pair leaves free value 4,
+    # taking the second leaves 3
+    pts = [CriticalPoint(float(k), v, i)
+           for k, (i, v) in enumerate(zip((0, 1, 0, -1, 0), (3.0, 4.0, 1.0, 0.0, 4.0)))]
     with pytest.raises(NonGeneric):
         morse1d.couple(pts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 1), st.integers(1, 4).flatmap(
+    lambda m: st.tuples(st.lists(st.integers(0, 3), min_size=m + 1, max_size=m + 1),
+                        st.lists(st.integers(1, 3), min_size=m, max_size=m))),
+       st.randoms(use_true_random=False))
+def test_couple_two_level_free_value_ignores_ties(end_level, levels, rnd):
+    # the end points sit on one level, the points between them on the other;
+    # small integer values make tied gaps common
+    ends, rises = levels
+    sign = 1 - 2 * end_level      # an upper end level is a mirrored lower one
+    values = []
+    for k, e in enumerate(ends):
+        values.append(sign * e)
+        if k < len(rises):
+            values.append(sign * (max(e, ends[k + 1]) + rises[k]))
+    indices = [end_level if k % 2 == 0 else 1 - end_level for k in range(len(values))]
+
+    def free_value(vals):
+        return morse1d.couple([CriticalPoint(float(k), float(v), i) for k, (v, i)
+                               in enumerate(zip(vals, indices))]).free.value
+
+    tied = free_value(values)
+    assert tied == (min(values[::2]) if end_level == 0 else max(values[::2]))
+    for _ in range(5):
+        bumped = [v + rnd.uniform(-5e-10, 5e-10) for v in values]
+        assert tied == pytest.approx(free_value(bumped), abs=1e-9)
 
 
 def double_well(x):

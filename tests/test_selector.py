@@ -124,16 +124,21 @@ def burgers_to_birth():
                           domain=hj.Periodic(2 * np.pi), t_max=1.0)
 
 
-def test_minimax_grid_evaluates_perestroika_row_at_its_time(burgers_to_birth):
-    # the shock birth is the last grid row: it must be solved at t=1
-    # itself, not at a later time past t_max
-    spec = burgers_to_birth
-    t_grid = np.linspace(0.0, 1.0, 16)
-    q_grid = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
-    g = selector.minimax_grid(spec, t_grid, q_grid, n_seeds=256)
-    Hc = viscosity.ConvexHamiltonian(H=spec.H, p_window=(-4.0, 4.0))
-    lo = viscosity.lax_oleinik_grid(Hc, spec.u0, t_grid, q_grid)
-    assert np.abs(g.u - lo.u).max() <= 1e-6
+def test_minimax_grid_evaluates_perestroika_row_at_its_time(
+        burgers_to_birth, burgers_spec, two_hump_spec):
+    # Burgers to its birth: the shock birth is the last grid row, and it
+    # must be solved at t=1 itself, not at a later time past t_max. Past
+    # the birth, the q=0 (and two-hump q=pi) column lies on a shock, where
+    # two critical values tie: it must be solved at that q, not beside it
+    for spec, nt, nq, n_seeds in ((burgers_to_birth, 16, 16, 256),
+                                  (burgers_spec, 16, 32, 512),
+                                  (two_hump_spec, 16, 32, 512)):
+        t_grid = np.linspace(0.0, spec.t_max, nt)
+        q_grid = np.linspace(0.0, 2 * np.pi, nq, endpoint=False)
+        g = selector.minimax_grid(spec, t_grid, q_grid, n_seeds=n_seeds)
+        Hc = viscosity.ConvexHamiltonian(H=spec.H, p_window=(-4.0, 4.0))
+        lo = viscosity.lax_oleinik_grid(Hc, spec.u0, t_grid, q_grid)
+        assert np.abs(g.u - lo.u).max() <= 1e-6, f"{spec.u0}, t_max={spec.t_max}"
 
 
 def test_slice_analysis_stays_inside_time_range(burgers_to_birth):
