@@ -12,7 +12,7 @@ from .characteristics import Periodic, ProblemSpec, Windowed, evolve
 from .errors import HJError
 from .expr import Expression, parse
 from .front import FrontAnalysis, FrontCurve, analyze, build_front
-from .morse1d import FiberFunction, couple, minimax_oracle
+from .morse1d import couple
 from .selector import GridSolution, eliminate, minimax_grid, select_pointwise
 from .singular import SingularEvent, classify, forbidden_report, singular_set
 from .viscosity import ConvexHamiltonian, lax_friedrichs, lax_oleinik, legendre
@@ -20,10 +20,9 @@ from .viscosity import ConvexHamiltonian, lax_friedrichs, lax_oleinik, legendre
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConvexHamiltonian", "Expression", "FiberFunction",
-    "FrontAnalysis", "FrontCurve", "GridSolution", "HJError", "Periodic",
-    "ProblemSpec", "SingularEvent", "Windowed", "analyze", "build_front",
-    "classify", "couple", "eliminate", "evolve", "forbidden_report",
-    "lax_friedrichs", "lax_oleinik", "legendre", "minimax_grid",
-    "minimax_oracle", "parse", "select_pointwise", "singular_set",
+    "ConvexHamiltonian", "Expression", "FrontAnalysis", "FrontCurve",
+    "GridSolution", "HJError", "Periodic", "ProblemSpec", "SingularEvent",
+    "Windowed", "analyze", "build_front", "classify", "couple", "eliminate",
+    "evolve", "forbidden_report", "lax_friedrichs", "lax_oleinik", "legendre",
+    "minimax_grid", "parse", "select_pointwise", "singular_set",
 ]

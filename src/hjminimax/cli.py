@@ -155,10 +155,9 @@ def _snapshot_path(cfg, t, ext):
 
 def _write_svg(cfg, t, analysis):
     """front_t<t>.svg: the slice at t with its minimax section highlighted.
-    `decompose` skips the fibers it cannot couple, and without validation
-    it raises nothing of its own."""
-    dec = selector.decompose(analysis, validate=False)
-    _write(_snapshot_path(cfg, t, "svg"), svg.render_front(analysis, dec.minimax_pieces))
+    The sweep skips the fibers it cannot couple."""
+    _write(_snapshot_path(cfg, t, "svg"),
+           svg.render_front(analysis, selector.minimax_pieces(analysis)))
 
 
 def cmd_solve(cfg):

@@ -27,15 +27,11 @@ class NonFinite(HJError):
     """A computation produced inf or nan where a finite value is required."""
 
 
-# --- genericity / resolution ---
+# --- genericity ---
 
 class NonGeneric(HJError):
     """Input violates a genericity assumption (tied critical values, degenerate
     cusp, tangential intersection, ...). Callers may perturb and retry."""
-
-
-class ResolutionTooCoarse(HJError):
-    """Sampling resolution cannot separate nearby features."""
 
 
 class MalformedInput(HJError):

@@ -301,12 +301,9 @@ def _counting(counts):
 
 
 def _section_of_segment(sections, seg):
+    """The section holding segment seg (vertices seg and seg+1)."""
     for s in sections:
         if s.start <= seg and seg + 1 <= s.end:
-            return s
-    # segment straddles a cusp vertex boundary; attach to the owner of seg
-    for s in sections:
-        if s.start <= seg <= s.end:
             return s
     raise KeyError(seg)
 
@@ -454,13 +451,11 @@ def default_ball_radius(f: FrontCurve, T: Triangle) -> float:
     return 0.25 * float(dmin)
 
 
-def remove_triangle(f: FrontCurve, T: Triangle, ball_radius: float | None = None):
+def remove_triangle(f: FrontCurve, T: Triangle, ball_radius: float):
     """Delete the triangle subcurve and reconnect with a C1 cubic blend
     inside a ball around the vertex. Outside the ball the front is untouched.
     Returns the new front and the q-extent (q_lo, q_hi) of the replaced
     subcurve, cut to cut."""
-    if ball_radius is None:
-        ball_radius = default_ball_radius(f, T)
     wq, wz = f.bbox_scale()
     d = T.vertex
     vx, vz = d.q / wq, d.z / wz

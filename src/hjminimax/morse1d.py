@@ -1,41 +1,18 @@
-"""Minimax of one-variable functions quadratic at infinity.
+"""Greedy coupling of a fiber's critical points.
 
-Critical points, 1-D incidence coefficients, the greedy coupling
-decomposition (smallest incident value gap first), and an independent
-union-find persistence oracle over the sampled sublevel filtration.
+The critical points of one fiber, ordered along it, are paired off
+adjacent maximum with minimum, smallest value gap first; the one point
+left free carries the minimax value.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
-import numpy as np
+from .errors import MalformedInput, NonGeneric
 
-from .errors import MalformedInput, NonGeneric, ResolutionTooCoarse
-
-XI_TOL = 1e-8           # bisection tolerance for critical-point abscissae
 VALUE_TOL = 1e-10       # relative tolerance for value-tie detection
-
-
-@dataclass(frozen=True)
-class FiberFunction:
-    """A function of one variable, quadratic at infinity.
-
-    Only behaviour inside `window` matters: outside it the function is
-    declared monotone toward its quadratic tails. infinity_index is the
-    Morse index of the quadratic form at infinity (0: bowl up, 1: bowl down).
-    """
-    values: Callable[[float], float]
-    window: tuple[float, float]
-    infinity_index: int = 0
-
-    def __post_init__(self):
-        if self.infinity_index not in (0, 1):
-            raise MalformedInput(f"infinity_index must be 0 or 1, got {self.infinity_index}")
-        if not self.window[0] < self.window[1]:
-            raise MalformedInput("empty window")
 
 
 @dataclass(frozen=True)
@@ -50,107 +27,6 @@ class CouplingDecomposition:
     """Pairs (upper, lower) in greedy order plus the single free point."""
     pairs: tuple[tuple[CriticalPoint, CriticalPoint], ...]
     free: CriticalPoint
-
-
-@dataclass(frozen=True)
-class OracleResult:
-    """Union-find persistence output on a sampled filtration."""
-    value: float                  # essential-class critical value (the minimax)
-    free_xi: float                # abscissa of the essential minimum/maximum
-    pairs: tuple[tuple[float, float], ...] = field(default=())  # (xi_saddle, xi_birth)
-
-
-def critical_points(f: FiberFunction, resolution: int = 2048) -> list[CriticalPoint]:
-    """Locate the Morse critical points of f inside its window.
-
-    Sign changes of the sampled derivative are bisected to |xi error| <= XI_TOL;
-    indices come from the sign of the second difference at the root.
-    """
-    if resolution < 64:
-        raise ValueError("resolution must be >= 64")
-    a, b = f.window
-    width = b - a
-    h = width * 1e-7
-
-    def deriv(x):
-        return (f.values(x + h) - f.values(x - h)) / (2.0 * h)
-
-    # detect on the refined grid; compare against the coarse grid (every
-    # other fine sample) to catch features that a single cell cannot separate
-    xs = np.linspace(a, b, 2 * resolution + 1)
-    ds = np.array([deriv(x) for x in xs.tolist()])
-    coarse_cells = _sign_change_cells(ds[::2])
-    fine_cells = _sign_change_cells(ds)
-    if len(fine_cells) != len(coarse_cells):
-        raise ResolutionTooCoarse(
-            f"{len(coarse_cells)} sign changes at resolution {resolution}, "
-            f"{len(fine_cells)} after one refinement round")
-    for l0, l1 in zip(fine_cells, fine_cells[1:]):
-        if l1 - l0 <= 1:
-            raise ResolutionTooCoarse("two derivative sign changes share a sample cell")
-
-    points = []
-    dx = width / (2 * resolution)
-    for cell in fine_cells:
-        lo = a + cell * dx
-        hi = lo + dx
-        xi = _bisect(deriv, lo, hi, XI_TOL)
-        d2 = f.values(xi + 10 * XI_TOL) - 2.0 * f.values(xi) + f.values(xi - 10 * XI_TOL)
-        index = 0 if d2 > 0 else 1
-        points.append(CriticalPoint(xi=xi, value=float(f.values(xi)), index=index))
-    points.sort(key=lambda cp: cp.xi)
-
-    vals = sorted(cp.value for cp in points)
-    scale = max(abs(v) for v in vals) if vals else 1.0
-    for v0, v1 in zip(vals, vals[1:]):
-        if abs(v1 - v0) <= VALUE_TOL * max(1.0, scale):
-            raise NonGeneric(f"critical values {v0} and {v1} coincide within tolerance")
-    return points
-
-
-def _sign_change_cells(ds):
-    """Indices of the sample cells over which the derivative samples ds
-    change sign (a zero sample marks the cell to its left)."""
-    s = np.sign(ds).tolist()
-    cells = []
-    for i in range(len(s) - 1):
-        if s[i + 1] == 0 or (s[i] != 0 and s[i] != s[i + 1]):
-            # collapse duplicates from the zero-sample case
-            if not cells or i > cells[-1]:
-                cells.append(i)
-    return cells
-
-
-def _bisect(g, lo, hi, tol):
-    glo = g(lo)
-    for _ in range(200):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        if gm == 0:
-            return mid
-        if (glo < 0) != (gm < 0):
-            hi = mid
-        else:
-            lo, glo = mid, gm
-    return 0.5 * (lo + hi)
-
-
-def incidence(a: CriticalPoint, b: CriticalPoint,
-              all_points: Sequence[CriticalPoint]) -> int:
-    """1-D incidence coefficient: +-1 iff a is a max whose descending flow
-    reaches b, i.e. b is the xi-neighbor minimum of a; 0 otherwise.
-    Sign: +1 for the right neighbor, -1 for the left."""
-    if a.index != b.index + 1:
-        return 0
-    order = sorted(all_points, key=lambda cp: cp.xi)
-    i = order.index(a)
-    if i + 1 < len(order) and order[i + 1] == b:
-        return +1
-    if i - 1 >= 0 and order[i - 1] == b:
-        return -1
-    return 0
 
 
 def couple(points: Sequence[CriticalPoint]) -> CouplingDecomposition:
@@ -193,76 +69,3 @@ def couple(points: Sequence[CriticalPoint]) -> CouplingDecomposition:
         pairs.append((upper, lower))
         del alive[k:k + 2]
     return CouplingDecomposition(pairs=tuple(pairs), free=pts[alive[0]])
-
-
-def minimax_value(d: CouplingDecomposition) -> float:
-    """The minimax is the value of the unique free critical point."""
-    return d.free.value
-
-
-def persistence_pairs(f: FiberFunction, resolution: int = 4096) -> OracleResult:
-    """Union-find persistence over the sampled sublevel filtration.
-
-    Sweeping values upward, a local maximum merging two components pairs
-    with the younger component's minimum; the essential class is the free
-    point. For infinity_index=1 the superlevel (dual) filtration is used.
-    """
-    a, b = f.window
-    xs = np.linspace(a, b, resolution)
-    ys = np.array([f.values(x) for x in xs.tolist()], dtype=float)
-    if f.infinity_index == 1:
-        ys = -ys
-    order = np.argsort(ys, kind="stable").tolist()
-    y = ys.tolist()
-
-    n = len(y)
-    parent = [-1] * n  # -1: sample not yet in the sublevel set
-    birth = [0] * n    # root -> sample index of the component minimum
-
-    def find(i):
-        root = i
-        while parent[root] != root:
-            root = parent[root]
-        while parent[i] != root:
-            parent[i], i = root, parent[i]
-        return root
-
-    pairs = []
-    for i in order:
-        parent[i] = i
-        birth[i] = i
-        roots = [find(j) for j in (i - 1, i + 1) if 0 <= j < n and parent[j] >= 0]
-        if len(roots) == 1:
-            parent[i] = roots[0]
-        elif len(roots) == 2:
-            older, younger = roots
-            if y[birth[younger]] < y[birth[older]]:
-                older, younger = younger, older
-            pairs.append((float(xs[i]), float(xs[birth[younger]])))
-            parent[i] = older
-            parent[younger] = older
-    essential = find(int(order[0]))
-    free_i = birth[essential]
-    sign = -1.0 if f.infinity_index == 1 else 1.0
-    return OracleResult(value=float(sign * ys[free_i]), free_xi=float(xs[free_i]),
-                        pairs=tuple(pairs))
-
-
-def minimax_oracle(f: FiberFunction, resolution: int = 4096) -> float:
-    """Combinatorial realization of the homological minimax: the essential
-    class value of the sampled sublevel (or dual superlevel) filtration."""
-    return persistence_pairs(f, resolution).value
-
-
-def perturbed(f: FiberFunction, seed: int) -> FiberFunction:
-    """Deterministic tiny smooth bump, for retrying NonGeneric inputs."""
-    rng = np.random.default_rng(seed)
-    a, b = f.window
-    k = 2.0 * math.pi / (b - a) * (1.0 + rng.random())
-    phase = rng.random() * 2.0 * math.pi
-    xs = np.linspace(a, b, 512)
-    vals = np.array([f.values(x) for x in xs])
-    eps = 1e-9 * max(1e-12, float(vals.max() - vals.min()))
-    base = f.values
-    return FiberFunction(values=lambda x: base(x) + eps * math.sin(k * x + phase),
-                         window=f.window, infinity_index=f.infinity_index)

@@ -9,7 +9,6 @@ both must agree outside surgery balls.
 from __future__ import annotations
 
 import io
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +20,7 @@ from .errors import (DegenerateFiber, InconsistentSweep, IndexInconsistency,
                      MalformedInput, NoVanishingTriangle, NonGeneric)
 from .front import FrontAnalysis, FrontCurve
 
-SWEEP_FIBERS = 512   # fibers `decompose` sweeps across a front
+SWEEP_FIBERS = 512   # fibers `_sweep` lays across a front
 MAX_SURGERIES = 64   # rounds `eliminate` may take before giving up
 TRIM_FRAC = 0.25     # share of the vertices `trim_long` may drop per end
 SLICE_SHIFTS = 4     # time shifts of a non-generic slice in `slice_analysis`
@@ -40,8 +39,6 @@ class FiberPoint:
     section: int
     index: int       # branch index of the section
     seg: int
-    frac: float
-    p: float
 
 
 @dataclass
@@ -95,27 +92,24 @@ def fiber_points(analysis: FrontAnalysis, q: float) -> list[FiberPoint]:
     if len(pts) % 2 == 0:
         raise DegenerateFiber(f"even crossing count ({len(pts)}) at q={q}")
     out = []
-    for z, seg, frac, p in pts:
+    for z, seg in pts:
         sec = frontmod._section_of_segment(analysis.sections, seg)
-        out.append(FiberPoint(z=z, section=sec.id, index=sec.index,
-                              seg=seg, frac=frac, p=p))
+        out.append(FiberPoint(z=z, section=sec.id, index=sec.index, seg=seg))
     return out
 
 
 def _raw_crossings(f: FrontCurve, q: float):
-    """(z, seg, frac, p) for every segment crossed by the vertical line,
-    z interpolated with a cubic Hermite using the carried momenta."""
+    """(z, seg) for every segment crossed by the vertical line, z
+    interpolated with a cubic Hermite using the carried momenta."""
     qa, qb = f.q[:-1], f.q[1:]
     hit = ((qa - q) * (qb - q) < 0) | (qa == q)
     out = []
     for seg in np.nonzero(hit)[0]:
         dq = qb[seg] - qa[seg]
         frac = 0.0 if dq == 0 else float((q - qa[seg]) / dq)
-        z = _hermite_z(f, int(seg), frac)
-        p = float(f.p[seg] + frac * (f.p[seg + 1] - f.p[seg]))
-        out.append((z, int(seg), frac, p))
+        out.append((_hermite_z(f, int(seg), frac), int(seg)))
     if len(f) and f.q[-1] == q:
-        out.append((float(f.z[-1]), len(f) - 2, 1.0, float(f.p[-1])))
+        out.append((float(f.z[-1]), len(f) - 2))
     return out
 
 
@@ -154,41 +148,51 @@ def select_pointwise(analysis: FrontAnalysis, q: float):
     return free.z, free.section
 
 
-def decompose(analysis: FrontAnalysis, validate: bool = True) -> SectionDecomposition:
-    """Sweep fibers across the front, record couplings, and stitch the
-    minimax section and the closed coupled curves X_i."""
+def _sweep(analysis: FrontAnalysis):
+    """The fiber spacing, and (q, free section, [(upper, lower) section
+    pairs]) for each of SWEEP_FIBERS fibers across the front. A fiber that
+    cannot be coupled is skipped."""
     f = analysis.front
     # sweep between the end vertices: a fold can dip past them in q, where
     # the fiber loses the noncompact branch and its crossing count is even
     q_lo, q_hi = float(f.q[0]), float(f.q[-1])
     pad = (q_hi - q_lo) * 1e-6
     qs = np.linspace(q_lo + pad, q_hi - pad, SWEEP_FIBERS)
-    dq_sweep = qs[1] - qs[0]
-
-    cusp_qs = np.array([c.q for c in analysis.cusps])
-    homog = [d for d in analysis.doubles if d.homogeneous]
-
-    mu = []           # (q, free_section)
-    sweep_pairs = []  # (q, [(upper_sec, lower_sec), ...])
+    fibers = []
     for q in qs:
         try:
             pts, dec = _coupled_fiber(analysis, q)
         except _SKIPPABLE:
             continue
         pairs = [] if dec is None else dec.pairs
-        mu.append((q, _free_point(pts, dec).section))
-        sweep_pairs.append((q, [(pts[int(u.xi)].section, pts[int(l.xi)].section)
-                                for u, l in pairs]))
-
-    minimax_pieces = _stitch_mu(mu)
-    xcurves = _stitch_pairs(sweep_pairs, cusp_qs, homog, dq_sweep, validate)
-    return SectionDecomposition(minimax_pieces=minimax_pieces,
-                                coupled_curves=xcurves)
+        fibers.append((q, _free_point(pts, dec).section,
+                       [(pts[int(u.xi)].section, pts[int(l.xi)].section)
+                        for u, l in pairs]))
+    return qs[1] - qs[0], fibers
 
 
-def _stitch_mu(mu):
+def minimax_pieces(analysis: FrontAnalysis):
+    """(section_id, q_lo, q_hi) runs of the minimax section across the
+    front, from the same sweep as `decompose`."""
+    return _stitch_mu(_sweep(analysis)[1])
+
+
+def decompose(analysis: FrontAnalysis) -> SectionDecomposition:
+    """Sweep fibers across the front, record couplings, and stitch the
+    minimax section and the closed coupled curves X_i. A coupled pair that
+    appears, vanishes or swaps a partner away from a front event raises
+    InconsistentSweep."""
+    dq_sweep, fibers = _sweep(analysis)
+    cusp_qs = np.array([c.q for c in analysis.cusps])
+    homog = [d for d in analysis.doubles if d.homogeneous]
+    return SectionDecomposition(
+        minimax_pieces=_stitch_mu(fibers),
+        coupled_curves=_stitch_pairs(fibers, cusp_qs, homog, dq_sweep))
+
+
+def _stitch_mu(fibers):
     pieces = []
-    for q, sec in mu:
+    for q, sec, _ in fibers:
         if pieces and pieces[-1][0] == sec:
             pieces[-1][2] = q
         else:
@@ -196,13 +200,13 @@ def _stitch_mu(mu):
     return [(sec, lo, hi) for sec, lo, hi in pieces]
 
 
-def _stitch_pairs(sweep_pairs, cusp_qs, homog, dq_sweep, validate):
+def _stitch_pairs(fibers, cusp_qs, homog, dq_sweep):
     slack = 1.5 * dq_sweep
     active = {}   # key: frozenset of sections -> XCurve
     done = []
     next_id = 0
     started = False
-    for q, prs in sweep_pairs:
+    for q, _, prs in fibers:
         cur = {}
         for upper, lower in prs:
             key = frozenset((upper, lower))
@@ -210,12 +214,12 @@ def _stitch_pairs(sweep_pairs, cusp_qs, homog, dq_sweep, validate):
                 x = active.pop(key)
                 x.intervals[-1] = (x.intervals[-1][0], q, upper, lower)
             else:
-                x = _match_swap(active, key, q, slack, homog, validate)
+                x = _match_swap(active, key, q, slack, homog)
                 if x is not None:
                     x.intervals.append((q, q, upper, lower))
                 else:
                     # pairs present at the first fiber did not "appear"
-                    if validate and started and not _near_event(q, cusp_qs, slack):
+                    if started and not _near_event(q, cusp_qs, slack):
                         raise InconsistentSweep(
                             f"pair {sorted(key)} appeared at q={q} away from any cusp")
                     x = XCurve(id=next_id, intervals=[(q, q, upper, lower)])
@@ -223,7 +227,7 @@ def _stitch_pairs(sweep_pairs, cusp_qs, homog, dq_sweep, validate):
             cur[key] = x
         started = True
         for key, x in active.items():
-            if validate and not _near_event(x.intervals[-1][1], cusp_qs, 2 * slack) \
+            if not _near_event(x.intervals[-1][1], cusp_qs, 2 * slack) \
                     and not _near_event(x.intervals[-1][1] + dq_sweep, cusp_qs, 2 * slack):
                 raise InconsistentSweep(
                     f"pair {sorted(key)} vanished at q={x.intervals[-1][1]} away from any cusp")
@@ -236,7 +240,7 @@ def _stitch_pairs(sweep_pairs, cusp_qs, homog, dq_sweep, validate):
     return done
 
 
-def _match_swap(active, key, q, slack, homog, validate):
+def _match_swap(active, key, q, slack, homog):
     """A pair whose identity changed must have swapped a partner at a
     homogeneous double point between the swapped sections."""
     for old_key in list(active):
@@ -244,9 +248,8 @@ def _match_swap(active, key, q, slack, homog, validate):
         if not shared or old_key == key:
             continue
         swapped = (old_key | key) - shared
-        ok = any(frozenset(d.sections) == swapped and abs(d.q - q) <= 2 * slack
-                 for d in homog)
-        if ok or not validate:
+        if any(frozenset(d.sections) == swapped and abs(d.q - q) <= 2 * slack
+               for d in homog):
             return active.pop(old_key)
     return None
 
@@ -261,9 +264,9 @@ class Surgery:
     vertex_z: float
     ball_radius: float   # bbox-scaled
     loop_sections: tuple
-    strict: bool = True     # False when selected by the smallest-loop fallback
-    q_lo: float = math.nan  # q-extent of the replaced subcurve (cut to cut)
-    q_hi: float = math.nan
+    strict: bool     # False when selected by the smallest-loop fallback
+    q_lo: float      # q-extent of the replaced subcurve (cut to cut)
+    q_hi: float
 
 
 def triangle_is_coupled(analysis: FrontAnalysis, T) -> bool:

@@ -81,9 +81,11 @@ def _clusters(row_mask: np.ndarray, q: np.ndarray, periodic: bool):
         qs = q[grp]
         if periodic and qs.max() - qs.min() > period / 2:
             # wrapped cluster: average on the circle
-            ang = qs / period * 2 * np.pi
+            ang = (qs - q[0]) / period * 2 * np.pi
             c = np.arctan2(np.mean(np.sin(ang)), np.mean(np.cos(ang)))
             center = float((c % (2 * np.pi)) / (2 * np.pi) * period + q[0])
+            if center >= q[0] + period:   # a tiny negative c % 2pi rounds to 2pi
+                center -= period
         else:
             center = float(qs.mean())
         out.append({"q": center, "cells": grp})

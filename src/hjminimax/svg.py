@@ -27,7 +27,7 @@ def _mapper(q, z):
                            HEIGHT - PAD - (zv - zmin) / wz * (HEIGHT - 2 * PAD))
 
 
-def render_front(analysis, minimax_pieces=None) -> str:
+def render_front(analysis, minimax_pieces) -> str:
     f = analysis.front
     m = _mapper(f.q, f.z)
     parts = [
@@ -44,16 +44,15 @@ def render_front(analysis, minimax_pieces=None) -> str:
         color = _COLORS[s.index % len(_COLORS)]
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      f'stroke-width="1.5"{dash}/>')
-    if minimax_pieces:
-        for sec_id, qlo, qhi in minimax_pieces:
-            s = next(s for s in analysis.sections if s.id == sec_id)
-            vs = [v for v in range(s.start, s.end + 1) if qlo - 1e-12 <= f.q[v] <= qhi + 1e-12]
-            if len(vs) < 2:
-                continue
-            pts = " ".join(f"{_fmt(x)},{_fmt(y)}"
-                           for x, y in (m(f.q[v], f.z[v]) for v in vs))
-            parts.append(f'<polyline points="{pts}" fill="none" stroke="#d62728" '
-                         f'stroke-width="3" stroke-opacity="0.7"/>')
+    for sec_id, qlo, qhi in minimax_pieces:
+        s = next(s for s in analysis.sections if s.id == sec_id)
+        vs = [v for v in range(s.start, s.end + 1) if qlo - 1e-12 <= f.q[v] <= qhi + 1e-12]
+        if len(vs) < 2:
+            continue
+        pts = " ".join(f"{_fmt(x)},{_fmt(y)}"
+                       for x, y in (m(f.q[v], f.z[v]) for v in vs))
+        parts.append(f'<polyline points="{pts}" fill="none" stroke="#d62728" '
+                     f'stroke-width="3" stroke-opacity="0.7"/>')
     for c in analysis.cusps:
         x, y = m(c.q, c.z)
         fill = "#d62728" if c.sign > 0 else "#1f77b4"

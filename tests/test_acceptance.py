@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 import hjminimax as hj
+import morse_oracle
 from hjminimax import cli, front as frontmod, morse1d, selector, singular, viscosity
 from hjminimax.errors import DegenerateFiber, NonGeneric
-from hjminimax.morse1d import FiberFunction
+from morse_oracle import FiberFunction
 
 TWO_PI = 2.0 * np.pi
 
@@ -73,13 +74,13 @@ def test_criterion_1_coupling_matches_persistence_oracle():
     for seed in range(500):
         f = _random_fiber(seed)
         try:
-            pts = morse1d.critical_points(f, resolution=512)
+            pts = morse_oracle.critical_points(f, resolution=512)
             dec = morse1d.couple(pts)
         except NonGeneric:
-            f = morse1d.perturbed(f, seed)
-            pts = morse1d.critical_points(f, resolution=512)
+            f = morse_oracle.perturbed(f, seed)
+            pts = morse_oracle.critical_points(f, resolution=512)
             dec = morse1d.couple(pts)
-        res = morse1d.persistence_pairs(f, resolution=2048)
+        res = morse_oracle.persistence_pairs(f, resolution=2048)
         assert dec.free.value == pytest.approx(res.value, abs=1e-5)
         assert dec.free.xi == pytest.approx(res.free_xi, abs=8.0 / 1024)
     assert time.perf_counter() - t0 < 10.0

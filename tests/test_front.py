@@ -42,6 +42,15 @@ def test_fish_sections_and_indices():
     assert [s.kind for s in a.sections] == ["noncompact", "compact", "noncompact"]
 
 
+@pytest.mark.parametrize("which", ["fish", "burgers_front_t15"])
+def test_every_segment_maps_to_its_section(which, request):
+    a = frontmod.analyze(fish_front()) if which == "fish" \
+        else request.getfixturevalue(which)
+    for s in range(len(a.front) - 1):
+        owners = [sec for sec in a.sections if sec.start <= s < sec.end]
+        assert owners == [frontmod._section_of_segment(a.sections, s)]
+
+
 def test_fish_double_point_homogeneous():
     a = frontmod.analyze(fish_front())
     assert len(a.doubles) == 1
@@ -81,7 +90,8 @@ def test_vertical_tangency_is_nongeneric():
 def test_surgery_removes_triangle():
     f = fish_front()
     a = frontmod.analyze(f)
-    g, _ = frontmod.remove_triangle(f, a.triangles[0])
+    T = a.triangles[0]
+    g, _ = frontmod.remove_triangle(f, T, frontmod.default_ball_radius(f, T))
     a2 = frontmod.analyze(g)
     assert a2.cusps == () and a2.doubles == ()
     assert np.all(np.diff(g.q) > 0)

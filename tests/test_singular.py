@@ -121,6 +121,19 @@ def test_real_shock_merge_asymmetric_two_hump():
     assert counts["Unclassified"] == 0
 
 
+@pytest.mark.parametrize("q_start", [0.0, -np.pi])
+def test_seam_cluster_centre_stays_in_period(q_start):
+    # cells nq-1, 0 and 1 straddle the seam symmetrically: the centre is
+    # the first grid point, not one period past it
+    nq = 192
+    q = q_start + np.linspace(0.0, 2 * np.pi, nq, endpoint=False)
+    mask = np.zeros(nq, bool)
+    mask[[nq - 1, 0, 1]] = True
+    (cluster,) = singular._clusters(mask, q, periodic=True)
+    assert q[0] <= cluster["q"] < q[0] + 2 * np.pi
+    assert cluster["q"] == pytest.approx(q[0], abs=1e-12)
+
+
 def test_events_json_roundtrip(burgers_grid):
     import json
     mask = singular.singular_set(burgers_grid, periodic=True)
