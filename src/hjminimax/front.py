@@ -101,10 +101,7 @@ class FrontAnalysis:
     triangles: tuple[Triangle, ...]
 
     def section_of_vertex(self, v: int) -> Section:
-        for s in self.sections:
-            if s.start <= v <= s.end:
-                return s
-        raise KeyError(v)
+        return self.sections[_section_of_vertex(self.sections, v)]
 
 
 def build_front(q0, q, p, z, time: float) -> FrontCurve:
@@ -253,12 +250,15 @@ def double_points(f: FrontCurve, sections: Sequence[Section] | None = None,
                   & (np.abs(zx - c.z) / wz < 10 * TIE_TOL)):
             raise NonGeneric("cusp and double point coincide (degenerate time slice)")
 
+    if sections is not None:
+        sec_i = _section_of_vertex(sections, i + 1)
+        sec_j = _section_of_vertex(sections, j + 1)
     result = []
     for k in np.lexsort((j, u, i)):  # along the curve: by seg_a, frac_a, seg_b
         a, b = int(i[k]), int(j[k])
         if sections is not None:
-            sa = _section_of_segment(sections, a)
-            sb = _section_of_segment(sections, b)
+            sa = sections[sec_i[k]]
+            sb = sections[sec_j[k]]
             homog = sa.index == sb.index
             ids = (sa.id, sb.id)
         else:
@@ -300,12 +300,21 @@ def _counting(counts):
     return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
+def _section_of_vertex(sections, v):
+    """Positions in `sections` of the section holding each vertex v: the
+    first one ending at or after it, so a cusp vertex belongs to the section
+    it ends. Segment s lies in the section of its far vertex s + 1. Takes and
+    returns an int or an int array; KeyError off the front."""
+    ends = np.fromiter((s.end for s in sections), dtype=np.int64, count=len(sections))
+    pos = np.searchsorted(ends, v, side="left")
+    if np.any(pos == len(sections)) or np.any(np.asarray(v) < sections[0].start):
+        raise KeyError(v)
+    return pos
+
+
 def _section_of_segment(sections, seg):
     """The section holding segment seg (vertices seg and seg+1)."""
-    for s in sections:
-        if s.start <= seg and seg + 1 <= s.end:
-            return s
-    raise KeyError(seg)
+    return sections[_section_of_vertex(sections, seg + 1)]
 
 
 def _segment_intersections(pts, i, j):
@@ -349,8 +358,8 @@ def find_triangles(f: FrontCurve, cusps: Sequence[Cusp],
         inside = [c for c in cusps if d.seg_a < c.vertex <= d.seg_b]
         if len(inside) != 2:
             continue
-        loop_secs = sorted({_section_of_segment(sections, s).id
-                            for s in range(d.seg_a, d.seg_b + 1)})
+        loop_secs = sorted({sections[k].id for k in np.unique(
+            _section_of_vertex(sections, np.arange(d.seg_a + 1, d.seg_b + 2)))})
         branch_index = _section_of_segment(sections, d.seg_a).index
         triangles.append(Triangle(vertex=d, start_seg=d.seg_a, end_seg=d.seg_b,
                                   cusps=(inside[0], inside[1]),
@@ -510,10 +519,16 @@ def remove_triangle(f: FrontCurve, T: Triangle, ball_radius: float):
 def hermite(s, h, z0, m0, z1, m1):
     """Cubic Hermite interpolant at s in [0, 1] of values z0, z1 and slopes
     m0, m1 at the two ends of an abscissa interval of length h."""
-    h00 = 2 * s ** 3 - 3 * s ** 2 + 1
-    h10 = s ** 3 - 2 * s ** 2 + s
-    h01 = -2 * s ** 3 + 3 * s ** 2
-    h11 = s ** 3 - s ** 2
+    return hermite_powers(s, s ** 2, s ** 3, h, z0, m0, z1, m1)
+
+
+def hermite_powers(s, s2, s3, h, z0, m0, z1, m1):
+    """`hermite` with s ** 2 and s ** 3 given: a caller that must round them
+    as Python floats do computes them itself."""
+    h00 = 2 * s3 - 3 * s2 + 1
+    h10 = s3 - 2 * s2 + s
+    h01 = -2 * s3 + 3 * s2
+    h11 = s3 - s2
     return h00 * z0 + h10 * h * m0 + h01 * z1 + h11 * h * m1
 
 

@@ -1,9 +1,11 @@
 """Minimax extraction from fronts, two ways.
 
 The production path selects pointwise: the fiber critical points over each
-abscissa are coupled greedily and the free point is the minimax. The
-geometric validator removes vanishing triangles until the front is a graph;
-both must agree outside surgery balls.
+abscissa are coupled greedily and the free point is the minimax. All fibers
+of one front go through one array pass, `fiber_crossings`, and one coupling
+pass, `couple_fibers`, whether they are a grid row, a sweep or a single
+abscissa. The geometric validator removes vanishing triangles until the
+front is a graph; both must agree outside surgery balls.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ MAX_SURGERIES = 64   # rounds `eliminate` may take before giving up
 TRIM_FRAC = 0.25     # share of the vertices `trim_long` may drop per end
 SLICE_SHIFTS = 4     # time shifts of a non-generic slice in `slice_analysis`
 FIBER_TOL = 1e-9     # bbox-scaled distance of a fiber from a cusp or double point
+# where `triangle_is_coupled` probes a loop's q-span, in the order it tries them
+_PROBE_FRACS = (0.37, 0.61, 0.23, 0.79, 0.5)
 
-# fiber failures on which a sweep skips the fiber; the grid lets them raise
-_SKIPPABLE = (DegenerateFiber, NonGeneric, MalformedInput)
 # slice failures that a small shift of the slice time may cure: a tangency
 # or coincidence at a perestroika, or a cusp missed or missigned just after one
 _SLICE_RETRYABLE = (NonGeneric, IndexInconsistency)
@@ -77,75 +79,223 @@ class GridSolution:
         return buf.getvalue()
 
 
+@dataclass(frozen=True)
+class Fibers:
+    """The crossings of a front with the vertical lines at sorted abscissae
+    q, grouped by fiber in curve order: fiber k holds crossings
+    bounds[k]:bounds[k+1]. `failed` maps each fiber that passes within
+    FIBER_TOL of a cusp or double point, or has an even crossing count, to
+    the DegenerateFiber it raises."""
+    bounds: np.ndarray
+    z: np.ndarray
+    seg: np.ndarray
+    section: np.ndarray   # section id
+    index: np.ndarray     # branch index of the section
+    failed: dict
+
+    def counts(self) -> np.ndarray:
+        return np.diff(self.bounds)
+
+    def points(self, k: int) -> list[FiberPoint]:
+        run = slice(self.bounds[k], self.bounds[k + 1])
+        return [FiberPoint(z=z, section=sec, index=idx, seg=seg)
+                for z, sec, idx, seg in zip(self.z[run].tolist(), self.section[run].tolist(),
+                                            self.index[run].tolist(), self.seg[run].tolist())]
+
+
+def fiber_crossings(analysis: FrontAnalysis, q) -> Fibers:
+    """Every crossing of the front with the vertical lines at the sorted
+    abscissae q, in one array pass over the segments. A segment is crossed
+    at the grid points strictly inside its q-interval and at those equal to
+    its first vertex's q; the last vertex adds a crossing of the last
+    segment. z is a cubic Hermite using the carried momenta."""
+    f = analysis.front
+    q = np.asarray(q, dtype=float)
+    if np.any(q[1:] < q[:-1]):
+        raise ValueError("fiber abscissae must be sorted")
+    wq, _ = f.bbox_scale()
+    qa, qb = f.q[:-1], f.q[1:]
+    seg_in, first_in, n_in = _grid_runs(q, np.minimum(qa, qb), "right",
+                                        np.maximum(qa, qb), "left")
+    seg_at, first_at, n_at = _grid_runs(q, qa, "left", qa, "right")
+    _, first_last, n_last = _grid_runs(q, f.q[-1:], "left", f.q[-1:], "right")
+    n = np.concatenate([n_in, n_at, n_last])
+    seg = np.repeat(np.concatenate([seg_in, seg_at, np.full(len(n_last), len(f) - 2)]), n)
+    fiber = np.repeat(np.concatenate([first_in, first_at, first_last]), n) \
+        + frontmod._counting(n)
+    # stable: a last-vertex crossing follows a first-vertex one on its segment
+    order = np.lexsort((seg, fiber))
+    seg, fiber = seg[order], fiber[order]
+    last = order >= len(order) - n_last.sum()
+
+    z = np.full(len(seg), f.z[-1])
+    z[~last] = _crossing_z(f, seg[~last], q[fiber[~last]])
+    pos = frontmod._section_of_vertex(analysis.sections, seg + 1)
+    section = np.array([s.id for s in analysis.sections], dtype=int)[pos]
+    index = np.array([s.index for s in analysis.sections], dtype=int)[pos]
+    bounds = np.searchsorted(fiber, np.arange(len(q) + 1), side="left")
+
+    failed = {}
+    near_cusp = _near(q, [c.q for c in analysis.cusps], wq)
+    near_double = _near(q, [d.q for d in analysis.doubles], wq)
+    counts = np.diff(bounds)
+    for k in np.flatnonzero(near_cusp | near_double | (counts % 2 == 0)).tolist():
+        qk = float(q[k])
+        if near_cusp[k]:
+            failed[k] = DegenerateFiber(f"fiber at q={qk} passes through a cusp projection")
+        elif near_double[k]:
+            failed[k] = DegenerateFiber(f"fiber at q={qk} passes through a double point")
+        else:
+            failed[k] = DegenerateFiber(f"even crossing count ({counts[k]}) at q={qk}")
+    return Fibers(bounds=bounds, z=z, seg=seg, section=section, index=index,
+                  failed=failed)
+
+
+def _grid_runs(q, lo, lo_side, hi, hi_side):
+    """(segment, first grid index, count) of each non-empty run of the
+    sorted grid q between lo and hi per segment; the sides are
+    `searchsorted`'s, "right" for lo and "left" for hi leaving the ends out."""
+    first = np.searchsorted(q, lo, side=lo_side)
+    count = np.searchsorted(q, hi, side=hi_side) - first
+    seg = np.flatnonzero(count > 0)
+    return seg, first[seg], count[seg]
+
+
+def _near(q, event_qs, wq):
+    """Per fiber: within FIBER_TOL (q-bbox-scaled) of one of event_qs."""
+    if not event_qs:
+        return np.zeros(len(q), dtype=bool)
+    return np.any(np.abs(np.array(event_qs)[None, :] - q[:, None]) / wq < FIBER_TOL, axis=1)
+
+
+def _crossing_z(f: FrontCurve, seg, q):
+    """z at abscissae q on segments seg: the midpoint on a segment shorter
+    than 1e-13 in q, linear where a carried slope is wild (right at a fold),
+    the cubic Hermite elsewhere. s ** 2 and s ** 3 are rounded as Python
+    floats: numpy's power rounds some elements differently."""
+    z0, z1 = f.z[seg], f.z[seg + 1]
+    m0, m1 = f.p[seg], f.p[seg + 1]
+    h = f.q[seg + 1] - f.q[seg]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.where(h == 0, 0.0, (q - f.q[seg]) / h)
+        lin = (z1 - z0) / h
+    dev0, dev1 = np.abs(m0 - lin), np.abs(m1 - lin)
+    wild = ~(np.isfinite(m0) & np.isfinite(m1)) \
+        | (np.where(dev1 > dev0, dev1, dev0) > 10.0 * (1.0 + np.abs(lin)))
+    mid = np.abs(h) < 1e-13
+    z = np.where(mid, 0.5 * (z0 + z1), z0 + s * (z1 - z0))
+    cubic = ~mid & ~wild
+    sc = s[cubic].tolist()
+    z[cubic] = frontmod.hermite_powers(
+        s[cubic], np.array([x ** 2 for x in sc]), np.array([x ** 3 for x in sc]),
+        h[cubic], z0[cubic], m0[cubic], z1[cubic], m1[cubic])
+    return z
+
+
+@dataclass(frozen=True)
+class Coupling:
+    """The coupling of every fiber of `fibers`. `free[k]` is the crossing
+    number of fiber k's free point, -1 on a fiber in `failed`, which maps
+    each fiber that cannot be coupled to the error it raises."""
+    fibers: Fibers
+    free: np.ndarray
+    failed: dict
+    long_pairs: dict   # fiber of five or more crossings -> couple's pairs
+
+    def pairs(self, k: int):
+        """(upper, lower) crossing numbers of fiber k's coupled pairs, in
+        greedy order."""
+        fb = self.fibers
+        lo, hi = int(fb.bounds[k]), int(fb.bounds[k + 1])
+        if hi - lo == 3:
+            a, b = [c for c in range(lo, hi) if c != self.free[k]]
+            return [(a, b) if fb.index[a] > fb.index[b] else (b, a)]
+        return self.long_pairs.get(k, [])
+
+
+def couple_fibers(fibers: Fibers) -> Coupling:
+    """Greedy coupling of every fiber. One crossing is free. Three take the
+    closed form of the elder rule: the pair with the smaller value gap goes
+    first, the first pair on a tie, so the free point is the third crossing
+    if gap(0,1) <= gap(1,2) and the first otherwise; `morse1d.couple`'s
+    MalformedInput and three-level NonGeneric rules hold. Five or more go
+    through `morse1d.couple`."""
+    fb = fibers
+    counts = fb.counts()
+    failed = dict(fb.failed)
+    ok = np.ones(len(counts), dtype=bool)
+    ok[list(failed)] = False
+    free = np.where(ok & (counts == 1), fb.bounds[:-1], -1)
+
+    k3 = np.flatnonzero(ok & (counts == 3))
+    b = fb.bounds[k3]
+    z0, z1, z2 = fb.z[b], fb.z[b + 1], fb.z[b + 2]
+    i0, i1, i2 = fb.index[b], fb.index[b + 1], fb.index[b + 2]
+    up01, lo01 = np.where(i0 > i1, z0, z1), np.where(i0 > i1, z1, z0)
+    up12, lo12 = np.where(i1 > i2, z1, z2), np.where(i1 > i2, z2, z1)
+    gap01, gap12 = up01 - lo01, up12 - lo12
+    scale = np.maximum(1.0, np.maximum(np.maximum(np.abs(z0), np.abs(z1)), np.abs(z2)))
+    tied = (i0 != i2) & (np.abs(gap01 - gap12) <= morse1d.VALUE_TOL * scale)
+    bad = (np.abs(i0 - i1) != 1) | ~(up01 > lo01) | (np.abs(i1 - i2) != 1) \
+        | ~(up12 > lo12) | tied
+    free[k3] = np.where(gap01 <= gap12, b + 2, b)
+    for j in np.flatnonzero(bad).tolist():
+        k = int(k3[j])
+        free[k] = -1
+        # in `couple`'s order: pair (0,1) before pair (1,2), each checked
+        # for alternation before dominance; the tie check comes last
+        if abs(i0[j] - i1[j]) != 1:
+            failed[k] = MalformedInput("indices must alternate along xi")
+        elif not up01[j] > lo01[j]:
+            failed[k] = _not_dominant(up01[j], lo01[j])
+        elif abs(i1[j] - i2[j]) != 1:
+            failed[k] = MalformedInput("indices must alternate along xi")
+        elif not up12[j] > lo12[j]:
+            failed[k] = _not_dominant(up12[j], lo12[j])
+        else:
+            failed[k] = NonGeneric("tied coupling gaps over three or more index levels")
+
+    long_pairs = {}
+    for k in np.flatnonzero(ok & (counts >= 5)).tolist():
+        lo = int(fb.bounds[k])
+        try:
+            dec = morse1d.couple([
+                morse1d.CriticalPoint(xi=float(j), value=pt.z, index=pt.index)
+                for j, pt in enumerate(fb.points(k))])
+        except (MalformedInput, NonGeneric) as exc:
+            failed[k] = exc
+            continue
+        free[k] = lo + int(dec.free.xi)
+        long_pairs[k] = [(lo + int(u.xi), lo + int(v.xi)) for u, v in dec.pairs]
+    return Coupling(fibers=fb, free=free, failed=failed, long_pairs=long_pairs)
+
+
+def _not_dominant(upper, lower):
+    return MalformedInput("adjacent maximum does not dominate its neighbor minimum "
+                          f"({float(upper)} <= {float(lower)})")
+
+
+def select_fibers(analysis: FrontAnalysis, q) -> Coupling:
+    """Crossings and coupling of the fibers at the sorted abscissae q."""
+    return couple_fibers(fiber_crossings(analysis, q))
+
+
 def fiber_points(analysis: FrontAnalysis, q: float) -> list[FiberPoint]:
     """Crossings of the vertical line at q with every section, ordered along
     the curve. The count is odd on a long front interior abscissa."""
-    f = analysis.front
-    wq, _ = f.bbox_scale()
-    for c in analysis.cusps:
-        if abs(c.q - q) / wq < FIBER_TOL:
-            raise DegenerateFiber(f"fiber at q={q} passes through a cusp projection")
-    for d in analysis.doubles:
-        if abs(d.q - q) / wq < FIBER_TOL:
-            raise DegenerateFiber(f"fiber at q={q} passes through a double point")
-    pts = _raw_crossings(f, q)
-    if len(pts) % 2 == 0:
-        raise DegenerateFiber(f"even crossing count ({len(pts)}) at q={q}")
-    out = []
-    for z, seg in pts:
-        sec = frontmod._section_of_segment(analysis.sections, seg)
-        out.append(FiberPoint(z=z, section=sec.id, index=sec.index, seg=seg))
-    return out
-
-
-def _raw_crossings(f: FrontCurve, q: float):
-    """(z, seg) for every segment crossed by the vertical line, z
-    interpolated with a cubic Hermite using the carried momenta."""
-    qa, qb = f.q[:-1], f.q[1:]
-    hit = ((qa - q) * (qb - q) < 0) | (qa == q)
-    out = []
-    for seg in np.nonzero(hit)[0]:
-        dq = qb[seg] - qa[seg]
-        frac = 0.0 if dq == 0 else float((q - qa[seg]) / dq)
-        out.append((_hermite_z(f, int(seg), frac), int(seg)))
-    if len(f) and f.q[-1] == q:
-        out.append((float(f.z[-1]), len(f) - 2))
-    return out
-
-
-def _hermite_z(f: FrontCurve, seg: int, s: float) -> float:
-    z0, z1 = f.z[seg], f.z[seg + 1]
-    h = f.q[seg + 1] - f.q[seg]
-    if abs(h) < 1e-13:
-        return float(0.5 * (z0 + z1))
-    m0, m1 = f.p[seg], f.p[seg + 1]
-    # guard against wild slopes right at a fold
-    lin = (z1 - z0) / h
-    if not (np.isfinite(m0) and np.isfinite(m1)) or \
-            max(abs(m0 - lin), abs(m1 - lin)) > 10.0 * (1.0 + abs(lin)):
-        return float(z0 + s * (z1 - z0))
-    return float(frontmod.hermite(s, h, z0, m0, z1, m1))
-
-
-def _coupled_fiber(analysis: FrontAnalysis, q: float):
-    """Fiber points at exactly q and their coupling (None on a single
-    crossing)."""
-    pts = fiber_points(analysis, q)
-    if len(pts) == 1:
-        return pts, None
-    return pts, morse1d.couple([
-        morse1d.CriticalPoint(xi=float(j), value=pt.z, index=pt.index)
-        for j, pt in enumerate(pts)])
-
-
-def _free_point(pts, dec) -> FiberPoint:
-    return pts[0] if dec is None else pts[int(dec.free.xi)]
+    fb = fiber_crossings(analysis, [q])
+    if fb.failed:
+        raise fb.failed[0]
+    return fb.points(0)
 
 
 def select_pointwise(analysis: FrontAnalysis, q: float):
     """(z, section id) of the free critical point of the fiber at q."""
-    free = _free_point(*_coupled_fiber(analysis, q))
-    return free.z, free.section
+    cp = select_fibers(analysis, [q])
+    if cp.failed:
+        raise cp.failed[0]
+    free = cp.free[0]
+    return float(cp.fibers.z[free]), int(cp.fibers.section[free])
 
 
 def _sweep(analysis: FrontAnalysis):
@@ -158,16 +308,11 @@ def _sweep(analysis: FrontAnalysis):
     q_lo, q_hi = float(f.q[0]), float(f.q[-1])
     pad = (q_hi - q_lo) * 1e-6
     qs = np.linspace(q_lo + pad, q_hi - pad, SWEEP_FIBERS)
-    fibers = []
-    for q in qs:
-        try:
-            pts, dec = _coupled_fiber(analysis, q)
-        except _SKIPPABLE:
-            continue
-        pairs = [] if dec is None else dec.pairs
-        fibers.append((q, _free_point(pts, dec).section,
-                       [(pts[int(u.xi)].section, pts[int(l.xi)].section)
-                        for u, l in pairs]))
+    cp = select_fibers(analysis, qs)
+    section = cp.fibers.section.tolist()
+    fibers = [(qs[k], section[cp.free[k]],
+               [(section[u], section[l]) for u, l in cp.pairs(k)])
+              for k in range(len(qs)) if k not in cp.failed]
     return qs[1] - qs[0], fibers
 
 
@@ -270,27 +415,25 @@ class Surgery:
 
 
 def triangle_is_coupled(analysis: FrontAnalysis, T) -> bool:
-    """True when the triangle's loop is one of the coupled X_i: at a fiber
-    inside its span, the loop's two crossings are coupled with each other."""
+    """True when the triangle's loop is one of the coupled X_i: at the first
+    fiber inside its span (of five, in a fixed order) that can be coupled and
+    crosses the loop twice, the loop's two crossings are coupled with each
+    other."""
     f = analysis.front
     qx, _ = frontmod._loop_polygon(f, T)
     q_lo, q_hi = float(qx.min()), float(qx.max())
-    span = q_hi - q_lo
-    for frac in (0.37, 0.61, 0.23, 0.79, 0.5):
-        try:
-            pts, dec = _coupled_fiber(analysis, q_lo + frac * span)
-        except _SKIPPABLE:
+    qs = q_lo + np.array(_PROBE_FRACS) * (q_hi - q_lo)
+    order = np.argsort(qs, kind="stable")
+    cp = select_fibers(analysis, qs[order])
+    seg = cp.fibers.seg
+    for k in np.argsort(order).tolist():
+        lo, hi = cp.fibers.bounds[k], cp.fibers.bounds[k + 1]
+        if k in cp.failed or hi - lo == 1:
             continue
-        if dec is None:
+        in_loop = (T.start_seg <= seg) & (seg <= T.end_seg)
+        if np.count_nonzero(in_loop[lo:hi]) < 2:
             continue
-        loop_pts = {k for k, pt in enumerate(pts)
-                    if T.start_seg <= pt.seg <= T.end_seg}
-        if len(loop_pts) < 2:
-            continue
-        for u, l in dec.pairs:
-            if {int(u.xi), int(l.xi)} <= loop_pts:
-                return True
-        return False
+        return any(in_loop[u] and in_loop[l] for u, l in cp.pairs(k))
     return False
 
 
@@ -406,7 +549,9 @@ def minimax_grid(spec: chars.ProblemSpec, t_grid, q_grid,
     """Minimax solution values on the (t,q) grid via pointwise selection.
     Each row is the front at exactly its grid time, from that time's
     `evolve_states` row, and each fiber is at exactly its grid q; neither
-    is shifted. A fiber that cannot be coupled raises."""
+    is shifted. A row's fibers are selected in one `select_fibers` pass over
+    the sorted q_grid, and scattered back to grid order. A fiber that
+    cannot be coupled raises: the first such fiber in grid order."""
     t_grid = np.asarray(t_grid, dtype=float)
     q_grid = np.asarray(q_grid, dtype=float)
     seeds = default_seeds(spec, n_seeds)
@@ -419,6 +564,8 @@ def minimax_grid(spec: chars.ProblemSpec, t_grid, q_grid,
     count = np.ones((nt, nq), dtype=int)
 
     u0q = spec.u0.eval(q=q_grid)
+    order = np.argsort(q_grid, kind="stable")
+    q_sorted = q_grid[order]
 
     for i, t in enumerate(times):
         if t == 0.0:
@@ -429,11 +576,12 @@ def minimax_grid(spec: chars.ProblemSpec, t_grid, q_grid,
         analysis = FrontAnalysis(front=f, cusps=tuple(cusps),
                                  sections=tuple(frontmod.split_sections(f, cusps)),
                                  doubles=(), triangles=())
-        for j, qv in enumerate(q_grid):
-            pts, dec = _coupled_fiber(analysis, float(qv))
-            free = _free_point(pts, dec)
-            u[i, j] = free.z
-            branch[i, j] = free.section
-            count[i, j] = len(pts)
+        cp = select_fibers(analysis, q_sorted)
+        if cp.failed:
+            # the first failing fiber in grid order
+            raise cp.failed[min(cp.failed, key=lambda k: order[k])]
+        u[i, order] = cp.fibers.z[cp.free]
+        branch[i, order] = cp.fibers.section[cp.free]
+        count[i, order] = cp.fibers.counts()
     return GridSolution(t=t_grid, q=q_grid, u=u, branch=branch,
                         branch_count=count, provenance="minimax")

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from hjminimax import cli
+from hjminimax import cli, selector
 
 BURGERS_INI = """\
 [problem]
@@ -119,6 +119,15 @@ def test_render_svg(burgers_cfg, tmp_path):
     assert text.startswith('<?xml version="1.0"')
     assert "stroke-dasharray" in text  # index-1 sections are dashed
     assert text.count("<circle") >= 4
+
+
+def test_grid_fiber_on_a_cusp_exits_3(burgers_cfg, monkeypatch, capsys):
+    # with the cusp band one bbox width wide, every fiber of a row past the
+    # shock birth passes "through" a cusp: the grid raises DegenerateFiber
+    monkeypatch.setattr(selector, "FIBER_TOL", 1.0)
+    assert cli.main(["solve", "--config", burgers_cfg, "--grid", "16x32"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: fiber at q=0.0 passes through a cusp")
 
 
 def test_solve_snapshot_svg_equals_render(tmp_path):
