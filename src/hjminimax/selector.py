@@ -196,67 +196,27 @@ def _crossing_z(f: FrontCurve, seg, q):
 class Coupling:
     """The coupling of every fiber of `fibers`. `free[k]` is the crossing
     number of fiber k's free point, -1 on a fiber in `failed`, which maps
-    each fiber that cannot be coupled to the error it raises."""
+    each fiber that cannot be coupled to the error it raises. `pairs[k]`
+    holds the (upper, lower) crossing numbers of fiber k's coupled pairs, in
+    greedy order, for each coupled fiber of three or more crossings."""
     fibers: Fibers
     free: np.ndarray
     failed: dict
-    long_pairs: dict   # fiber of five or more crossings -> couple's pairs
-
-    def pairs(self, k: int):
-        """(upper, lower) crossing numbers of fiber k's coupled pairs, in
-        greedy order."""
-        fb = self.fibers
-        lo, hi = int(fb.bounds[k]), int(fb.bounds[k + 1])
-        if hi - lo == 3:
-            a, b = [c for c in range(lo, hi) if c != self.free[k]]
-            return [(a, b) if fb.index[a] > fb.index[b] else (b, a)]
-        return self.long_pairs.get(k, [])
+    pairs: dict
 
 
 def couple_fibers(fibers: Fibers) -> Coupling:
-    """Greedy coupling of every fiber. One crossing is free. Three take the
-    closed form of the elder rule: the pair with the smaller value gap goes
-    first, the first pair on a tie, so the free point is the third crossing
-    if gap(0,1) <= gap(1,2) and the first otherwise; `morse1d.couple`'s
-    MalformedInput and three-level NonGeneric rules hold. Five or more go
-    through `morse1d.couple`."""
+    """Greedy coupling of every fiber: one crossing is free, and every fiber
+    of three or more goes through `morse1d.couple`."""
     fb = fibers
     counts = fb.counts()
     failed = dict(fb.failed)
-    ok = np.ones(len(counts), dtype=bool)
-    ok[list(failed)] = False
-    free = np.where(ok & (counts == 1), fb.bounds[:-1], -1)
-
-    k3 = np.flatnonzero(ok & (counts == 3))
-    b = fb.bounds[k3]
-    z0, z1, z2 = fb.z[b], fb.z[b + 1], fb.z[b + 2]
-    i0, i1, i2 = fb.index[b], fb.index[b + 1], fb.index[b + 2]
-    up01, lo01 = np.where(i0 > i1, z0, z1), np.where(i0 > i1, z1, z0)
-    up12, lo12 = np.where(i1 > i2, z1, z2), np.where(i1 > i2, z2, z1)
-    gap01, gap12 = up01 - lo01, up12 - lo12
-    scale = np.maximum(1.0, np.maximum(np.maximum(np.abs(z0), np.abs(z1)), np.abs(z2)))
-    tied = (i0 != i2) & (np.abs(gap01 - gap12) <= morse1d.VALUE_TOL * scale)
-    bad = (np.abs(i0 - i1) != 1) | ~(up01 > lo01) | (np.abs(i1 - i2) != 1) \
-        | ~(up12 > lo12) | tied
-    free[k3] = np.where(gap01 <= gap12, b + 2, b)
-    for j in np.flatnonzero(bad).tolist():
-        k = int(k3[j])
-        free[k] = -1
-        # in `couple`'s order: pair (0,1) before pair (1,2), each checked
-        # for alternation before dominance; the tie check comes last
-        if abs(i0[j] - i1[j]) != 1:
-            failed[k] = MalformedInput("indices must alternate along xi")
-        elif not up01[j] > lo01[j]:
-            failed[k] = _not_dominant(up01[j], lo01[j])
-        elif abs(i1[j] - i2[j]) != 1:
-            failed[k] = MalformedInput("indices must alternate along xi")
-        elif not up12[j] > lo12[j]:
-            failed[k] = _not_dominant(up12[j], lo12[j])
-        else:
-            failed[k] = NonGeneric("tied coupling gaps over three or more index levels")
-
-    long_pairs = {}
-    for k in np.flatnonzero(ok & (counts >= 5)).tolist():
+    free = np.where(counts == 1, fb.bounds[:-1], -1)
+    free[list(failed)] = -1
+    pairs = {}
+    for k in np.flatnonzero(counts >= 3).tolist():
+        if k in failed:
+            continue
         lo = int(fb.bounds[k])
         try:
             dec = morse1d.couple([
@@ -266,13 +226,8 @@ def couple_fibers(fibers: Fibers) -> Coupling:
             failed[k] = exc
             continue
         free[k] = lo + int(dec.free.xi)
-        long_pairs[k] = [(lo + int(u.xi), lo + int(v.xi)) for u, v in dec.pairs]
-    return Coupling(fibers=fb, free=free, failed=failed, long_pairs=long_pairs)
-
-
-def _not_dominant(upper, lower):
-    return MalformedInput("adjacent maximum does not dominate its neighbor minimum "
-                          f"({float(upper)} <= {float(lower)})")
+        pairs[k] = [(lo + int(u.xi), lo + int(v.xi)) for u, v in dec.pairs]
+    return Coupling(fibers=fb, free=free, failed=failed, pairs=pairs)
 
 
 def select_fibers(analysis: FrontAnalysis, q) -> Coupling:
@@ -282,7 +237,9 @@ def select_fibers(analysis: FrontAnalysis, q) -> Coupling:
 
 def fiber_points(analysis: FrontAnalysis, q: float) -> list[FiberPoint]:
     """Crossings of the vertical line at q with every section, ordered along
-    the curve. The count is odd on a long front interior abscissa."""
+    the curve. No solver path calls this: it stays only because
+    `perfbench/tracer.py` wraps it by name, and goes when the tracer wraps
+    `fiber_crossings` instead."""
     fb = fiber_crossings(analysis, [q])
     if fb.failed:
         raise fb.failed[0]
@@ -311,7 +268,7 @@ def _sweep(analysis: FrontAnalysis):
     cp = select_fibers(analysis, qs)
     section = cp.fibers.section.tolist()
     fibers = [(qs[k], section[cp.free[k]],
-               [(section[u], section[l]) for u, l in cp.pairs(k)])
+               [(section[u], section[l]) for u, l in cp.pairs.get(k, ())])
               for k in range(len(qs)) if k not in cp.failed]
     return qs[1] - qs[0], fibers
 
@@ -433,7 +390,7 @@ def triangle_is_coupled(analysis: FrontAnalysis, T) -> bool:
         in_loop = (T.start_seg <= seg) & (seg <= T.end_seg)
         if np.count_nonzero(in_loop[lo:hi]) < 2:
             continue
-        return any(in_loop[u] and in_loop[l] for u, l in cp.pairs(k))
+        return any(in_loop[u] and in_loop[l] for u, l in cp.pairs[k])
     return False
 
 

@@ -1,6 +1,5 @@
 """The batched fiber pass of `hjminimax.selector` against the scalar
-one-fiber path it replaced (`fiber_oracle`), and its three-crossing closed
-form against `morse1d.couple` and the persistence oracle."""
+one-fiber path it replaced (`fiber_oracle`)."""
 
 import numpy as np
 import pytest
@@ -9,14 +8,11 @@ from hypothesis import strategies as st
 
 import fiber_oracle as oracle
 import hjminimax as hj
-import morse_oracle
 from hjminimax import characteristics as chars
 from hjminimax import front as frontmod
-from hjminimax import morse1d, selector
+from hjminimax import selector
 from hjminimax.errors import DegenerateFiber, MalformedInput, NonGeneric
 from hjminimax.front import Cusp, DoublePoint, FrontAnalysis, FrontCurve, Section
-from hjminimax.morse1d import CriticalPoint
-from morse_oracle import FiberFunction
 
 TWO_PI = 2.0 * np.pi
 
@@ -58,7 +54,7 @@ def test_grid_rows_match_oracle_bit_for_bit(H, u0, t_max, nt, nq, n_seeds, most)
         assert np.array_equal(_bits(g.u[i]), _bits(u)), f"row {i}"
         assert np.array_equal(g.branch[i], branch), f"row {i}"
         assert np.array_equal(g.branch_count[i], count), f"row {i}"
-    # the two-hump grid reaches fibers that `morse1d.couple` must take
+    # the two-hump grid reaches fibers of five and seven crossings
     assert g.branch_count.max() == most
 
 
@@ -102,7 +98,7 @@ def _assert_matches_oracle(analysis, qs):
         lo = fb.bounds[k]
         assert cp.free[k] - lo == pts.index(free)
         pairs = [] if dec is None else [(int(u.xi), int(v.xi)) for u, v in dec.pairs]
-        assert [(u - lo, v - lo) for u, v in cp.pairs(k)] == pairs
+        assert [(u - lo, v - lo) for u, v in cp.pairs.get(k, [])] == pairs
 
 
 def test_grid_point_on_a_vertex():
@@ -192,71 +188,3 @@ def test_random_polylines_match_oracle(case):
     with np.errstate(invalid="ignore", over="ignore"):
         _assert_matches_oracle(analysis, grid)
 
-
-# --- the three-crossing closed form ---
-
-def closed_form(points):
-    """`couple_fibers` on one fiber made of the given critical points."""
-    n = len(points)
-    fb = selector.Fibers(bounds=np.array([0, n]),
-                         z=np.array([p.value for p in points]), seg=np.arange(n),
-                         section=np.arange(n), index=np.array([p.index for p in points]),
-                         failed={})
-    cp = selector.couple_fibers(fb)
-    if cp.failed:
-        raise cp.failed[0]
-    return points[cp.free[0]], [(points[u], points[v]) for u, v in cp.pairs(0)]
-
-
-def _points(indices, values):
-    return [CriticalPoint(float(k), float(v), i)
-            for k, (i, v) in enumerate(zip(indices, values))]
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.sampled_from([(0, 1, 0), (1, 0, 1), (0, 1, 2), (2, 1, 0), (0, 0, 1),
-                        (1, 1, 1), (0, 2, 1), (-1, 0, -1)]),
-       st.lists(st.integers(-4, 4).map(lambda k: 0.5 * k), min_size=3, max_size=3))
-def test_closed_form_matches_couple(indices, values):
-    # half-integer values: equal gaps and non-dominating maxima are common
-    pts = _points(indices, values)
-    try:
-        dec = morse1d.couple(pts)
-    except (MalformedInput, NonGeneric) as exc:
-        with pytest.raises(type(exc)) as got:
-            closed_form(pts)
-        assert str(got.value) == str(exc)
-        return
-    free, pairs = closed_form(pts)
-    assert free is dec.free
-    assert [(u.xi, v.xi) for u, v in pairs] == [(u.xi, v.xi) for u, v in dec.pairs]
-
-
-def test_closed_form_equal_gaps_free_the_third_point():
-    pts = _points((0, 1, 0), (0.0, 1.0, 0.0))
-    assert closed_form(pts)[0] is pts[2]
-    assert morse1d.couple(pts).free is pts[2]
-    pts = _points((1, 0, 1), (2.0, 0.5, 1.0))  # gaps 1.5 and 0.5
-    assert closed_form(pts)[0] is pts[0]
-
-
-def test_closed_form_rejects_malformed_fibers():
-    with pytest.raises(MalformedInput, match="indices must alternate"):
-        closed_form(_points((0, 1, 1), (0.0, 1.0, 2.0)))
-    with pytest.raises(MalformedInput, match=r"does not dominate .*\(0.5 <= 1.0\)"):
-        closed_form(_points((0, 1, 0), (0.0, 0.5, 1.0)))
-    with pytest.raises(NonGeneric):
-        closed_form(_points((0, 1, 2), (0.0, 1.0, 2.0)))
-
-
-@pytest.mark.parametrize("tilt, infinity_index", [(0.05, 0), (-0.3, 0), (0.2, 1)])
-def test_closed_form_matches_persistence(tilt, infinity_index):
-    sign = 1.0 if infinity_index == 0 else -1.0
-    f = FiberFunction(values=lambda x: sign * (x ** 4 / 4 - x ** 2 + tilt * x),
-                      window=(-3.0, 3.0), infinity_index=infinity_index)
-    pts = morse_oracle.critical_points(f, resolution=1024)
-    assert len(pts) == 3
-    free, _ = closed_form(pts)
-    res = morse_oracle.persistence_pairs(f)
-    assert free.value == pytest.approx(res.value, abs=1e-5)
-    assert free.xi == pytest.approx(res.free_xi, abs=8.0 / 1024)

@@ -21,8 +21,16 @@ def fish():
     return frontmod.analyze(fish_front())
 
 
+def crossings(analysis, q):
+    """The crossings of the fiber at q, from the batched pass on one abscissa."""
+    fb = selector.fiber_crossings(analysis, [q])
+    if fb.failed:
+        raise fb.failed[0]
+    return fb.points(0)
+
+
 def test_fiber_points_multivalued(fish):
-    pts = selector.fiber_points(fish, 0.1)
+    pts = crossings(fish, 0.1)
     assert len(pts) == 3
     assert [p.index for p in pts] == [0, 1, 0]
     zs = [p.z for p in pts]
@@ -31,7 +39,7 @@ def test_fiber_points_multivalued(fish):
 
 
 def test_fiber_points_single_branch(fish):
-    pts = selector.fiber_points(fish, 2.0)
+    pts = crossings(fish, 2.0)
     assert len(pts) == 1
     assert pts[0].index == 0
 
@@ -39,14 +47,14 @@ def test_fiber_points_single_branch(fish):
 def test_degenerate_fiber_at_double_point(fish):
     d = fish.doubles[0]
     with pytest.raises(DegenerateFiber):
-        selector.fiber_points(fish, d.q)
+        crossings(fish, d.q)
 
 
 def test_select_pointwise_is_lower_branch_inside_fish(fish):
     # for the convex fish the minimax is the lower envelope
     for q in (-0.2, -0.05, 0.06, 0.21):
         z, sec = selector.select_pointwise(fish, q)
-        pts = selector.fiber_points(fish, q)
+        pts = crossings(fish, q)
         assert z == pytest.approx(min(p.z for p in pts))
     # and it jumps branch at the double point
     _, sec_l = selector.select_pointwise(fish, -0.05)
