@@ -3,7 +3,9 @@
 Expressions supply the Hamiltonian H(t,q,p) and initial condition u0(q).
 First derivatives come from dual-number arithmetic, exact to rounding: one
 walk of the tree carries the value and a tangent per differentiation
-variable, and no tangent for plain evaluation.
+variable, and no tangent for plain evaluation. A structurally-zero tangent
+(a constant's, or a variable's other than the one differentiated by) is
+skipped by every op and comes back as +0.0.
 The function whitelist is smooth-only; see docs/expr-grammar.md.
 """
 
@@ -29,7 +31,8 @@ _BIN_OPS = {"+", "-", "*", "/", "^"}
 
 class Dual:
     """A value and its tangents, one per differentiation variable (none for
-    plain evaluation); works elementwise on scalars and numpy arrays."""
+    plain evaluation); works elementwise on scalars and numpy arrays. A
+    tangent that is structurally zero is None, and every op skips it."""
 
     __slots__ = ("val", "dots")
 
@@ -39,27 +42,50 @@ class Dual:
 
     def __add__(self, other):
         return Dual(self.val + other.val,
-                    tuple(a + b for a, b in zip(self.dots, other.dots)))
+                    tuple(b if a is None else a if b is None else a + b
+                          for a, b in zip(self.dots, other.dots)))
 
     def __sub__(self, other):
         return Dual(self.val - other.val,
-                    tuple(a - b for a, b in zip(self.dots, other.dots)))
+                    tuple(_neg(b) if a is None else a if b is None else a - b
+                          for a, b in zip(self.dots, other.dots)))
 
     def __mul__(self, other):
-        return Dual(self.val * other.val,
-                    tuple(a * other.val + self.val * b
-                          for a, b in zip(self.dots, other.dots)))
+        x, y = self.val, other.val
+        return Dual(x * y, tuple(None if a is None and b is None
+                                 else x * b if a is None
+                                 else a * y if b is None
+                                 else a * y + x * b
+                                 for a, b in zip(self.dots, other.dots)))
 
     def __truediv__(self, other):
+        x, y = self.val, other.val
         if not self.dots:
-            return Dual(self.val / other.val, ())
-        inv = 1.0 / other.val
-        return Dual(self.val / other.val,
-                    tuple((a - self.val * b * inv) * inv
-                          for a, b in zip(self.dots, other.dots)))
+            return Dual(x / y, ())
+        inv = 1.0 / y
+        dots = tuple(None if a is None and b is None
+                     else -(x * b * inv) * inv if a is None
+                     else a * inv if b is None
+                     else (a - x * b * inv) * inv
+                     for a, b in zip(self.dots, other.dots))
+        infinite = inv == 0
+        if _any(infinite):  # an infinite divisor: the quotient's slope is 0
+            dots = tuple(None if d is None else _zero_where(infinite, d)
+                         for d in dots)
+        return Dual(x / y, dots)
 
     def __neg__(self):
-        return Dual(-self.val, tuple(-a for a in self.dots))
+        return Dual(-self.val, tuple(_neg(a) for a in self.dots))
+
+
+def _neg(a):
+    return None if a is None else -a
+
+
+def _zero_where(mask, d):
+    """d with 0 where mask holds; a scalar stays a scalar."""
+    out = np.where(mask, 0.0, d)
+    return out if out.ndim else out[()]
 
 
 _ARITH = {"+": Dual.__add__, "-": Dual.__sub__, "*": Dual.__mul__,
@@ -234,21 +260,23 @@ class Expression:
 
     def _walk(self, t, q, p, wrt):
         """One walk of the tree carrying a tangent per name in wrt; the value
-        and every tangent are checked to be finite."""
+        and every tangent are checked to be finite. A structurally-zero
+        tangent is carried as None and returned as zeros of its own."""
         shape = np.broadcast(t, q, p).shape if wrt else ()
         one = np.ones(shape) if shape else 1.0
-        zero = np.zeros(shape) if shape else 0.0
-        env = {name: Dual(v, tuple(one if name == w else zero for w in wrt))
+        env = {name: Dual(v, tuple(one if name == w else None for w in wrt))
                for name, v in (("t", t), ("q", q), ("p", p))}
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                d = _eval(self.ast, env, (0.0,) * len(wrt))
+                d = _eval(self.ast, env, (None,) * len(wrt))
             except OverflowError:  # a Python float ** overflows by raising
                 raise NonFinite(f"non-finite value in eval of {self.source!r}") from None
         _check_finite(d.val, f"eval of {self.source!r}")
         for dot in d.dots:
-            _check_finite(dot, f"derivative of {self.source!r}")
-        return d
+            if dot is not None:
+                _check_finite(dot, f"derivative of {self.source!r}")
+        return Dual(d.val, tuple((np.zeros(shape) if shape else 0.0) if dot is None
+                                 else dot for dot in d.dots))
 
     def canonical(self):
         """Fully parenthesized canonical form; parse(canonical()) is a fixed point."""
@@ -324,10 +352,10 @@ def _apply_fn(name, d):
             raise DomainError("sqrt derivative at zero")
     value, slope = _FUNCTION_TABLE[name]
     v = value(x)
-    if not d.dots:
-        return Dual(v, ())
+    if all(dot is None for dot in d.dots):
+        return Dual(v, d.dots)
     s = slope(x, v)
-    return Dual(v, tuple(s * dot for dot in d.dots))
+    return Dual(v, tuple(None if dot is None else s * dot for dot in d.dots))
 
 
 def _apply_pow(base, exp_ast, env, zero):
@@ -337,16 +365,22 @@ def _apply_pow(base, exp_ast, env, zero):
     if n is not None:
         if n < 0 and _any(b == 0):
             raise DomainError("zero base with negative exponent")
-        slope = 0.0 if n == 0 or not base.dots else n * b ** (n - 1)
-        return Dual(b ** n, tuple(slope * d for d in base.dots))
+        if n == 0 or all(db is None for db in base.dots):
+            return Dual(b ** n, (None,) * len(base.dots))
+        slope = n * b ** (n - 1)
+        return Dual(b ** n, tuple(None if db is None else slope * db
+                                  for db in base.dots))
     e = _eval(exp_ast, env, zero)
     if _any(b <= 0):
         raise DomainError("non-integer power of a non-positive base")
-    if not base.dots:
-        return Dual(b ** e.val, ())
+    if all(db is None for db in base.dots) and all(de is None for de in e.dots):
+        return Dual(b ** e.val, (None,) * len(base.dots))
     lg = np.log(b)
     v = np.exp(e.val * lg)
-    return Dual(b ** e.val, tuple(v * (de * lg + e.val * db / b)
+    return Dual(b ** e.val, tuple(None if db is None and de is None
+                                  else v * (de * lg) if db is None
+                                  else v * (e.val * db / b) if de is None
+                                  else v * (de * lg + e.val * db / b)
                                   for db, de in zip(base.dots, e.dots)))
 
 

@@ -44,13 +44,16 @@ class FrontCurve:
         return len(self.q)
 
     def bbox_scale(self):
-        wq = float(self.q.max() - self.q.min()) or 1.0
-        wz = float(self.z.max() - self.z.min()) or 1.0
-        return wq, wz
+        return _width(self.q), _width(self.z)
 
     def scaled_points(self):
         wq, wz = self.bbox_scale()
         return np.column_stack([self.q / wq, self.z / wz])
+
+
+def _width(x):
+    """The extent of x, or 1.0 where it has none."""
+    return float(x.max() - x.min()) or 1.0
 
 
 @dataclass(frozen=True)
@@ -151,10 +154,11 @@ def detect_cusps(f: FrontCurve) -> list[Cusp]:
     dq = np.diff(f.q)
     flips = np.flatnonzero(dq[:-1] * dq[1:] < 0).tolist()
     cusps = []
+    wz = _width(f.z) if flips else 1.0
     for i in flips:
         v = i + 1  # vertex where the direction reverses
         qc, zc = _refine_cusp(f, v)
-        sign = _cusp_sign(f, v, flips, n)
+        sign = _cusp_sign(f, v, flips, n, wz)
         cusps.append(Cusp(q=qc, z=zc, sign=sign, vertex=v))
     return cusps
 
@@ -175,9 +179,9 @@ def _refine_cusp(f: FrontCurve, v: int):
     return float(np.polyval(cq, s_star)), float(np.polyval(cz, s_star))
 
 
-def _cusp_sign(f: FrontCurve, v: int, all_flips, n: int) -> int:
-    """Compare the departing and arriving branches at a matched q near the cusp."""
-    wq, wz = f.bbox_scale()
+def _cusp_sign(f: FrontCurve, v: int, all_flips, n: int, wz: float) -> int:
+    """Compare the departing and arriving branches at a matched q near the
+    cusp; wz is the front's z extent."""
     # stay within the adjacent sections
     prev_v = max((fl + 1 for fl in all_flips if fl + 1 < v), default=0)
     next_v = min((fl + 1 for fl in all_flips if fl + 1 > v), default=n - 1)

@@ -132,6 +132,30 @@ def test_eval_d_tuple_returns_value_then_each_derivative():
         expr.parse("1/q").eval_d(q=1e-200, wrt=("p", "q"))
 
 
+def test_infinite_intermediate_keeps_a_zero_slope():
+    # exp(1000) overflows to inf; 1/inf is 0, and so is each slope through it
+    e = expr.parse("1/exp(q)")
+    assert e.eval_d(q=1000.0, wrt="p") == (0.0, 0.0)
+    for src in ("1/exp(q)", "q/exp(q)"):
+        v, dq = expr.parse(src).eval_d(q=1000.0, wrt="q")
+        assert (v, dq) == (0.0, 0.0)
+        assert not isinstance(dq, np.ndarray)  # a scalar stays a scalar
+    # elsewhere the quotient rule is untouched, bit for bit
+    e = expr.parse("q/exp(q)")
+    _, dq = e.eval_d(q=np.array([1.5, 1000.0, -2.0]), wrt="q")
+    assert dq[1] == 0.0
+    assert dq[0] == e.eval_d(q=1.5, wrt="q")[1]
+    assert dq[2] == e.eval_d(q=-2.0, wrt="q")[1]
+
+
+def test_each_zero_tangent_is_its_own_array():
+    a = np.arange(3.0)
+    _, dp, dt = expr.parse("q").eval_d(q=a, p=a[:, None], wrt=("p", "t"))
+    assert dp.shape == dt.shape == (3, 3)
+    assert dp is not dt
+    assert not dp.any() and not dt.any()
+
+
 def test_canonical_roundtrip():
     src = "p^2/2 + cos(q) - 0.7*sin(2*q)"
     e = expr.parse(src)
