@@ -367,7 +367,10 @@ def _apply_pow(base, exp_ast, env, zero):
             raise DomainError("zero base with negative exponent")
         if n == 0 or all(db is None for db in base.dots):
             return Dual(b ** n, (None,) * len(base.dots))
-        slope = n * b ** (n - 1)
+        try:
+            slope = n * b ** (n - 1)
+        except OverflowError:  # a Python float's slope: overflow to inf as an array's does
+            slope = n * np.float64(b) ** (n - 1)
         return Dual(b ** n, tuple(None if db is None else slope * db
                                   for db in base.dots))
     e = _eval(exp_ast, env, zero)

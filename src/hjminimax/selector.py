@@ -10,7 +10,6 @@ front is a graph; both must agree outside surgery balls.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,13 +69,12 @@ class GridSolution:
     provenance: str
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("t,q,u,branch_id\n")
-        for i, tv in enumerate(self.t):
-            for j, qv in enumerate(self.q):
-                buf.write(f"{tv:.17g},{qv:.17g},{self.u[i, j]:.17g},"
-                          f"{self.branch[i, j]}\n")
-        return buf.getvalue()
+        qs = [f"{qv:.17g}" for qv in self.q.tolist()]
+        lines = ["t,q,u,branch_id\n"]
+        for tv, us, bs in zip(self.t.tolist(), self.u.tolist(), self.branch.tolist()):
+            ts = f"{tv:.17g}"
+            lines += [f"{ts},{qv},{uv:.17g},{b}\n" for qv, uv, b in zip(qs, us, bs)]
+        return "".join(lines)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,28 @@
 Lax-Oleinik (variational, convex H(p)) and an explicit monotone
 Lax-Friedrichs scheme for general H. Both emit the same GridSolution
 schema as the minimax path, with a distinguishing provenance tag.
+
+Lax-Oleinik minimizes phi(q, q0) = u0(q0) + t L((q - q0)/t) over seeds
+q0 on the window [qmin - vmax t, qmax - vmin t], which holds every
+admissible foot q0 in [q - vmax t, q - vmin t] of every grid point;
+[vmin, vmax] is the slope range H'(p) on the p-window, and phi is inf
+outside it. The conjugate L is tabulated by maximizing v p - H(p) over
+p samples. Neither matrix is scanned in full: in both the leftmost
+argmin never decreases down the rows (ascending q, ascending v), so
+`_monotone_argmin` finds it by divide and conquer over the rows
+(Aggarwal, Klawe, Moran, Shor & Wilber, Algorithmica 2, 1987). The
+reasons:
+- t L((q - q0)/t) is Monge for convex L (so is the tabulated L, which
+  interpolates convex samples linearly), and adding u0(q0) keeps it so;
+- v p - H(p) is supermodular in (v, p);
+- the admissible band of seeds moves right as q grows, so an inf entry
+  never sits between two rows' argmins.
+Every entry it looks at is computed elementwise by the dense matrix's
+expression, so the argmin, the minimum and the parabolic refinement
+around it are the dense scan's bit for bit, unless rounding reverses the
+order of two entries that the argument above ranks; tests/viscosity_oracle.py
+keeps the dense scans to check that. Whether a grid point has an
+admissible seed is decided from the band itself, by bisection.
 """
 
 from __future__ import annotations
@@ -96,6 +118,35 @@ def legendre(Hc: ConvexHamiltonian, v: float) -> float:
     return max(fc, fd)
 
 
+def _monotone_argmin(f, n_rows, n_cols):
+    """Leftmost argmin and minimum of every row of an n_rows x n_cols matrix
+    whose leftmost argmins never decrease down the rows. f(rows, cols)
+    returns the entries at paired index arrays, none of them NaN. Rows are
+    found level by level: each level takes the middle row between every two
+    neighbours already found (or the matrix edges) and scans only the
+    columns between their argmins, so f is asked for
+    O((n_rows + n_cols) log n_rows) entries instead of n_rows * n_cols."""
+    arg = np.empty(n_rows, dtype=np.intp)
+    val = np.empty(n_rows)
+    done = np.array([-1, n_rows])           # rows found so far, with edge sentinels
+    done_arg = np.array([0, n_cols - 1])    # their argmins; a sentinel's is a column bound
+    while True:
+        gap = np.flatnonzero(np.diff(done) > 1)
+        if not len(gap):
+            return arg, val
+        mid = (done[gap] + done[gap + 1]) // 2
+        c0 = done_arg[gap]
+        width = done_arg[gap + 1] - c0 + 1
+        start = np.cumsum(width) - width
+        cols = np.arange(width.sum()) - np.repeat(start - c0, width)
+        vals = f(np.repeat(mid, width), cols)
+        m = np.minimum.reduceat(vals, start)
+        first = np.minimum.reduceat(np.where(vals == np.repeat(m, width), cols, n_cols), start)
+        arg[mid], val[mid] = first, m
+        done = np.insert(done, gap + 1, mid)
+        done_arg = np.insert(done_arg, gap + 1, first)
+
+
 class _LegendreTable:
     """Dense tabulation of the conjugate for vectorized Lax-Oleinik."""
 
@@ -106,25 +157,41 @@ class _LegendreTable:
         ps = np.linspace(*Hc.p_window, TABLE_P)
         hs = Hc.H.eval(p=ps)
         dp = ps[1] - ps[0]
-        Ls = np.empty(TABLE_V)
-        chunk = 512
-        for i0 in range(0, TABLE_V, chunk):
-            v = self.vs[i0:i0 + chunk, None]
-            g = v * ps[None, :] - hs[None, :]
-            k = np.argmax(g, axis=1)
-            k = np.clip(k, 1, TABLE_P - 2)
-            rows = np.arange(len(k))
-            gm1, g0, gp1 = g[rows, k - 1], g[rows, k], g[rows, k + 1]
-            denom = gm1 - 2 * g0 + gp1
-            off = np.where(denom < 0, 0.5 * (gm1 - gp1) / denom, 0.0)
-            off = np.clip(off, -1.0, 1.0)
-            p_star = ps[k] + off * dp
-            Ls[i0:i0 + chunk] = v[:, 0] * p_star - Hc.H.eval(p=p_star)
-        self.Ls = Ls
+
+        def g(rows, cols):
+            return self.vs[rows] * ps[cols] - hs[cols]
+
+        # v p - H(p) is supermodular: its leftmost argmax in p never decreases in v
+        k, _ = _monotone_argmin(lambda rows, cols: -g(rows, cols), TABLE_V, TABLE_P)
+        k = np.clip(k, 1, TABLE_P - 2)
+        rows = np.arange(TABLE_V)
+        gm1, g0, gp1 = g(rows, k - 1), g(rows, k), g(rows, k + 1)
+        denom = gm1 - 2 * g0 + gp1
+        off = np.where(denom < 0, 0.5 * (gm1 - gp1) / denom, 0.0)
+        off = np.clip(off, -1.0, 1.0)
+        p_star = ps[k] + off * dp
+        self.Ls = self.vs * p_star - Hc.H.eval(p=p_star)
 
     def __call__(self, v):
         out = np.interp(v, self.vs, self.Ls)
         return out
+
+
+def _seed_band(qs, q0s, t, vmin, vmax):
+    """Per grid point, the seed columns [first, stop) whose slope
+    v = (q - q0)/t lies in [vmin, vmax], found by bisection on that same
+    expression: v never increases along the ascending seeds."""
+    def leading(pred):
+        lo = np.zeros(len(qs), dtype=np.intp)
+        hi = np.full(len(qs), len(q0s), dtype=np.intp)
+        while np.any(lo < hi):
+            open_ = lo < hi
+            mid = (lo + hi) // 2
+            holds = pred((qs - q0s[np.minimum(mid, len(q0s) - 1)]) / t)
+            lo = np.where(open_ & holds, mid + 1, lo)
+            hi = np.where(open_ & ~holds, mid, hi)
+        return lo
+    return leading(lambda v: v > vmax), leading(lambda v: v >= vmin)
 
 
 def lax_oleinik(Hc: ConvexHamiltonian, u0: Expression, t: float, q_grid,
@@ -137,34 +204,39 @@ def lax_oleinik(Hc: ConvexHamiltonian, u0: Expression, t: float, q_grid,
     if table is None:
         table = _LegendreTable(Hc)
     vmin, vmax = table.vmin, table.vmax
-    lo = float(q_grid.min()) + vmin * t
-    hi = float(q_grid.max()) + vmax * t
-    q0s = np.linspace(lo, hi, N_SEED)
+    order = np.argsort(q_grid, kind="stable")
+    qs = q_grid[order]
+    q0s = np.linspace(float(qs[0]) - vmax * t, float(qs[-1]) - vmin * t, N_SEED)
     u0s = u0.eval(q=q0s)
-    v = (q_grid[:, None] - q0s[None, :]) / t
-    phi = np.where((v >= vmin) & (v <= vmax),
-                   u0s[None, :] + t * table(np.clip(v, vmin, vmax)),
-                   np.inf)
-    if not np.all(np.isfinite(phi).any(axis=1)):
+    first, stop = _seed_band(qs, q0s, t, vmin, vmax)
+    if np.any(first >= stop):
         raise OutOfRange("no admissible seed for some grid point; widen the p-window")
-    k = np.argmin(phi, axis=1)
-    u = phi[np.arange(len(q_grid)), k]
+
+    def phi(rows, cols):
+        v = (qs[rows] - q0s[cols]) / t
+        return np.where((v >= vmin) & (v <= vmax),
+                        u0s[cols] + t * table(np.clip(v, vmin, vmax)),
+                        np.inf)
+
+    k, u = _monotone_argmin(phi, len(qs), N_SEED)
 
     # parabolic refinement of the minimizing seed
     kk = np.clip(k, 1, N_SEED - 2)
-    rows = np.arange(len(q_grid))
-    f0, fm, fp = phi[rows, kk], phi[rows, kk - 1], phi[rows, kk + 1]
+    rows = np.arange(len(qs))
+    f0, fm, fp = phi(rows, kk), phi(rows, kk - 1), phi(rows, kk + 1)
     good = np.isfinite(fm) & np.isfinite(fp) & (fm - 2 * f0 + fp > 0)
     dq0 = q0s[1] - q0s[0]
-    off = np.zeros(len(q_grid))
+    off = np.zeros(len(qs))
     off[good] = 0.5 * (fm[good] - fp[good]) / (fm[good] - 2 * f0[good] + fp[good])
     off = np.clip(off, -1.0, 1.0)
     q0_star = q0s[kk] + off * dq0
-    v_star = (q_grid - q0_star) / t
+    v_star = (qs - q0_star) / t
     ok = good & (v_star >= vmin) & (v_star <= vmax)
     refined = u0.eval(q=q0_star) + t * table(np.clip(v_star, vmin, vmax))
     u = np.where(ok & (refined < u), refined, u)
-    return u
+    out = np.empty_like(u)
+    out[order] = u
+    return out
 
 
 def lax_oleinik_grid(Hc: ConvexHamiltonian, u0: Expression, t_grid, q_grid) -> GridSolution:

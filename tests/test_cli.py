@@ -79,6 +79,18 @@ def test_compare_convex_pass(burgers_cfg, tmp_path):
     assert "lax_friedrichs" in report
 
 
+def test_compare_convex_slopes_of_one_sign(tmp_path):
+    # H' = exp(p) > 0: every admissible foot q0 lies left of q, so a seed
+    # window built as [qmin + vmin t, qmax + vmax t] holds none of them
+    path = tmp_path / "exp.ini"
+    path.write_text("[problem]\nH = exp(p)\nu0 = 0.3*cos(q)\ndomain = periodic\n"
+                    "t_max = 0.5\n[grid]\nnt = 16\nnq = 32\n[solver]\nn_seeds = 512\n"
+                    f"[output]\ndir = {tmp_path / 'exp'}\n")
+    assert cli.main(["compare", "--config", str(path)]) == 0
+    report = (tmp_path / "exp" / "report.txt").read_text()
+    assert "convex pair PASS" in report
+
+
 def test_compare_nonconvex_report_only(tmp_path):
     path = tmp_path / "nc.ini"
     path.write_text("[problem]\nH = cos(p) - 1\nu0 = cos(q)\nt_max = 2.0\n"

@@ -112,6 +112,20 @@ def test_python_float_power_overflow_is_nonfinite():
         expr.parse("3^3^3^3").eval_d(wrt="q")
 
 
+def test_python_float_slope_overflow_is_a_derivative_failure():
+    # 1/q at the smallest normal double is finite, its slope -1/q^2 is not:
+    # a Python float and a one-element array fail the same way
+    tiny = 2.2250738585072014e-308
+    e = expr.parse("q^(-1)")
+    assert e.eval(q=tiny) == 1.0 / tiny
+    for q in (tiny, np.array([tiny])):
+        with pytest.raises(NonFinite, match="derivative of 'q\\^\\(-1\\)'"):
+            e.eval_d(q=q, wrt="q")
+    # where the value overflows too, the value's failure is reported
+    with pytest.raises(NonFinite, match="eval of"):
+        expr.parse("q^(-2)").eval_d(q=1e-200, wrt="q")
+
+
 def test_sqrt_at_zero_has_a_value_but_no_derivative():
     e = expr.parse("sqrt(q^2)")
     assert e.eval(q=0.0) == 0.0

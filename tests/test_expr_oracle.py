@@ -52,9 +52,10 @@ def test_sparse_walk_matches_dense_oracle(src, pts):
                 assert np.all(g == w)  # by value: -0.0 == 0.0
         elif not _ok(got) and got != want:
             # the dense walk can stop earlier, where a Python float
-            # overflows in the slope of an integer power whose base carries
-            # only zero tangents; the sparse walk computes no such slope,
-            # and neither does plain evaluation, which gets past that point
+            # overflows in the slope of an integer power: the sparse walk
+            # computes no slope for a base that carries only zero tangents
+            # and takes an overflowing one as inf, as an array's would be;
+            # plain evaluation computes no slope and gets past that point
             assert want == (NonFinite, f"non-finite value in eval of {src!r}")
             assert _result(oracle.eval_d, e, wrt=(), **args) != want
 
