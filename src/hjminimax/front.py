@@ -147,18 +147,18 @@ def detect_cusps(f: FrontCurve) -> list[Cusp]:
 
     Positions are refined by a local quadratic fit in q0. The sign follows
     the coorientation rule: positive when the traversal passes onto the
-    branch lying above (in +z) the branch it leaves. Only cusps are found
-    here and nothing is raised: the tangency check is `analyze`'s.
+    branch lying above (in +z) the branch it leaves. In the Legendrian
+    normal form near a cusp, q = a s^2 and p = p_c + b s, so dz = p dq
+    gives the branches z(s) - z(-s) = (4/3) a b s^3: the sign is that of
+    a b, read off the vertices around the cusp. Only cusps are found here
+    and nothing is raised: the tangency check is `analyze`'s.
     """
-    n = len(f)
     dq = np.diff(f.q)
-    flips = np.flatnonzero(dq[:-1] * dq[1:] < 0).tolist()
     cusps = []
-    wz = _width(f.z) if flips else 1.0
-    for i in flips:
+    for i in np.flatnonzero(dq[:-1] * dq[1:] < 0).tolist():
         v = i + 1  # vertex where the direction reverses
         qc, zc = _refine_cusp(f, v)
-        sign = _cusp_sign(f, v, flips, n, wz)
+        sign = 1 if (f.q[v + 1] - f.q[v]) * (f.p[v + 1] - f.p[v - 1]) >= 0 else -1
         cusps.append(Cusp(q=qc, z=zc, sign=sign, vertex=v))
     return cusps
 
@@ -177,40 +177,6 @@ def _refine_cusp(f: FrontCurve, v: int):
     ds = min(abs(f.q0[v] - f.q0[lo]), abs(f.q0[hi] - f.q0[v]))
     s_star = float(np.clip(s_star, -ds, ds))
     return float(np.polyval(cq, s_star)), float(np.polyval(cz, s_star))
-
-
-def _cusp_sign(f: FrontCurve, v: int, all_flips, n: int, wz: float) -> int:
-    """Compare the departing and arriving branches at a matched q near the
-    cusp; wz is the front's z extent."""
-    # stay within the adjacent sections
-    prev_v = max((fl + 1 for fl in all_flips if fl + 1 < v), default=0)
-    next_v = min((fl + 1 for fl in all_flips if fl + 1 > v), default=n - 1)
-    for k in range(2, max(3, next_v - v + 1)):
-        j = v + k
-        if j > next_v:
-            break
-        qb, zb = f.q[j], f.z[j]
-        za = _interp_branch(f, prev_v, v, qb)
-        if za is None:
-            continue
-        diff = (zb - za) / wz
-        if abs(diff) > 1e-12:
-            return 1 if diff > 0 else -1
-    # fall back to the momentum asymmetry across the cusp
-    return 1 if f.p[min(v + 1, n - 1)] >= f.p[max(v - 1, 0)] else -1
-
-
-def _interp_branch(f: FrontCurve, lo: int, hi: int, qx: float):
-    """z at abscissa qx on the (monotone-in-q) branch of vertices lo..hi."""
-    qs = f.q[lo:hi + 1]
-    zs = f.z[lo:hi + 1]
-    if len(qs) < 2:
-        return None
-    if qs[0] > qs[-1]:
-        qs, zs = qs[::-1], zs[::-1]
-    if not (qs[0] <= qx <= qs[-1]):
-        return None
-    return float(np.interp(qx, qs, zs))
 
 
 def split_sections(f: FrontCurve, cusps: Sequence[Cusp]) -> list[Section]:

@@ -7,7 +7,6 @@ left free carries the minimax value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import MalformedInput, NonGeneric
@@ -15,52 +14,42 @@ from .errors import MalformedInput, NonGeneric
 VALUE_TOL = 1e-10       # relative tolerance for value-tie detection
 
 
-@dataclass(frozen=True)
-class CriticalPoint:
-    xi: float
-    value: float
-    index: int  # 0 = local minimum, 1 = local maximum (1-D Morse normal form)
-
-
-@dataclass(frozen=True)
-class CouplingDecomposition:
-    """Pairs (upper, lower) in greedy order plus the single free point."""
-    pairs: tuple[tuple[CriticalPoint, CriticalPoint], ...]
-    free: CriticalPoint
-
-
-def couple(points: Sequence[CriticalPoint]) -> CouplingDecomposition:
-    """Greedy coupling: repeatedly remove the incident (adjacent max/min)
-    pair with the smallest value gap, re-linking neighbors, until a single
-    free point remains. Equal gaps go to the first pair along the fiber.
+def couple(values: Sequence[float], index: Sequence[int]):
+    """Greedy coupling of one fiber's critical points, given by their values
+    and branch indices in order along the fiber; of two neighbours, the one
+    of higher index is the maximum (1-D Morse normal form). Repeatedly
+    removes the incident (adjacent max/min) pair with the smallest value
+    gap, re-linking neighbors, until a single free point remains. Equal
+    gaps go to the first pair along the fiber. Returns (free, pairs): the
+    free point's position and the (upper, lower) positions of the pairs in
+    greedy order.
 
     With two index levels the free value is the extreme of the end points'
     level whichever tied pair goes first: the tie is a shock, not a failure.
     With three or more, tie order can change it, and a tie raises NonGeneric."""
-    pts = list(points)
-    if len(pts) % 2 == 0:
-        raise MalformedInput(f"expected an odd number of critical points, got {len(pts)}")
-    if len(pts) == 1:
-        return CouplingDecomposition(pairs=(), free=pts[0])
-    for u, v in zip(pts, pts[1:]):
-        if abs(u.index - v.index) != 1:
+    n = len(values)
+    if n % 2 == 0:
+        raise MalformedInput(f"expected an odd number of critical points, got {n}")
+    if n == 1:
+        return 0, []
+    for k in range(n - 1):
+        if abs(index[k] - index[k + 1]) != 1:
             raise MalformedInput("indices must alternate along xi")
-        upper, lower = (u, v) if u.index > v.index else (v, u)
-        if not upper.value > lower.value:
+        upper, lower = _upper_lower(index, k, k + 1)
+        if not values[upper] > values[lower]:
             raise MalformedInput(
                 "adjacent maximum does not dominate its neighbor minimum "
-                f"({upper.value} <= {lower.value})")
+                f"({values[upper]} <= {values[lower]})")
 
-    scale = max(1.0, max(abs(p.value) for p in pts))
-    two_level = len({p.index for p in pts}) == 2
-    alive = list(range(len(pts)))
+    scale = max(1.0, max(abs(v) for v in values))
+    two_level = len(set(index)) == 2
+    alive = list(range(n))
     pairs = []
     while len(alive) > 1:
         gaps = []
         for k in range(len(alive) - 1):
-            u, v = pts[alive[k]], pts[alive[k + 1]]
-            upper, lower = (u, v) if u.index > v.index else (v, u)
-            gaps.append((upper.value - lower.value, k, upper, lower))
+            upper, lower = _upper_lower(index, alive[k], alive[k + 1])
+            gaps.append((values[upper] - values[lower], k, upper, lower))
         gaps.sort(key=lambda g: g[0])
         if not two_level and len(gaps) > 1 \
                 and gaps[1][0] - gaps[0][0] <= VALUE_TOL * scale:
@@ -68,4 +57,9 @@ def couple(points: Sequence[CriticalPoint]) -> CouplingDecomposition:
         _, k, upper, lower = gaps[0]
         pairs.append((upper, lower))
         del alive[k:k + 2]
-    return CouplingDecomposition(pairs=tuple(pairs), free=pts[alive[0]])
+    return alive[0], pairs
+
+
+def _upper_lower(index, u, v):
+    """The positions u and v, the one of higher index first."""
+    return (u, v) if index[u] > index[v] else (v, u)

@@ -17,8 +17,8 @@ import numpy as np
 from . import characteristics as chars
 from . import front as frontmod
 from . import morse1d
-from .errors import (DegenerateFiber, InconsistentSweep, IndexInconsistency,
-                     MalformedInput, NoVanishingTriangle, NonGeneric)
+from .errors import (DegenerateFiber, InconsistentSweep, MalformedInput,
+                     NoVanishingTriangle, NonGeneric)
 from .front import FrontAnalysis, FrontCurve
 
 SWEEP_FIBERS = 512   # fibers `_sweep` lays across a front
@@ -30,16 +30,8 @@ FIBER_TOL = 1e-9     # bbox-scaled distance of a fiber from a cusp or double poi
 _PROBE_FRACS = (0.37, 0.61, 0.23, 0.79, 0.5)
 
 # slice failures that a small shift of the slice time may cure: a tangency
-# or coincidence at a perestroika, or a cusp missed or missigned just after one
-_SLICE_RETRYABLE = (NonGeneric, IndexInconsistency)
-
-
-@dataclass(frozen=True)
-class FiberPoint:
-    z: float
-    section: int
-    index: int       # branch index of the section
-    seg: int
+# or coincidence at a perestroika
+_SLICE_RETRYABLE = NonGeneric
 
 
 @dataclass
@@ -93,12 +85,6 @@ class Fibers:
 
     def counts(self) -> np.ndarray:
         return np.diff(self.bounds)
-
-    def points(self, k: int) -> list[FiberPoint]:
-        run = slice(self.bounds[k], self.bounds[k + 1])
-        return [FiberPoint(z=z, section=sec, index=idx, seg=seg)
-                for z, sec, idx, seg in zip(self.z[run].tolist(), self.section[run].tolist(),
-                                            self.index[run].tolist(), self.seg[run].tolist())]
 
 
 def fiber_crossings(analysis: FrontAnalysis, q) -> Fibers:
@@ -205,26 +191,26 @@ class Coupling:
 
 def couple_fibers(fibers: Fibers) -> Coupling:
     """Greedy coupling of every fiber: one crossing is free, and every fiber
-    of three or more goes through `morse1d.couple`."""
+    of three or more goes through `morse1d.couple` on its crossings'
+    values and branch indices."""
     fb = fibers
     counts = fb.counts()
     failed = dict(fb.failed)
     free = np.where(counts == 1, fb.bounds[:-1], -1)
     free[list(failed)] = -1
     pairs = {}
+    z, index, bounds = fb.z.tolist(), fb.index.tolist(), fb.bounds.tolist()
     for k in np.flatnonzero(counts >= 3).tolist():
         if k in failed:
             continue
-        lo = int(fb.bounds[k])
+        lo, hi = bounds[k], bounds[k + 1]
         try:
-            dec = morse1d.couple([
-                morse1d.CriticalPoint(xi=float(j), value=pt.z, index=pt.index)
-                for j, pt in enumerate(fb.points(k))])
+            j, prs = morse1d.couple(z[lo:hi], index[lo:hi])
         except (MalformedInput, NonGeneric) as exc:
             failed[k] = exc
             continue
-        free[k] = lo + int(dec.free.xi)
-        pairs[k] = [(lo + int(u.xi), lo + int(v.xi)) for u, v in dec.pairs]
+        free[k] = lo + j
+        pairs[k] = [(lo + u, lo + v) for u, v in prs]
     return Coupling(fibers=fb, free=free, failed=failed, pairs=pairs)
 
 
@@ -233,15 +219,15 @@ def select_fibers(analysis: FrontAnalysis, q) -> Coupling:
     return couple_fibers(fiber_crossings(analysis, q))
 
 
-def fiber_points(analysis: FrontAnalysis, q: float) -> list[FiberPoint]:
-    """Crossings of the vertical line at q with every section, ordered along
-    the curve. No solver path calls this: it stays only because
-    `perfbench/tracer.py` wraps it by name, and goes when the tracer wraps
-    `fiber_crossings` instead."""
+def fiber_points(analysis: FrontAnalysis, q: float) -> Fibers:
+    """The crossings of the one fiber at q, ordered along the curve. No
+    solver path calls this: it stays only because `perfbench/tracer.py`
+    wraps it by name, and goes when the tracer wraps `fiber_crossings`
+    instead."""
     fb = fiber_crossings(analysis, [q])
     if fb.failed:
         raise fb.failed[0]
-    return fb.points(0)
+    return fb
 
 
 def select_pointwise(analysis: FrontAnalysis, q: float):
@@ -482,10 +468,9 @@ def _long_front(t: float, q0, q, p, z) -> FrontCurve:
 
 def slice_analysis(spec: chars.ProblemSpec, t: float, seeds,
                    step: float | None = None):
-    """Front analysis at time t. A non-generic slice, or one whose branch
-    indices do not close, is retried at t+k*eps, or at t-k*eps where
-    t+SLICE_SHIFTS*eps would pass t_max, so every try stays inside
-    [0, t_max]; the last failure is re-raised."""
+    """Front analysis at time t. A non-generic slice is retried at t+k*eps,
+    or at t-k*eps where t+SLICE_SHIFTS*eps would pass t_max, so every try
+    stays inside [0, t_max]; the last failure is re-raised."""
     eps = max(spec.t_max / 200000.0, 1e-9)
     if t + SLICE_SHIFTS * eps > spec.t_max:
         eps = -eps

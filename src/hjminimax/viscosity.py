@@ -23,8 +23,10 @@ Every entry it looks at is computed elementwise by the dense matrix's
 expression, so the argmin, the minimum and the parabolic refinement
 around it are the dense scan's bit for bit, unless rounding reverses the
 order of two entries that the argument above ranks; tests/viscosity_oracle.py
-keeps the dense scans to check that. Whether a grid point has an
-admissible seed is decided from the band itself, by bisection.
+keeps the dense scans to check that. The seeds are spaced no wider than
+1/BAND_STEPS of the admissible band, (vmax - vmin) t wide, so every grid
+point has admissible seeds however small t is; a band too narrow for
+MAX_SEED seeds raises OutOfRange.
 """
 
 from __future__ import annotations
@@ -46,7 +48,9 @@ CONVEXITY_SAMPLES = 2048    # p samples of the second-difference certificate
 CONVEXITY_TOL = 1e-8        # floor the sampled H'' must exceed
 CONVEXITY_WINDOW = (-5.0, 5.0)  # p-window `is_convex_in_p` certifies
 TABLE_V = TABLE_P = 8192    # tabulated slopes v of L(v), p samples maximized over per v
-N_SEED = 2049               # seed abscissae of the Lax-Oleinik minimization
+N_SEED = 2049               # fewest seed abscissae of the Lax-Oleinik minimization
+BAND_STEPS = 6              # fewest seed spacings across the admissible band
+MAX_SEED = 16384            # most seed abscissae
 
 
 @dataclass(frozen=True)
@@ -177,21 +181,14 @@ class _LegendreTable:
         return out
 
 
-def _seed_band(qs, q0s, t, vmin, vmax):
-    """Per grid point, the seed columns [first, stop) whose slope
-    v = (q - q0)/t lies in [vmin, vmax], found by bisection on that same
-    expression: v never increases along the ascending seeds."""
-    def leading(pred):
-        lo = np.zeros(len(qs), dtype=np.intp)
-        hi = np.full(len(qs), len(q0s), dtype=np.intp)
-        while np.any(lo < hi):
-            open_ = lo < hi
-            mid = (lo + hi) // 2
-            holds = pred((qs - q0s[np.minimum(mid, len(q0s) - 1)]) / t)
-            lo = np.where(open_ & holds, mid + 1, lo)
-            hi = np.where(open_ & ~holds, mid, hi)
-        return lo
-    return leading(lambda v: v > vmax), leading(lambda v: v >= vmin)
+def _seed_count(width: float, band: float) -> int:
+    """Seeds on a window `width` wide: N_SEED, or more where that spaces
+    them wider than band / BAND_STEPS. OutOfRange past MAX_SEED."""
+    if BAND_STEPS * width > (MAX_SEED - 1) * band:
+        raise OutOfRange(f"no admissible seed grid: the band of admissible feet, "
+                         f"{band:.3g} wide, needs more than {MAX_SEED} seeds; "
+                         "widen the p-window")
+    return max(N_SEED, math.ceil(BAND_STEPS * width / band) + 1)
 
 
 def lax_oleinik(Hc: ConvexHamiltonian, u0: Expression, t: float, q_grid,
@@ -206,11 +203,10 @@ def lax_oleinik(Hc: ConvexHamiltonian, u0: Expression, t: float, q_grid,
     vmin, vmax = table.vmin, table.vmax
     order = np.argsort(q_grid, kind="stable")
     qs = q_grid[order]
-    q0s = np.linspace(float(qs[0]) - vmax * t, float(qs[-1]) - vmin * t, N_SEED)
+    lo, hi = float(qs[0]) - vmax * t, float(qs[-1]) - vmin * t
+    n_seed = _seed_count(hi - lo, (vmax - vmin) * t)
+    q0s = np.linspace(lo, hi, n_seed)
     u0s = u0.eval(q=q0s)
-    first, stop = _seed_band(qs, q0s, t, vmin, vmax)
-    if np.any(first >= stop):
-        raise OutOfRange("no admissible seed for some grid point; widen the p-window")
 
     def phi(rows, cols):
         v = (qs[rows] - q0s[cols]) / t
@@ -218,10 +214,12 @@ def lax_oleinik(Hc: ConvexHamiltonian, u0: Expression, t: float, q_grid,
                         u0s[cols] + t * table(np.clip(v, vmin, vmax)),
                         np.inf)
 
-    k, u = _monotone_argmin(phi, len(qs), N_SEED)
+    k, u = _monotone_argmin(phi, len(qs), n_seed)
+    if not np.all(np.isfinite(u)):
+        raise OutOfRange("no admissible seed for some grid point; widen the p-window")
 
     # parabolic refinement of the minimizing seed
-    kk = np.clip(k, 1, N_SEED - 2)
+    kk = np.clip(k, 1, n_seed - 2)
     rows = np.arange(len(qs))
     f0, fm, fp = phi(rows, kk), phi(rows, kk - 1), phi(rows, kk + 1)
     good = np.isfinite(fm) & np.isfinite(fp) & (fm - 2 * f0 + fp > 0)

@@ -11,12 +11,22 @@ Its crossing test, `(qa - q) * (qb - q) < 0`, is the batched pass's
 takes both differences below about 1e-154.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from hjminimax import front as frontmod
 from hjminimax import morse1d
 from hjminimax.errors import DegenerateFiber
-from hjminimax.selector import FIBER_TOL, FiberPoint
+from hjminimax.selector import FIBER_TOL
+
+
+@dataclass(frozen=True)
+class FiberPoint:
+    z: float
+    section: int
+    index: int       # branch index of the section
+    seg: int
 
 
 def section_of_segment(sections, seg):
@@ -78,17 +88,13 @@ def fiber_points(analysis, q):
 
 
 def coupled_fiber(analysis, q):
-    """Fiber points at q and their coupling (None on a single crossing)."""
+    """Fiber points at q, the position of the free one, and the (upper,
+    lower) positions of the coupled pairs."""
     pts = fiber_points(analysis, q)
     if len(pts) == 1:
-        return pts, None
-    return pts, morse1d.couple([
-        morse1d.CriticalPoint(xi=float(j), value=pt.z, index=pt.index)
-        for j, pt in enumerate(pts)])
-
-
-def free_point(pts, dec):
-    return pts[0] if dec is None else pts[int(dec.free.xi)]
+        return pts, 0, []
+    free, pairs = morse1d.couple([pt.z for pt in pts], [pt.index for pt in pts])
+    return pts, free, pairs
 
 
 def select_row(analysis, q_grid):
@@ -98,7 +104,6 @@ def select_row(analysis, q_grid):
     branch = np.zeros(len(q_grid), dtype=int)
     count = np.ones(len(q_grid), dtype=int)
     for j, qv in enumerate(q_grid):
-        pts, dec = coupled_fiber(analysis, float(qv))
-        free = free_point(pts, dec)
-        u[j], branch[j], count[j] = free.z, free.section, len(pts)
+        pts, free, _ = coupled_fiber(analysis, float(qv))
+        u[j], branch[j], count[j] = pts[free].z, pts[free].section, len(pts)
     return u, branch, count

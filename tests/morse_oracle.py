@@ -14,9 +14,16 @@ from typing import Callable
 import numpy as np
 
 from hjminimax.errors import HJError, MalformedInput, NonGeneric
-from hjminimax.morse1d import VALUE_TOL, CriticalPoint
+from hjminimax.morse1d import VALUE_TOL
 
 XI_TOL = 1e-8           # bisection tolerance for critical-point abscissae
+
+
+@dataclass(frozen=True)
+class CriticalPoint:
+    xi: float
+    value: float
+    index: int  # 0 = local minimum, 1 = local maximum (1-D Morse normal form)
 
 
 class ResolutionTooCoarse(HJError):

@@ -91,6 +91,26 @@ def test_compare_convex_slopes_of_one_sign(tmp_path):
     assert "convex pair PASS" in report
 
 
+def test_compare_just_after_shock_birth(tmp_path):
+    # the last row, at t = 1.00003, has two cusp pairs one vertex apart
+    path = tmp_path / "birth.ini"
+    path.write_text(BURGERS_INI.format(out=tmp_path / "birth")
+                    .replace("t_max = 3.0", "t_max = 1.00003").replace("nt = 32", "nt = 16"))
+    assert cli.main(["compare", "--config", str(path)]) == 0
+    assert "convex pair PASS" in (tmp_path / "birth" / "report.txt").read_text()
+
+
+def test_compare_convex_small_times(tmp_path):
+    # at t = 1/63 the band of admissible feet, 0.16 t wide, is narrower than
+    # 2049 seeds spread over the seed window would space them
+    path = tmp_path / "slow.ini"
+    path.write_text("[problem]\nH = 0.01*p^2\nu0 = cos(q)\ndomain = periodic\n"
+                    "t_max = 1\n[solver]\nn_seeds = 512\n"
+                    f"[output]\ndir = {tmp_path / 'slow'}\n")
+    assert cli.main(["compare", "--config", str(path), "--grid", "64x32"]) == 0
+    assert "convex pair PASS" in (tmp_path / "slow" / "report.txt").read_text()
+
+
 def test_compare_nonconvex_report_only(tmp_path):
     path = tmp_path / "nc.ini"
     path.write_text("[problem]\nH = cos(p) - 1\nu0 = cos(q)\nt_max = 2.0\n"

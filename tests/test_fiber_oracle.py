@@ -84,20 +84,18 @@ def _assert_matches_oracle(analysis, qs):
     fb = cp.fibers
     for k, q in enumerate(np.asarray(qs, dtype=float).tolist()):
         try:
-            pts, dec = oracle.coupled_fiber(analysis, q)
+            pts, free, pairs = oracle.coupled_fiber(analysis, q)
         except (DegenerateFiber, MalformedInput, NonGeneric) as exc:
             assert type(cp.failed.get(k)) is type(exc), f"q={q}"
             assert str(cp.failed[k]) == str(exc)
             continue
         assert k not in cp.failed, f"q={q}: {cp.failed.get(k)}"
-        got = fb.points(k)
-        assert [(p.section, p.index, p.seg) for p in got] == \
-            [(p.section, p.index, p.seg) for p in pts]
-        assert np.array_equal(_bits([p.z for p in got]), _bits([p.z for p in pts]))
-        free = oracle.free_point(pts, dec)
-        lo = fb.bounds[k]
-        assert cp.free[k] - lo == pts.index(free)
-        pairs = [] if dec is None else [(int(u.xi), int(v.xi)) for u, v in dec.pairs]
+        lo, hi = fb.bounds[k], fb.bounds[k + 1]
+        assert fb.section[lo:hi].tolist() == [p.section for p in pts]
+        assert fb.index[lo:hi].tolist() == [p.index for p in pts]
+        assert fb.seg[lo:hi].tolist() == [p.seg for p in pts]
+        assert np.array_equal(_bits(fb.z[lo:hi]), _bits([p.z for p in pts]))
+        assert cp.free[k] - lo == free
         assert [(u - lo, v - lo) for u, v in cp.pairs.get(k, [])] == pairs
 
 

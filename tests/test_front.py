@@ -35,6 +35,18 @@ def test_fish_cusp_pair():
         assert abs(c.q) == pytest.approx(abs(qc), abs=1e-4)
 
 
+@pytest.mark.parametrize("a, b", [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)])
+def test_cusp_sign_of_the_normal_form(a, b):
+    # q = a s^2, p = b s and dz = p dq: the branches differ by
+    # z(s) - z(-s) = (4/3) a b s^3, so the traversal passes onto the upper
+    # branch exactly when a b > 0
+    s = np.linspace(-1.0, 1.0, 21)
+    f = FrontCurve(time=1.0, q=a * s ** 2, z=2.0 / 3.0 * a * b * s ** 3, p=b * s, q0=s)
+    (c,) = frontmod.detect_cusps(f)
+    assert c.vertex == 10
+    assert c.sign == (1 if a * b > 0 else -1)
+
+
 def test_fish_sections_and_indices():
     a = frontmod.analyze(fish_front())
     assert len(a.sections) == len(a.cusps) + 1 == 3

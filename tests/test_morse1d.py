@@ -8,8 +8,12 @@ from hypothesis import strategies as st
 import morse_oracle
 from hjminimax import morse1d
 from hjminimax.errors import MalformedInput, NonGeneric
-from hjminimax.morse1d import CriticalPoint
 from morse_oracle import FiberFunction
+
+
+def couple(pts):
+    """morse1d.couple on the values and indices of oracle critical points."""
+    return morse1d.couple([p.value for p in pts], [p.index for p in pts])
 
 
 def cubic(eps=1.0):
@@ -47,66 +51,52 @@ def test_critical_points_cubic():
 
 
 def test_couple_single_point():
-    free = CriticalPoint(0.0, -1.0, 0)
-    dec = morse1d.couple([free])
-    assert dec.free == free and dec.pairs == ()
+    assert morse1d.couple([-1.0], [0]) == (0, [])
 
 
 def test_couple_zigzag_five_points():
     # values: min 0.0, max 2.0, min 1.0, max 3.0, min 0.5
-    pts = [CriticalPoint(0.0, 0.0, 0), CriticalPoint(1.0, 2.0, 1),
-           CriticalPoint(2.0, 1.0, 0), CriticalPoint(3.0, 3.0, 1),
-           CriticalPoint(4.0, 0.5, 0)]
-    dec = morse1d.couple(pts)
-    assert len(dec.pairs) == 2
+    values = [0.0, 2.0, 1.0, 3.0, 0.5]
+    free, pairs = morse1d.couple(values, [0, 1, 0, 1, 0])
+    assert len(pairs) == 2
     # smallest gap 1.0 between (2.0, 1.0), then (3.0, 0.5)
-    assert dec.pairs[0] == (pts[1], pts[2])
-    assert dec.pairs[1] == (pts[3], pts[4])
-    assert dec.free == pts[0]
-    assert dec.free.value == 0.0
+    assert pairs[0] == (1, 2)
+    assert pairs[1] == (3, 4)
+    assert free == 0
+    assert values[free] == 0.0
 
 
 def test_couple_relinks_after_removal():
     # removing the middle pair must couple the outer max with the far min
-    pts = [CriticalPoint(0.0, 0.0, 0), CriticalPoint(1.0, 5.0, 1),
-           CriticalPoint(2.0, 4.0, 0), CriticalPoint(3.0, 4.5, 1),
-           CriticalPoint(4.0, -1.0, 0)]
-    dec = morse1d.couple(pts)
-    assert dec.pairs[0] == (pts[3], pts[2])     # gap 0.5 first
-    assert dec.pairs[1] == (pts[1], pts[0])     # relinked gap 5.0
-    assert dec.free == pts[4]
+    free, pairs = morse1d.couple([0.0, 5.0, 4.0, 4.5, -1.0], [0, 1, 0, 1, 0])
+    assert pairs[0] == (3, 2)     # gap 0.5 first
+    assert pairs[1] == (1, 0)     # relinked gap 5.0
+    assert free == 4
 
 
 def test_couple_rejects_even_count():
-    pts = [CriticalPoint(0.0, 0.0, 0), CriticalPoint(1.0, 1.0, 1)]
     with pytest.raises(MalformedInput):
-        morse1d.couple(pts)
+        morse1d.couple([0.0, 1.0], [0, 1])
 
 
 def test_couple_rejects_nonalternating():
-    pts = [CriticalPoint(0.0, 0.0, 0), CriticalPoint(1.0, 1.0, 0),
-           CriticalPoint(2.0, 2.0, 0)]
     with pytest.raises(MalformedInput):
-        morse1d.couple(pts)
+        morse1d.couple([0.0, 1.0, 2.0], [0, 0, 0])
 
 
 def test_couple_two_level_tie_goes_to_first_pair():
     # every gap is 1: the first pair along the fiber goes first each round
-    pts = [CriticalPoint(0.0, 0.0, 0), CriticalPoint(1.0, 1.0, 1),
-           CriticalPoint(2.0, 0.0, 0), CriticalPoint(3.0, 1.0, 1),
-           CriticalPoint(4.0, 0.0, 0)]
-    dec = morse1d.couple(pts)
-    assert dec.free == pts[4]
-    assert dec.free.value == 0.0
+    values = [0.0, 1.0, 0.0, 1.0, 0.0]
+    free, _ = morse1d.couple(values, [0, 1, 0, 1, 0])
+    assert free == 4
+    assert values[free] == 0.0
 
 
 def test_couple_three_level_tie_raises_nongeneric():
     # gaps 1, 3, 1, 4: taking the first tied pair leaves free value 4,
     # taking the second leaves 3
-    pts = [CriticalPoint(float(k), v, i)
-           for k, (i, v) in enumerate(zip((0, 1, 0, -1, 0), (3.0, 4.0, 1.0, 0.0, 4.0)))]
     with pytest.raises(NonGeneric):
-        morse1d.couple(pts)
+        morse1d.couple([3.0, 4.0, 1.0, 0.0, 4.0], [0, 1, 0, -1, 0])
 
 
 @settings(max_examples=300, deadline=None)
@@ -127,8 +117,8 @@ def test_couple_two_level_free_value_ignores_ties(end_level, levels, rnd):
     indices = [end_level if k % 2 == 0 else 1 - end_level for k in range(len(values))]
 
     def free_value(vals):
-        return morse1d.couple([CriticalPoint(float(k), float(v), i) for k, (v, i)
-                               in enumerate(zip(vals, indices))]).free.value
+        vals = [float(v) for v in vals]
+        return vals[morse1d.couple(vals, indices)[0]]
 
     tied = free_value(values)
     assert tied == (min(values[::2]) if end_level == 0 else max(values[::2]))
@@ -146,11 +136,11 @@ def test_persistence_oracle_double_well():
     f = FiberFunction(values=double_well, window=(-3.0, 3.0), infinity_index=0)
     res = morse_oracle.persistence_pairs(f)
     pts = morse_oracle.critical_points(f, resolution=1024)
-    dec = morse1d.couple(pts)
+    free, _ = couple(pts)
     # the essential class is the deeper (left) minimum; the shallow min pairs
     # with the hump
     assert res.free_xi < 0
-    assert res.value == pytest.approx(dec.free.value, abs=1e-5)
+    assert res.value == pytest.approx(pts[free].value, abs=1e-5)
     assert len(res.pairs) == 1
 
 
@@ -159,9 +149,9 @@ def test_minimax_bowl_down():
     f = FiberFunction(values=lambda x: -double_well(x), window=(-3.0, 3.0),
                       infinity_index=1)
     pts = morse_oracle.critical_points(f, resolution=1024)
-    dec = morse1d.couple(pts)
+    free, _ = couple(pts)
     v = morse_oracle.persistence_pairs(f).value
-    assert v == pytest.approx(dec.free.value, abs=1e-5)
+    assert v == pytest.approx(pts[free].value, abs=1e-5)
     assert v > 0
 
 
@@ -171,14 +161,14 @@ def test_greedy_equals_persistence_on_random_fibers():
         f = random_fiber(seed)
         try:
             pts = morse_oracle.critical_points(f, resolution=512)
-            dec = morse1d.couple(pts)
+            free, _ = couple(pts)
         except NonGeneric:
             f = morse_oracle.perturbed(f, seed)
             pts = morse_oracle.critical_points(f, resolution=512)
-            dec = morse1d.couple(pts)
+            free, _ = couple(pts)
         res = morse_oracle.persistence_pairs(f, resolution=2048)
-        assert dec.free.value == pytest.approx(res.value, abs=1e-5)
-        assert dec.free.xi == pytest.approx(res.free_xi, abs=8.0 / 1024)
+        assert pts[free].value == pytest.approx(res.value, abs=1e-5)
+        assert pts[free].xi == pytest.approx(res.free_xi, abs=8.0 / 1024)
         hits += 1
     assert hits == 60
 
@@ -187,9 +177,9 @@ def test_perturbation_stability():
     """A generic decomposition is stable under the deterministic bump."""
     f = random_fiber(3)
     pts = morse_oracle.critical_points(f, resolution=512)
-    dec = morse1d.couple(pts)
+    free, pairs = couple(pts)
     g = morse_oracle.perturbed(f, seed=11)
     pts2 = morse_oracle.critical_points(g, resolution=512)
-    dec2 = morse1d.couple(pts2)
-    assert len(dec.pairs) == len(dec2.pairs)
-    assert dec.free.xi == pytest.approx(dec2.free.xi, abs=1e-4)
+    free2, pairs2 = couple(pts2)
+    assert len(pairs) == len(pairs2)
+    assert pts[free].xi == pytest.approx(pts2[free2].xi, abs=1e-4)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import hjminimax as hj
+from hjminimax import characteristics as chars
 from hjminimax import front as frontmod
 from hjminimax import selector, viscosity
 from hjminimax.errors import DegenerateFiber
@@ -21,41 +22,32 @@ def fish():
     return frontmod.analyze(fish_front())
 
 
-def crossings(analysis, q):
-    """The crossings of the fiber at q, from the batched pass on one abscissa."""
-    fb = selector.fiber_crossings(analysis, [q])
-    if fb.failed:
-        raise fb.failed[0]
-    return fb.points(0)
-
-
 def test_fiber_points_multivalued(fish):
-    pts = crossings(fish, 0.1)
-    assert len(pts) == 3
-    assert [p.index for p in pts] == [0, 1, 0]
-    zs = [p.z for p in pts]
+    fb = selector.fiber_points(fish, 0.1)
+    assert len(fb.z) == 3
+    assert fb.index.tolist() == [0, 1, 0]
+    zs = fb.z.tolist()
     # middle branch (the max) sits between the outer values... actually above
     assert zs[1] > min(zs[0], zs[2])
 
 
 def test_fiber_points_single_branch(fish):
-    pts = crossings(fish, 2.0)
-    assert len(pts) == 1
-    assert pts[0].index == 0
+    fb = selector.fiber_points(fish, 2.0)
+    assert len(fb.z) == 1
+    assert fb.index[0] == 0
 
 
 def test_degenerate_fiber_at_double_point(fish):
     d = fish.doubles[0]
     with pytest.raises(DegenerateFiber):
-        crossings(fish, d.q)
+        selector.fiber_points(fish, d.q)
 
 
 def test_select_pointwise_is_lower_branch_inside_fish(fish):
     # for the convex fish the minimax is the lower envelope
     for q in (-0.2, -0.05, 0.06, 0.21):
         z, sec = selector.select_pointwise(fish, q)
-        pts = crossings(fish, q)
-        assert z == pytest.approx(min(p.z for p in pts))
+        assert z == pytest.approx(selector.fiber_points(fish, q).z.min())
     # and it jumps branch at the double point
     _, sec_l = selector.select_pointwise(fish, -0.05)
     _, sec_r = selector.select_pointwise(fish, 0.05)
@@ -157,13 +149,24 @@ def test_slice_analysis_stays_inside_time_range(burgers_to_birth):
 
 
 def test_slice_analysis_retries_index_inconsistency(burgers_spec):
-    # just after the shock birth at t=1 the 1024-seed slice fails the
-    # tangency check, then the index walk; the next shift closes it
+    # at the shock birth t=1 the 1024-seed slice fails the tangency check,
+    # and the first shift puts a cusp on a double point (both NonGeneric);
+    # the second closes it, its cusp signs summing to 0
     seeds = selector.default_seeds(burgers_spec, 1024, t=1.0)
     a = selector.slice_analysis(burgers_spec, 1.0, seeds)
     assert 1.0 < a.front.time <= 1.0 + selector.SLICE_SHIFTS * 3.0 / 200000
     assert len(a.cusps) == 4
     assert sum(c.sign for c in a.cusps) == 0
+
+
+def test_cusp_signs_just_after_shock_birth(burgers_spec):
+    # the two new cusp pairs sit one vertex apart: each sign comes from the
+    # vertices around its own cusp, not from a neighbouring branch
+    seeds = selector.default_seeds(burgers_spec, 512, t=1.0)
+    f = selector._long_front(1.00001, *chars.evolve(burgers_spec, 1.00001, seeds))
+    cusps = frontmod.detect_cusps(f)
+    assert [c.vertex for c in cusps] == [162, 163, 673, 674]
+    assert [c.sign for c in cusps] == [1, -1, 1, -1]
 
 
 @pytest.mark.parametrize("H, u0", [

@@ -161,6 +161,21 @@ def test_monotone_argmin_inf_outside_a_moving_band():
         assert np.all(np.isfinite(val))
 
 
+def test_narrow_band_rows_match_dense_scan():
+    # at t = 1/63 the admissible band of H = 0.01 p^2 on compare's p-window
+    # holds no seed of N_SEED; the seeds are spaced to put BAND_STEPS in it
+    u0, q = hj.parse("cos(q)"), _periodic(32)
+    Hc = viscosity.ConvexHamiltonian(H=hj.parse("0.01*p^2"), p_window=_compare_window(u0, q))
+    vmin, vmax = Hc.slope_range()
+    t = 1.0 / 63.0
+    width = q[-1] - q[0] + (vmax - vmin) * t
+    assert width / (viscosity.N_SEED - 1) > (vmax - vmin) * t
+    n_seed = viscosity._seed_count(width, (vmax - vmin) * t)
+    assert viscosity.N_SEED < n_seed <= viscosity.MAX_SEED
+    assert width / (n_seed - 1) <= (vmax - vmin) * t / viscosity.BAND_STEPS
+    assert np.array_equal(viscosity.lax_oleinik(Hc, u0, t, q), oracle.lax_oleinik(Hc, u0, t, q))
+
+
 def test_no_admissible_seed_raises():
     # slopes within +-1e-3 reach past no seed from most grid points at t = 1
     Hc = viscosity.ConvexHamiltonian(H=hj.parse("p^2/2"), p_window=(-1e-3, 1e-3))

@@ -4,14 +4,15 @@
 These scan the full matrices the monotone divide and conquer replaced,
 kept only as test oracles: the Legendre table scans every p sample for
 every tabulated slope (in chunks of rows), and `lax_oleinik` every seed
-for every grid point. On the same input the solver must give the same
-table and the same rows, bit for bit, and the same errors.
+for every grid point, on the seed count of the solver's rule
+(`viscosity._seed_count`). On the same input the solver must give the
+same table and the same rows, bit for bit, and the same errors.
 """
 
 import numpy as np
 
 from hjminimax.errors import OutOfRange
-from hjminimax.viscosity import N_SEED, TABLE_P, TABLE_V, ConvexHamiltonian
+from hjminimax.viscosity import TABLE_P, TABLE_V, ConvexHamiltonian, _seed_count
 
 
 class LegendreTable:
@@ -56,7 +57,8 @@ def lax_oleinik(Hc, u0, t, q_grid, table=None):
     vmin, vmax = table.vmin, table.vmax
     lo = float(q_grid.min()) - vmax * t
     hi = float(q_grid.max()) - vmin * t
-    q0s = np.linspace(lo, hi, N_SEED)
+    n_seed = _seed_count(hi - lo, (vmax - vmin) * t)
+    q0s = np.linspace(lo, hi, n_seed)
     u0s = u0.eval(q=q0s)
     v = (q_grid[:, None] - q0s[None, :]) / t
     phi = np.where((v >= vmin) & (v <= vmax),
@@ -67,7 +69,7 @@ def lax_oleinik(Hc, u0, t, q_grid, table=None):
     k = np.argmin(phi, axis=1)
     u = phi[np.arange(len(q_grid)), k]
 
-    kk = np.clip(k, 1, N_SEED - 2)
+    kk = np.clip(k, 1, n_seed - 2)
     rows = np.arange(len(q_grid))
     f0, fm, fp = phi[rows, kk], phi[rows, kk - 1], phi[rows, kk + 1]
     good = np.isfinite(fm) & np.isfinite(fp) & (fm - 2 * f0 + fp > 0)
