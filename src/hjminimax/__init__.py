@@ -15,7 +15,7 @@ from .front import FrontAnalysis, FrontCurve, analyze, build_front
 from .morse1d import couple
 from .selector import GridSolution, eliminate, minimax_grid, select_pointwise
 from .singular import SingularEvent, classify, forbidden_report, singular_set
-from .viscosity import ConvexHamiltonian, lax_friedrichs, lax_oleinik, legendre
+from .viscosity import ConvexHamiltonian, lax_friedrichs, lax_oleinik
 
 __version__ = "0.1.0"
 
@@ -23,6 +23,6 @@ __all__ = [
     "ConvexHamiltonian", "Expression", "FrontAnalysis", "FrontCurve",
     "GridSolution", "HJError", "Periodic", "ProblemSpec", "SingularEvent",
     "Windowed", "analyze", "build_front", "classify", "couple", "eliminate",
-    "evolve", "forbidden_report", "lax_friedrichs", "lax_oleinik", "legendre",
-    "minimax_grid", "parse", "select_pointwise", "singular_set",
+    "evolve", "forbidden_report", "lax_friedrichs", "lax_oleinik", "minimax_grid",
+    "parse", "select_pointwise", "singular_set",
 ]

@@ -188,11 +188,11 @@ def cmd_compare(cfg):
     lines.append(f"Linf(minimax - lax_friedrichs) = {_fmt(d.max())}")
     lines.append(f"L1(minimax - lax_friedrichs) = {_fmt(d.mean())}")
 
-    convex = viscosity.is_convex_in_p(spec.H)
+    probe = np.linspace(q_grid.min(), q_grid.max(), 257)
+    _, du0 = spec.u0.eval_d(q=probe, wrt="q")
+    pmax = 2.0 * float(np.max(np.abs(du0))) + 2.0
+    convex = viscosity.is_convex_in_p(spec.H, (-pmax, pmax))
     if convex:
-        probe = np.linspace(q_grid.min(), q_grid.max(), 257)
-        _, du0 = spec.u0.eval_d(q=probe, wrt="q")
-        pmax = 2.0 * float(np.max(np.abs(du0))) + 2.0
         Hc = viscosity.ConvexHamiltonian(H=spec.H, p_window=(-pmax, pmax))
         lo = viscosity.lax_oleinik_grid(Hc, spec.u0, t_grid, q_grid)
         _write(os.path.join(cfg["out_dir"], "lax_oleinik.csv"), lo.to_csv())

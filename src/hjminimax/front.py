@@ -525,7 +525,7 @@ def front_to_json(analysis: FrontAnalysis) -> str:
     f = analysis.front
     payload = {
         "time": f.time,
-        "vertices": [{"q0": _null_nan(a), "q": b, "z": c, "p": d}
+        "vertices": [{"q0": a, "q": b, "z": c, "p": d}
                      for a, b, c, d in zip(f.q0, f.q, f.z, f.p)],
         "cusps": [{"q": c.q, "z": c.z, "sign": c.sign, "vertex": c.vertex}
                   for c in analysis.cusps],
@@ -539,7 +539,3 @@ def front_to_json(analysis: FrontAnalysis) -> str:
     }
     return json.dumps(payload, indent=2, sort_keys=True)
 
-
-def _null_nan(x):
-    x = float(x)
-    return None if np.isnan(x) else x

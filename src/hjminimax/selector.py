@@ -58,7 +58,6 @@ class GridSolution:
     u: np.ndarray              # (nt, nq)
     branch: np.ndarray         # (nt, nq) per-slice section ids
     branch_count: np.ndarray   # (nt, nq) fiber crossing counts
-    provenance: str
 
     def to_csv(self) -> str:
         qs = [f"{qv:.17g}" for qv in self.q.tolist()]
@@ -524,4 +523,4 @@ def minimax_grid(spec: chars.ProblemSpec, t_grid, q_grid,
         branch[i, order] = cp.fibers.section[cp.free]
         count[i, order] = cp.fibers.counts()
     return GridSolution(t=t_grid, q=q_grid, u=u, branch=branch,
-                        branch_count=count, provenance="minimax")
+                        branch_count=count)

@@ -2,7 +2,8 @@
 
 Lax-Oleinik (variational, convex H(p)) and an explicit monotone
 Lax-Friedrichs scheme for general H. Both emit the same GridSolution
-schema as the minimax path, with a distinguishing provenance tag.
+schema as the minimax path. `is_convex_in_p` certifies convexity on a
+p-window, the one the Lax-Oleinik conjugate is tabulated on.
 
 Lax-Oleinik minimizes phi(q, q0) = u0(q0) + t L((q - q0)/t) over seeds
 q0 on the window [qmin - vmax t, qmax - vmin t], which holds every
@@ -41,12 +42,10 @@ from .errors import CFLViolation, MalformedInput, NonFinite, OutOfRange
 from .expr import Expression
 from .selector import GridSolution
 
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 CFL_MAX = 0.9               # largest Courant number `lax_friedrichs` accepts
 SLOPE_SAMPLES = 4097        # p samples of the attainable slope range H'(p)
 CONVEXITY_SAMPLES = 2048    # p samples of the second-difference certificate
 CONVEXITY_TOL = 1e-8        # floor the sampled H'' must exceed
-CONVEXITY_WINDOW = (-5.0, 5.0)  # p-window `is_convex_in_p` certifies
 TABLE_V = TABLE_P = 8192    # tabulated slopes v of L(v), p samples maximized over per v
 N_SEED = 2049               # fewest seed abscissae of the Lax-Oleinik minimization
 BAND_STEPS = 6              # fewest seed spacings across the admissible band
@@ -63,7 +62,7 @@ class ConvexHamiltonian:
         extra = self.H.variables - {"p"}
         if extra:
             raise MalformedInput(f"convex Hamiltonian must depend on p only, uses {sorted(extra)}")
-        if not _convexity_certificate(self.H, self.p_window):
+        if not is_convex_in_p(self.H, self.p_window):
             raise MalformedInput("sampled second differences are not positive: H is not convex "
                                  "on the window")
 
@@ -73,53 +72,16 @@ class ConvexHamiltonian:
         return float(hp.min()), float(hp.max())
 
 
-def _convexity_certificate(H: Expression, window) -> bool:
-    """Sampled second-difference positivity: H'' > 0 on the window."""
-    ps = np.linspace(window[0], window[1], CONVEXITY_SAMPLES)
+def is_convex_in_p(H: Expression, p_window) -> bool:
+    """True when H depends on p only and its sampled second differences
+    exceed CONVEXITY_TOL on p_window."""
+    if H.variables - {"p"}:
+        return False
+    ps = np.linspace(p_window[0], p_window[1], CONVEXITY_SAMPLES)
     vals = H.eval(p=ps)
     dp = ps[1] - ps[0]
     d2 = (vals[2:] - 2.0 * vals[1:-1] + vals[:-2]) / (dp * dp)
     return bool(np.all(d2 > CONVEXITY_TOL))
-
-
-def is_convex_in_p(H: Expression) -> bool:
-    """Convexity certificate usable on general H(p) candidates."""
-    if H.variables - {"p"}:
-        return False
-    return _convexity_certificate(H, CONVEXITY_WINDOW)
-
-
-def legendre(Hc: ConvexHamiltonian, v: float) -> float:
-    """L(v) = sup_p (v p - H(p)), golden-section refinement; accuracy ~1e-8."""
-    lo, hi = Hc.p_window
-    smin, smax = Hc.slope_range()
-    if not (smin - 1e-12 <= v <= smax + 1e-12):
-        raise OutOfRange(f"slope {v} outside attainable range [{smin}, {smax}]")
-
-    def g(p):
-        return v * p - float(Hc.H.eval(p=p))
-
-    # coarse bracket around the sampled maximizer
-    ps = np.linspace(lo, hi, 2049)
-    gs = v * ps - Hc.H.eval(p=ps)
-    k = int(np.argmax(gs))
-    a = ps[max(0, k - 1)]
-    b = ps[min(len(ps) - 1, k + 1)]
-    c = b - GOLDEN * (b - a)
-    d = a + GOLDEN * (b - a)
-    fc, fd = g(c), g(d)
-    for _ in range(80):
-        if b - a < 1e-12 * max(1.0, abs(a) + abs(b)):
-            break
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = g(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            fd = g(d)
-    return max(fc, fd)
 
 
 def _monotone_argmin(f, n_rows, n_cols):
@@ -177,8 +139,7 @@ class _LegendreTable:
         self.Ls = self.vs * p_star - Hc.H.eval(p=p_star)
 
     def __call__(self, v):
-        out = np.interp(v, self.vs, self.Ls)
-        return out
+        return np.interp(v, self.vs, self.Ls)
 
 
 def _seed_count(width: float, band: float) -> int:
@@ -246,7 +207,7 @@ def lax_oleinik_grid(Hc: ConvexHamiltonian, u0: Expression, t_grid, q_grid) -> G
         u[i] = lax_oleinik(Hc, u0, float(t), q_grid, table=table)
     zeros = np.zeros_like(u, dtype=int)
     return GridSolution(t=t_grid, q=q_grid, u=u, branch=zeros,
-                        branch_count=np.ones_like(zeros), provenance="viscosity")
+                        branch_count=np.ones_like(zeros))
 
 
 def lax_friedrichs(spec: ProblemSpec, t_grid, q_grid, cfl: float = 0.5) -> GridSolution:
@@ -295,4 +256,4 @@ def lax_friedrichs(spec: ProblemSpec, t_grid, q_grid, cfl: float = 0.5) -> GridS
         out[i] = u
     zeros = np.zeros(out.shape, dtype=int)
     return GridSolution(t=t_grid, q=q_grid, u=out, branch=zeros,
-                        branch_count=np.ones_like(zeros), provenance="viscosity")
+                        branch_count=np.ones_like(zeros))

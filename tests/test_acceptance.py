@@ -150,8 +150,7 @@ def test_criterion_4_event_whitelist(convex_benchmark, two_hump_spec):
     g = selector.GridSolution(
         t=t, q=q, u=np.maximum(T - 1.0, -np.abs(Q)),
         branch=((Q > 0) & (T < 1.0)).astype(int),
-        branch_count=np.where(np.abs(Q) < 0.5, 3, 1).astype(int),
-        provenance="synthetic")
+        branch_count=np.where(np.abs(Q) < 0.5, 3, 1).astype(int))
     counts = _event_counts(g, periodic=False)
     assert counts["ForbiddenA"] >= 1
 

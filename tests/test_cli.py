@@ -123,6 +123,30 @@ def test_compare_nonconvex_report_only(tmp_path):
     assert "PASS" not in report and "FAIL" not in report
 
 
+def _quartic_compare(tmp_path, H, u0):
+    # the p-window of the Lax-Oleinik oracle is (-pmax, pmax), pmax = 2 max|u0'| + 2
+    out = tmp_path / "quartic"
+    path = tmp_path / "quartic.ini"
+    path.write_text(f"[problem]\nH = {H}\nu0 = {u0}\ndomain = periodic\nt_max = 1.5\n"
+                    "[grid]\nnt = 16\nnq = 64\n[solver]\nn_seeds = 1024\n"
+                    f"[output]\ndir = {out}\n")
+    assert cli.main(["compare", "--config", str(path)]) == 0
+    return out
+
+
+def test_compare_convex_only_on_a_narrower_window(tmp_path):
+    # H'' = 1 - 3 p^2 / 250 is positive on (-5, 5) but not on the window (-12, 12)
+    out = _quartic_compare(tmp_path, "p^2/2 - p^4/1000", "5*cos(q)")
+    assert "H is not convex in p" in (out / "report.txt").read_text()
+    assert not (out / "lax_oleinik.csv").exists()
+
+
+def test_compare_convex_on_its_window_only(tmp_path):
+    # H'' = 1 - 3 p^2 / 50 is positive on the window (-4, 4) but not on (-5, 5)
+    out = _quartic_compare(tmp_path, "p^2/2 - p^4/200", "cos(q)")
+    assert "convex pair PASS" in (out / "report.txt").read_text()
+
+
 def test_classify_burgers(burgers_cfg, tmp_path, capsys):
     rc = cli.main(["classify", "--config", burgers_cfg,
                    "--out", str(tmp_path / "cls")])

@@ -113,7 +113,6 @@ def test_minimax_grid_initial_slice(burgers_spec):
     q_grid = np.linspace(0.0, 2 * np.pi, 32, endpoint=False)
     g = selector.minimax_grid(burgers_spec, t_grid, q_grid, n_seeds=512)
     np.testing.assert_allclose(g.u[0], np.cos(q_grid), atol=1e-12)
-    assert g.provenance == "minimax"
     assert np.all(g.branch_count >= 1)
 
 

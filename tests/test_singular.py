@@ -14,8 +14,7 @@ def synthetic_grid(u_fn, branch_fn=None, count_fn=None, nt=33, nq=64,
     u = u_fn(T, Q)
     branch = branch_fn(T, Q).astype(int) if branch_fn else np.zeros_like(u, int)
     count = count_fn(T, Q).astype(int) if count_fn else np.ones_like(u, int)
-    return GridSolution(t=t, q=q, u=u, branch=branch, branch_count=count,
-                        provenance="synthetic")
+    return GridSolution(t=t, q=q, u=u, branch=branch, branch_count=count)
 
 
 def kinds(events):

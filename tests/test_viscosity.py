@@ -3,7 +3,7 @@ import pytest
 
 import hjminimax as hj
 from hjminimax import viscosity
-from hjminimax.errors import CFLViolation, MalformedInput, OutOfRange
+from hjminimax.errors import CFLViolation, MalformedInput
 
 
 @pytest.fixture(scope="module")
@@ -12,10 +12,18 @@ def quad():
 
 
 def test_convexity_certificate(quad):
-    assert viscosity.is_convex_in_p(hj.parse("p^2/2"))
-    assert viscosity.is_convex_in_p(hj.parse("p^4/4 + p^2/2"))
-    assert not viscosity.is_convex_in_p(hj.parse("cos(p) - 1"))
-    assert not viscosity.is_convex_in_p(hj.parse("p^2/2 + cos(q)"))  # not p-only
+    w = (-5.0, 5.0)
+    assert viscosity.is_convex_in_p(hj.parse("p^2/2"), w)
+    assert viscosity.is_convex_in_p(hj.parse("p^4/4 + p^2/2"), w)
+    assert not viscosity.is_convex_in_p(hj.parse("cos(p) - 1"), w)
+    assert not viscosity.is_convex_in_p(hj.parse("p^2/2 + cos(q)"), w)  # not p-only
+
+
+def test_convexity_certificate_reads_its_window():
+    # H'' = 1 - 3 p^2 / 50 is positive for |p| < 4.08 only
+    H = hj.parse("p^2/2 - p^4/200")
+    assert viscosity.is_convex_in_p(H, (-4.0, 4.0))
+    assert not viscosity.is_convex_in_p(H, (-5.0, 5.0))
 
 
 def test_convex_hamiltonian_rejects_nonconvex():
@@ -23,24 +31,6 @@ def test_convex_hamiltonian_rejects_nonconvex():
         viscosity.ConvexHamiltonian(H=hj.parse("cos(p)"), p_window=(-3, 3))
     with pytest.raises(MalformedInput):
         viscosity.ConvexHamiltonian(H=hj.parse("p^2/2 + q"), p_window=(-3, 3))
-
-
-def test_legendre_quadratic(quad):
-    # (p^2/2)* = v^2/2
-    for v in (-2.0, -0.3, 0.0, 1.7):
-        assert viscosity.legendre(quad, v) == pytest.approx(v * v / 2, abs=1e-8)
-
-
-def test_legendre_quartic():
-    # (p^4/4)* at v=1: maximizer p=1, value 1 - 1/4 = 3/4
-    Hc = viscosity.ConvexHamiltonian(H=hj.parse("p^4/4"), p_window=(-3.0, 3.0))
-    assert viscosity.legendre(Hc, 1.0) == pytest.approx(0.75, abs=1e-7)
-    assert viscosity.legendre(Hc, 0.0) == pytest.approx(0.0, abs=1e-9)
-
-
-def test_legendre_out_of_range(quad):
-    with pytest.raises(OutOfRange):
-        viscosity.legendre(quad, 11.0)
 
 
 def test_lax_oleinik_smooth_regime(quad):
@@ -82,7 +72,6 @@ def test_lax_friedrichs_matches_lax_oleinik(quad, burgers_spec):
     lo = viscosity.lax_oleinik_grid(quad, burgers_spec.u0, t_grid, q_grid)
     # first-order scheme on a shocked solution: agreement at grid accuracy
     assert np.abs(lf.u - lo.u).max() < 0.12
-    assert lf.provenance == lo.provenance == "viscosity"
 
 
 def test_lax_friedrichs_cfl_guard(burgers_spec):
