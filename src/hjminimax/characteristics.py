@@ -1,9 +1,11 @@
 """Characteristic flow of the space-time Hamiltonian tau + H.
 
-Integrates dq/dt = H_p, dp/dt = -H_q, dz/dt = p*H_p - H from the initial
+Flows dq/dt = H_p, dp/dt = -H_q, dz/dt = p*H_p - H from the initial
 1-jet data (q0, du0(q0), u0(q0)), building isochrone slices of the
-geometric solution. Strands are independent; the integrator is vectorized
-over seeds and deterministic for a fixed step.
+geometric solution. When H depends on p alone the strands are straight
+lines, q = q0 + t*H_p(p0), z = z0 + t*(p0*H_p - H), written in closed form;
+any other H is integrated by classical RK4. Strands are independent; both
+paths are vectorized over seeds and deterministic for a fixed step.
 """
 
 from __future__ import annotations
@@ -29,7 +31,11 @@ class Periodic:
 
 @dataclass(frozen=True)
 class Windowed:
-    """u0 constant and H p-independent outside [qmin, qmax]; strands freeze there."""
+    """u0 constant and H p-independent outside [qmin, qmax].
+
+    A strand that starts outside the window never moves. One inside stops
+    where it first meets qmin or qmax: exactly there at its exit time when
+    H depends on p alone, within one RK4 substep of it otherwise."""
     qmin: float
     qmax: float
 
@@ -50,6 +56,7 @@ class ProblemSpec:
             raise ValueError("t_max must be positive and finite")
 
     def default_step(self):
+        """RK4 substep, used only when H reads q or t."""
         return self.t_max / 2000.0
 
 
@@ -100,12 +107,46 @@ def _rk4_span(spec, t0, t1, q, p, z, step):
     return q, p, z
 
 
+def _window_stops(domain: Windowed, q0, hp):
+    """(edge, t_exit): where and when each straight strand stops. A strand
+    outside the window stops at once where it is; one that never moves
+    (hp = 0) has t_exit = inf."""
+    outside = (q0 < domain.qmin) | (q0 > domain.qmax)
+    edge = np.where(outside, q0, np.where(hp > 0, domain.qmax, domain.qmin))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_exit = (edge - q0) / hp
+    t_exit[hp == 0] = np.inf
+    t_exit[outside] = 0.0
+    return edge, t_exit
+
+
+def _straight_lines(spec, times, q0, p0, z0, Q, P, Z):
+    """Write the exact flow of a p-only H into the rows of Q, P, Z in place."""
+    hval, hp = spec.H.eval_d(p=p0, wrt="p")
+    dz = p0 * hp - hval
+    windowed = isinstance(spec.domain, Windowed)
+    if windowed:
+        edge, t_exit = _window_stops(spec.domain, q0, hp)
+    with np.errstate(over="ignore"):
+        for k, t in enumerate(times):
+            tau = np.minimum(t, t_exit) if windowed else t
+            np.multiply(tau, hp, out=Q[k])
+            Q[k] += q0
+            P[k] = p0
+            np.multiply(tau, dz, out=Z[k])
+            Z[k] += z0
+            if windowed:
+                np.copyto(Q[k], edge, where=t >= t_exit)
+
+
 def evolve_states(spec: ProblemSpec, times: Sequence[float], seeds,
                   step: float | None = None):
-    """Integrate all seeds through the sorted output times.
+    """Flow all seeds through the sorted output times.
 
-    Returns (Q, P, Z), each of shape (len(times), len(seeds)). Each
-    inter-time span is subdivided into uniform RK4 substeps of size <= step.
+    Returns (Q, P, Z), each of shape (len(times), len(seeds)). When H
+    depends on p alone every row is the closed form and step goes unused;
+    otherwise each inter-time span is subdivided into uniform RK4 substeps
+    of size <= step.
     """
     times = list(times)
     if any(b < a for a, b in zip(times, times[1:])):
@@ -122,11 +163,14 @@ def evolve_states(spec: ProblemSpec, times: Sequence[float], seeds,
     Q = np.empty((len(times), len(seeds)))
     P = np.empty_like(Q)
     Z = np.empty_like(Q)
-    t_prev = 0.0
-    for k, t in enumerate(times):
-        q, p, z = _rk4_span(spec, t_prev, t, q, p, z, step)
-        t_prev = t
-        Q[k], P[k], Z[k] = q, p, z
+    if spec.H.variables <= {"p"}:
+        _straight_lines(spec, times, q, p, z, Q, P, Z)
+    else:
+        t_prev = 0.0
+        for k, t in enumerate(times):
+            q, p, z = _rk4_span(spec, t_prev, t, q, p, z, step)
+            t_prev = t
+            Q[k], P[k], Z[k] = q, p, z
 
     bad = ~(np.isfinite(Q) & np.isfinite(P) & np.isfinite(Z))
     if bad.any():

@@ -31,6 +31,25 @@ def test_burgers_matches_closed_form(burgers_spec):
     np.testing.assert_allclose(z, ze, atol=1e-12)
 
 
+@pytest.mark.parametrize("h", ["p^2/2", "exp(p)", "cos(p) - 1"])
+def test_closed_form_matches_rk4(h):
+    # a p-only H flows in closed form; RK4 is exact on its straight lines
+    # up to rounding, so the two agree through every output time
+    spec = hj.ProblemSpec(H=hj.parse(h), u0=hj.parse("cos(q)"),
+                          domain=hj.Periodic(2 * np.pi), t_max=2.0)
+    seeds = np.linspace(-1.0, 7.0, 101)
+    times = [0.0, 0.5, 1.25, 2.0]
+    Q, P, Z = chars.evolve_states(spec, times, seeds)
+    q, p, z = chars.initial_state(spec, seeds)
+    t_prev = 0.0
+    for k, t in enumerate(times):
+        q, p, z = chars._rk4_span(spec, t_prev, t, q, p, z, 0.005)
+        t_prev = t
+        np.testing.assert_allclose(Q[k], q, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(P[k], p, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(Z[k], z, rtol=0, atol=1e-12)
+
+
 def test_rk4_fourth_order():
     # H = q*p flows q -> q0 e^t, p -> p0 e^-t; the truncation error must
     # shrink by ~16x per step halving (>= 8 asserted)
@@ -78,6 +97,39 @@ def test_windowed_strands_freeze():
     assert q[0] == -8.0  # outside the window: frozen
     assert q[2] == 8.0
     assert q[1] != 0.0
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_windowed_strands_stop_at_the_edge(sign):
+    # H' = p = 2*sign: the strand from 4*sign meets the edge 5*sign at t = 1/2
+    spec = hj.ProblemSpec(H=hj.parse("p^2/2"), u0=hj.parse(f"{sign}*2*q"),
+                          domain=hj.Windowed(-5.0, 5.0), t_max=1.0)
+    seeds = sign * np.array([4.0, 8.0])
+    Q, P, Z = chars.evolve_states(spec, [0.25, 1.0], seeds)
+    assert Q[1, 0] == sign * 5.0
+    assert Z[1, 0] == 8.0 + 0.5 * 2.0
+    assert Q[0, 0] == sign * 4.5
+    assert np.all(Q[:, 1] == seeds[1])  # outside the window: never moves
+    assert np.all(Z[:, 1] == 16.0)
+
+
+def test_windowed_rk4_strands_stop_within_a_substep():
+    # H reads t, so RK4 flows it: dq/dt = 2(1 + t) meets 5 at t = sqrt(2) - 1
+    # and stops there within one substep's travel, at most 0.01*2*(1 + 1)
+    spec = hj.ProblemSpec(H=hj.parse("(1 + t)*p^2/2"), u0=hj.parse("2*q"),
+                          domain=hj.Windowed(-5.0, 5.0), t_max=1.0)
+    Q, _, _ = chars.evolve_states(spec, [0.25, 1.0], [4.0, -8.0], step=0.01)
+    assert 5.0 <= Q[1, 0] <= 5.04
+    assert Q[0, 0] == pytest.approx(4.0 + 2 * (0.25 + 0.25 ** 2 / 2), abs=1e-12)
+    assert np.all(Q[:, 1] == -8.0)
+
+
+def test_nonfinite_detected_on_the_closed_form():
+    # z = u0 + t*p^2/2 reaches 2.5e308 by t = 5 where |sin(q0)| = 1
+    spec = hj.ProblemSpec(H=hj.parse("p^2/2"), u0=hj.parse("1e154*cos(q)"),
+                          domain=hj.Periodic(2 * np.pi), t_max=5.0)
+    with pytest.raises(NonFinite):
+        chars.evolve_states(spec, [1.0, 5.0], np.linspace(0.0, 2 * np.pi, 9))
 
 
 def test_nonfinite_detected():
