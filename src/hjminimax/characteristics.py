@@ -4,8 +4,11 @@ Flows dq/dt = H_p, dp/dt = -H_q, dz/dt = p*H_p - H from the initial
 1-jet data (q0, du0(q0), u0(q0)), building isochrone slices of the
 geometric solution. When H depends on p alone the strands are straight
 lines, q = q0 + t*H_p(p0), z = z0 + t*(p0*H_p - H), written in closed form;
-any other H is integrated by classical RK4. Strands are independent; both
-paths are vectorized over seeds and deterministic for a fixed step.
+any other H is integrated by classical RK4. The RK4 stages are summed in
+place, in buffers the flow owns, with the rounding of the textbook
+out-of-place update; the slopes come from H's compiled program, whose
+arrays never alias the strand state. Strands are independent; both paths
+are vectorized over seeds and deterministic for a fixed step.
 """
 
 from __future__ import annotations
@@ -79,31 +82,54 @@ def _freeze_mask(spec: ProblemSpec, q):
 
 
 def _rk4_span(spec, t0, t1, q, p, z, step):
-    """Advance all strands from t0 to t1 with uniform classical RK4 substeps."""
+    """Advance all strands from t0 to t1 with uniform classical RK4 substeps.
+
+    Returns new arrays and leaves q, p and z as they are. The stages are
+    summed in place, in the order of the textbook update
+    x + dt/6 * (((k1 + 2*k2) + 2*k3) + k4), so the bits are its bits."""
+    q, p, z = q.copy(), p.copy(), z.copy()
     if t1 == t0:
         return q, p, z
     m = max(1, math.ceil((t1 - t0) / step - 1e-12))
     dt = (t1 - t0) / m
-    H = spec.H
+    half = 0.5 * dt
+    qs, ps = np.empty_like(q), np.empty_like(p)  # the state a stage reads
+
+    def rhs(t, qq, pp):
+        # eval_d returns arrays of its own, so the slopes are ours to change
+        k = char_rhs(spec.H, t, qq, pp)
+        mask = _freeze_mask(spec, qq)
+        if mask is not None:
+            for d in k:
+                np.copyto(d, 0.0, where=~mask)
+        return k
+
+    def stage(h, k):
+        """The stage state q + h*kq, p + h*kp, into qs and ps."""
+        for out, x, d in ((qs, q, k[0]), (ps, p, k[1])):
+            np.multiply(h, d, out=out)
+            out += x
+
+    def add_twice(acc, k):
+        for a, d in zip(acc, k):
+            d *= 2
+            a += d
+
     for i in range(m):
         t = t0 + i * dt
-
-        def rhs(tt, qq, pp):
-            dq, dp, dz = char_rhs(H, tt, qq, pp)
-            mask = _freeze_mask(spec, qq)
-            if mask is not None:
-                dq = np.where(mask, dq, 0.0)
-                dp = np.where(mask, dp, 0.0)
-                dz = np.where(mask, dz, 0.0)
-            return dq, dp, dz
-
-        k1q, k1p, k1z = rhs(t, q, p)
-        k2q, k2p, k2z = rhs(t + 0.5 * dt, q + 0.5 * dt * k1q, p + 0.5 * dt * k1p)
-        k3q, k3p, k3z = rhs(t + 0.5 * dt, q + 0.5 * dt * k2q, p + 0.5 * dt * k2p)
-        k4q, k4p, k4z = rhs(t + dt, q + dt * k3q, p + dt * k3p)
-        q = q + dt / 6.0 * (k1q + 2 * k2q + 2 * k3q + k4q)
-        p = p + dt / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p)
-        z = z + dt / 6.0 * (k1z + 2 * k2z + 2 * k3z + k4z)
+        acc = rhs(t, q, p)
+        stage(half, acc)
+        k = rhs(t + half, qs, ps)
+        stage(half, k)
+        add_twice(acc, k)
+        k = rhs(t + half, qs, ps)
+        stage(dt, k)
+        add_twice(acc, k)
+        k = rhs(t + dt, qs, ps)
+        for x, a, d in zip((q, p, z), acc, k):
+            a += d
+            a *= dt / 6.0
+            x += a
     return q, p, z
 
 
@@ -155,8 +181,8 @@ def evolve_states(spec: ProblemSpec, times: Sequence[float], seeds,
         raise ValueError("times must lie in [0, t_max]")
     if step is None:
         step = spec.default_step()
-    if not step > 0:
-        raise ValueError("step must be positive")
+    if not 0 < step < math.inf:
+        raise ValueError("step must be positive and finite")
     seeds = np.asarray(seeds, dtype=float)
 
     q, p, z = initial_state(spec, seeds)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import os
 import sys
 
@@ -92,8 +93,8 @@ def load_config(path, grid_override=None):
     step = _number(sol, "step", None, float) if "step" in sol else None
     n_seeds = _number(sol, "n_seeds", 4096, int)
     cfl = _number(sol, "cfl", 0.5, float)
-    if step is not None and not step > 0:
-        raise ConfigError(f"step must be positive, got {step}")
+    if step is not None and not 0 < step < math.inf:
+        raise ConfigError(f"step must be positive and finite, got {step}")
     if not n_seeds > 0:
         raise ConfigError(f"n_seeds must be positive, got {n_seeds}")
     if not 0 < cfl <= viscosity.CFL_MAX:

@@ -1,15 +1,22 @@
-"""Parser and forward-mode evaluator for scalar formulas in (t, q, p).
+"""Parser and compiler for scalar formulas in (t, q, p).
 
 Expressions supply the Hamiltonian H(t,q,p) and initial condition u0(q).
-First derivatives come from dual-number arithmetic, exact to rounding: one
-walk of the tree carries the value and a tangent per differentiation
-variable, and no tangent for plain evaluation. A structurally-zero tangent
-(a constant's, or a variable's other than the one differentiated by) is
-skipped by every op and comes back as +0.0.
+First derivatives are forward-mode dual numbers, exact to rounding. Each
+Expression compiles its tree once per tuple of differentiation variables
+(`()` for plain evaluation), on first use, into a straight-line numpy
+program that computes the value and one tangent per variable. The compiler
+settles up front which tangents are structurally zero (a constant's, or a
+variable's other than the one differentiated by: skipped by every op and
+returned as +0.0) and which are a variable's unit tangent (never multiplied
+out). Checks that depend on the data run in tree order, so the first
+failure is the walk's. Returned arrays never alias the inputs.
 The function whitelist is smooth-only; see docs/expr-grammar.md.
 """
 
 from __future__ import annotations
+
+import math
+import re
 
 import numpy as np
 
@@ -29,67 +36,10 @@ FUNCTIONS = tuple(_FUNCTION_TABLE)
 _BIN_OPS = {"+", "-", "*", "/", "^"}
 
 
-class Dual:
-    """A value and its tangents, one per differentiation variable (none for
-    plain evaluation); works elementwise on scalars and numpy arrays. A
-    tangent that is structurally zero is None, and every op skips it."""
-
-    __slots__ = ("val", "dots")
-
-    def __init__(self, val, dots):
-        self.val = val
-        self.dots = dots
-
-    def __add__(self, other):
-        return Dual(self.val + other.val,
-                    tuple(b if a is None else a if b is None else a + b
-                          for a, b in zip(self.dots, other.dots)))
-
-    def __sub__(self, other):
-        return Dual(self.val - other.val,
-                    tuple(_neg(b) if a is None else a if b is None else a - b
-                          for a, b in zip(self.dots, other.dots)))
-
-    def __mul__(self, other):
-        x, y = self.val, other.val
-        return Dual(x * y, tuple(None if a is None and b is None
-                                 else x * b if a is None
-                                 else a * y if b is None
-                                 else a * y + x * b
-                                 for a, b in zip(self.dots, other.dots)))
-
-    def __truediv__(self, other):
-        x, y = self.val, other.val
-        if not self.dots:
-            return Dual(x / y, ())
-        inv = 1.0 / y
-        dots = tuple(None if a is None and b is None
-                     else -(x * b * inv) * inv if a is None
-                     else a * inv if b is None
-                     else (a - x * b * inv) * inv
-                     for a, b in zip(self.dots, other.dots))
-        infinite = inv == 0
-        if _any(infinite):  # an infinite divisor: the quotient's slope is 0
-            dots = tuple(None if d is None else _zero_where(infinite, d)
-                         for d in dots)
-        return Dual(x / y, dots)
-
-    def __neg__(self):
-        return Dual(-self.val, tuple(_neg(a) for a in self.dots))
-
-
-def _neg(a):
-    return None if a is None else -a
-
-
 def _zero_where(mask, d):
     """d with 0 where mask holds; a scalar stays a scalar."""
     out = np.where(mask, 0.0, d)
     return out if out.ndim else out[()]
-
-
-_ARITH = {"+": Dual.__add__, "-": Dual.__sub__, "*": Dual.__mul__,
-          "/": Dual.__truediv__}
 
 
 def _any(mask):
@@ -97,7 +47,7 @@ def _any(mask):
 
 
 def _check_finite(x, context):
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NonFinite(f"non-finite value in {context}")
 
 
@@ -233,12 +183,13 @@ class _Parser:
 class Expression:
     """Immutable parsed formula over the variables t, q, p."""
 
-    __slots__ = ("ast", "source", "_vars")
+    __slots__ = ("ast", "source", "_vars", "_programs")
 
     def __init__(self, ast, source):
         self.ast = ast
         self.source = source
         self._vars = frozenset(_collect_vars(ast))
+        self._programs = {}  # wrt tuple -> compiled program, made on first use
 
     @property
     def variables(self):
@@ -246,37 +197,43 @@ class Expression:
 
     def eval(self, t=0.0, q=0.0, p=0.0):
         """Evaluate at (t,q,p); scalars or broadcastable numpy arrays."""
-        return self._walk(t, q, p, ()).val
+        return self._run((), t, q, p)[0]
 
     def eval_d(self, t=0.0, q=0.0, p=0.0, wrt="q"):
         """Return (value, d/d<wrt>) via dual-number forward mode. A tuple wrt
-        returns (value, d/dw1, d/dw2, ...) from the same single walk."""
+        returns (value, d/dw1, d/dw2, ...) from the same single program."""
         names = (wrt,) if isinstance(wrt, str) else tuple(wrt)
         if not names or any(w not in VARIABLES for w in names):
             raise ValueError(
                 f"wrt must be one of {VARIABLES} or a tuple of them, got {wrt!r}")
-        d = self._walk(t, q, p, names)
-        return (d.val, *d.dots)
+        return self._run(names, t, q, p)
 
-    def _walk(self, t, q, p, wrt):
-        """One walk of the tree carrying a tangent per name in wrt; the value
-        and every tangent are checked to be finite. A structurally-zero
-        tangent is carried as None and returned as zeros of its own."""
+    def _run(self, wrt, t, q, p):
+        """The value and one tangent per name in wrt, each checked to be
+        finite. Every tangent has the inputs' broadcast shape, and no
+        returned array is an input or another of the returned arrays."""
         shape = np.broadcast(t, q, p).shape if wrt else ()
-        one = np.ones(shape) if shape else 1.0
-        env = {name: Dual(v, tuple(one if name == w else None for w in wrt))
-               for name, v in (("t", t), ("q", q), ("p", p))}
+        program = self._programs.get(wrt)
+        if program is None:
+            program = self._programs[wrt] = _Compiler(wrt).program(self.ast)
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                d = _eval(self.ast, env, (None,) * len(wrt))
+                value, *dots = program(t, q, p)
             except OverflowError:  # a Python float ** overflows by raising
                 raise NonFinite(f"non-finite value in eval of {self.source!r}") from None
-        _check_finite(d.val, f"eval of {self.source!r}")
-        for dot in d.dots:
-            if dot is not None:
+        _check_finite(value, f"eval of {self.source!r}")
+        out = [value]
+        for dot in dots:
+            if dot is None:  # structurally zero
+                out.append(np.zeros(shape) if shape else 0.0)
+            else:
+                dot = _spread(dot, shape)
                 _check_finite(dot, f"derivative of {self.source!r}")
-        return Dual(d.val, tuple((np.zeros(shape) if shape else 0.0) if dot is None
-                                 else dot for dot in d.dots))
+                out.append(dot)
+        for i, x in enumerate(out):
+            if isinstance(x, np.ndarray) and any(x is y for y in (t, q, p, *out[:i])):
+                out[i] = x.copy()
+        return tuple(out)
 
     def canonical(self):
         """Fully parenthesized canonical form; parse(canonical()) is a fixed point."""
@@ -310,81 +267,219 @@ def _collect_vars(ast):
         yield from _collect_vars(ast[3])
 
 
+def _literal(ast):
+    """The value of a number, possibly negated, else None."""
+    if ast[0] == "neg":
+        v = _literal(ast[1])
+        return None if v is None else -v
+    return ast[1] if ast[0] == "num" else None
+
+
 def _const_int_exponent(ast):
     """Return the integer n if ast is a constant integer (possibly negated), else None."""
-    neg = False
-    while ast[0] == "neg":
-        neg = not neg
-        ast = ast[1]
-    if ast[0] == "num" and float(ast[1]).is_integer():
-        n = int(ast[1])
-        return -n if neg else n
-    return None
+    v = _literal(ast)
+    return int(v) if v is not None and v.is_integer() else None
 
 
-def _eval(ast, env, zero):
-    """The Dual of ast; env maps variables to Duals, zero is a constant's tangents."""
-    kind = ast[0]
-    if kind == "num":
-        return Dual(ast[1], zero)
-    if kind == "var":
-        return env[ast[1]]
-    if kind == "neg":
-        return -_eval(ast[1], env, zero)
-    if kind == "call":
-        return _apply_fn(ast[1], _eval(ast[2], env, zero))
-    op = ast[1]
-    a = _eval(ast[2], env, zero)
-    if op == "^":
-        return _apply_pow(a, ast[3], env, zero)
-    b = _eval(ast[3], env, zero)
-    if op == "/" and _any(b.val == 0):
-        raise DomainError("division by zero")
-    return _ARITH[op](a, b)
+def _spread(x, shape):
+    """x broadcast to shape, in an array of its own where it had to grow;
+    a scalar when shape is ()."""
+    if not shape:
+        return x[()] if isinstance(x, np.ndarray) else x
+    if np.shape(x) == shape:
+        return x
+    out = np.empty(shape)
+    out[...] = x
+    return out
 
 
-def _apply_fn(name, d):
-    x = d.val
-    if name == "sqrt":
-        if _any(x < 0):
-            raise DomainError("sqrt of a negative value")
-        if d.dots and _any(x == 0):
-            raise DomainError("sqrt derivative at zero")
-    value, slope = _FUNCTION_TABLE[name]
-    v = value(x)
-    if all(dot is None for dot in d.dots):
-        return Dual(v, d.dots)
-    s = slope(x, v)
-    return Dual(v, tuple(None if dot is None else s * dot for dot in d.dots))
+# --- helpers the compiled programs call ---
+
+def _fail_if(mask, message):
+    if _any(mask):
+        raise DomainError(message)
 
 
-def _apply_pow(base, exp_ast, env, zero):
-    """x^n for constant integer n, else b^e requiring b > 0."""
-    b = base.val
-    n = _const_int_exponent(exp_ast)
-    if n is not None:
-        if n < 0 and _any(b == 0):
-            raise DomainError("zero base with negative exponent")
-        if n == 0 or all(db is None for db in base.dots):
-            return Dual(b ** n, (None,) * len(base.dots))
-        try:
-            slope = n * b ** (n - 1)
-        except OverflowError:  # a Python float's slope: overflow to inf as an array's does
-            slope = n * np.float64(b) ** (n - 1)
-        return Dual(b ** n, tuple(None if db is None else slope * db
-                                  for db in base.dots))
-    e = _eval(exp_ast, env, zero)
-    if _any(b <= 0):
-        raise DomainError("non-integer power of a non-positive base")
-    if all(db is None for db in base.dots) and all(de is None for de in e.dots):
-        return Dual(b ** e.val, (None,) * len(base.dots))
-    lg = np.log(b)
-    v = np.exp(e.val * lg)
-    return Dual(b ** e.val, tuple(None if db is None and de is None
-                                  else v * (de * lg) if db is None
-                                  else v * (e.val * db / b) if de is None
-                                  else v * (de * lg + e.val * db / b)
-                                  for db, de in zip(base.dots, e.dots)))
+def _int_pow_slope(b, n):
+    try:
+        return n * b ** (n - 1)
+    except OverflowError:  # a Python float's slope: overflow to inf as an array's does
+        return n * np.float64(b) ** (n - 1)
+
+
+def _zero_slopes(inv, *dots):
+    """A quotient's tangents, 0 where its divisor is infinite (inv == 0)."""
+    infinite = inv == 0
+    if not _any(infinite):
+        return dots
+    return tuple(_zero_where(infinite, d) for d in dots)
+
+
+_LOCAL = re.compile(r"\br\d+\b")  # an intermediate of a compiled program
+
+# A variable's tangent by itself, 1 everywhere. It is never multiplied out:
+# 1*x is x bit for bit, and in a sum or difference it is the literal 1.0.
+_ONE = "1.0"
+
+
+class _Compiler:
+    """Emits the straight-line program of one tree for one wrt tuple.
+
+    Every op becomes assignments in tree order, with the formula and operand
+    order of forward-mode dual numbers; every check on the data becomes a
+    `_fail_if` at the point where the op needs it. A tangent is None when
+    structurally zero, _ONE when a variable's unit tangent, else the name of
+    the local that holds it. No text of the formula goes into the source:
+    constants and functions are names bound in the program's globals."""
+
+    def __init__(self, wrt):
+        self.wrt = wrt
+        self.lines = []
+        self.env = {"np": np, "_fail_if": _fail_if, "_int_pow_slope": _int_pow_slope,
+                    "_zero_slopes": _zero_slopes}
+        for name, (value, slope) in _FUNCTION_TABLE.items():
+            self.env[name] = value
+            self.env[f"{name}_slope"] = slope
+
+    def program(self, ast):
+        """The function (t, q, p) -> (value, tangent, ...); a structurally
+        zero tangent is None, any other may have a smaller shape than the
+        inputs' broadcast one."""
+        value, dots = self.node(ast)
+        outputs = (value, *map(str, dots))
+        # free each intermediate after its last use, as a tree walk would:
+        # arrays kept alive to the end cost fresh memory on every call
+        last = {name: i for i, line in enumerate(self.lines)
+                for name in _LOCAL.findall(line)}
+        dead = {}
+        for name, i in last.items():
+            if name not in outputs:
+                dead.setdefault(i, []).append(name)
+        body = []
+        for i, line in enumerate(self.lines):
+            body.append(line)
+            if i in dead:
+                body.append(f"del {', '.join(dead[i])}")
+        source = ("def program(t, q, p):\n"
+                  + "".join(f"    {line}\n" for line in body)
+                  + f"    return {''.join(f'{x}, ' for x in outputs)}\n")
+        exec(compile(source, "<expression program>", "exec"), self.env)
+        return self.env["program"]
+
+    def const(self, value):
+        name = f"c{len(self.env)}"
+        self.env[name] = value
+        return name
+
+    def let(self, code):
+        name = f"r{len(self.lines)}"
+        self.lines.append(f"{name} = {code}")
+        return name
+
+    def check(self, x, test, message):
+        self.lines.append(f"_fail_if({x} {test}, {message!r})")
+
+    def mul(self, a, b):
+        """a * b, where one of them may be the unit tangent."""
+        if a is _ONE:
+            return b
+        if b is _ONE:
+            return a
+        return self.let(f"{a} * {b}")
+
+    def neg(self, a):
+        return None if a is None else self.let(f"-{a}")
+
+    def node(self, ast):
+        """(value, tangents) of ast, as names of locals or constants."""
+        kind = ast[0]
+        zero = (None,) * len(self.wrt)
+        if kind == "num":
+            return self.const(ast[1]), zero
+        if kind == "var":
+            return ast[1], tuple(_ONE if ast[1] == w else None for w in self.wrt)
+        if kind == "neg":
+            x, dots = self.node(ast[1])
+            return self.let(f"-{x}"), tuple(map(self.neg, dots))
+        if kind == "call":
+            return self.call(ast[1], *self.node(ast[2]))
+        op = ast[1]
+        x, da = self.node(ast[2])
+        if op == "^":
+            return self.power(x, da, ast[3])
+        y, db = self.node(ast[3])
+        pairs = tuple(zip(da, db))
+        if op == "+":
+            return self.let(f"{x} + {y}"), tuple(
+                b if a is None else a if b is None else self.let(f"{a} + {b}")
+                for a, b in pairs)
+        if op == "-":
+            return self.let(f"{x} - {y}"), tuple(
+                self.neg(b) if a is None else a if b is None else self.let(f"{a} - {b}")
+                for a, b in pairs)
+        if op == "*":
+            return self.let(f"{x} * {y}"), tuple(
+                None if a is None and b is None
+                else self.mul(x, b) if a is None
+                else self.mul(a, y) if b is None
+                else self.let(f"{self.mul(a, y)} + {self.mul(x, b)}")
+                for a, b in pairs)
+        # a finite nonzero constant divisor needs no check and is never infinite
+        lit = _literal(ast[3])
+        steady = lit is not None and 0 < abs(lit) < math.inf
+        if not steady:
+            self.check(y, "== 0", "division by zero")
+        if all(a is None and b is None for a, b in pairs):
+            return self.let(f"{x} / {y}"), zero
+        inv = self.let(f"1.0 / {y}")
+        dots = [None if a is None and b is None
+                else self.let(f"-({self.mul(x, b)} * {inv}) * {inv}") if a is None
+                else self.mul(a, inv) if b is None
+                else self.let(f"({a} - {self.mul(x, b)} * {inv}) * {inv}")
+                for a, b in pairs]
+        if not steady:
+            live = [i for i, d in enumerate(dots) if d is not None]
+            zeroed = self.let(f"_zero_slopes({inv}, {', '.join(dots[i] for i in live)})")
+            for k, i in enumerate(live):
+                dots[i] = self.let(f"{zeroed}[{k}]")
+        return self.let(f"{x} / {y}"), tuple(dots)
+
+    def call(self, name, x, dots):
+        if name == "sqrt":
+            self.check(x, "< 0", "sqrt of a negative value")
+            if self.wrt:
+                self.check(x, "== 0", "sqrt derivative at zero")
+        v = self.let(f"{name}({x})")
+        if all(d is None for d in dots):
+            return v, dots
+        s = self.let(f"{name}_slope({x}, {v})")
+        return v, tuple(None if d is None else self.mul(s, d) for d in dots)
+
+    def power(self, b, dbs, exp_ast):
+        """b^n for a constant integer n, else b^e requiring b > 0."""
+        zero = (None,) * len(self.wrt)
+        n = _const_int_exponent(exp_ast)
+        if n is not None:
+            if n < 0:
+                self.check(b, "== 0", "zero base with negative exponent")
+            c = self.const(n)
+            v = self.let(f"{b} ** {c}")
+            if n == 0 or all(d is None for d in dbs):
+                return v, zero
+            slope = self.let(f"_int_pow_slope({b}, {c})")
+            return v, tuple(None if d is None else self.mul(slope, d) for d in dbs)
+        e, des = self.node(exp_ast)
+        self.check(b, "<= 0", "non-integer power of a non-positive base")
+        v = self.let(f"{b} ** {e}")
+        if all(d is None for d in dbs + des):
+            return v, zero
+        lg = self.let(f"np.log({b})")
+        w = self.let(f"np.exp({e} * {lg})")
+        return v, tuple(None if db is None and de is None
+                        else self.let(f"{w} * ({self.mul(de, lg)})") if db is None
+                        else self.let(f"{w} * ({self.mul(e, db)} / {b})") if de is None
+                        else self.let(f"{w} * ({self.mul(de, lg)} + {self.mul(e, db)} / {b})")
+                        for db, de in zip(dbs, des))
 
 
 def _print(ast):

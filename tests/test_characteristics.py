@@ -65,6 +65,15 @@ def test_rk4_fourth_order():
     assert errs[1] / errs[2] >= 8.0
 
 
+@pytest.mark.parametrize("step", [0.0, -0.1, np.inf, np.nan])
+def test_step_must_be_positive_and_finite(step):
+    # an infinite step would take one RK4 substep per output interval
+    spec = hj.ProblemSpec(H=hj.parse("p^2/2 + 0.5*sin(q)*cos(t)"), u0=hj.parse("cos(q)"),
+                          domain=hj.Periodic(2 * np.pi), t_max=2.0)
+    with pytest.raises(ValueError, match="step must be positive and finite"):
+        chars.evolve_states(spec, [1.0, 2.0], [0.0, 1.0], step)
+
+
 def test_output_times_monotone_required(burgers_spec):
     with pytest.raises(ValueError):
         chars.evolve_states(burgers_spec, [1.0, 0.5], [0.0])

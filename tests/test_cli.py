@@ -215,6 +215,8 @@ def test_determinism_across_runs(burgers_cfg, tmp_path):
     ("solver", "step = fast"),
     ("solver", "step = -0.1"),
     ("solver", "step = 0"),
+    ("solver", "step = inf"),
+    ("solver", "step = nan"),
     ("solver", "cfl = half"),
     ("solver", "cfl = 0"),
     ("solver", "cfl = 1.5"),

@@ -170,6 +170,21 @@ def test_each_zero_tangent_is_its_own_array():
     assert not dp.any() and not dt.any()
 
 
+@pytest.mark.parametrize("wrt", [None, "q", "p", ("p", "q")])
+@pytest.mark.parametrize("src", ["q", "p", "q*p", "p + q", "2*q"])
+def test_outputs_are_arrays_of_their_own(src, wrt):
+    # no returned array is an input, another output, or an earlier call's
+    q, p = np.linspace(-1.0, 1.0, 5), np.linspace(0.5, 2.0, 5)
+    e = expr.parse(src)
+    seen = [q, p]
+    for _ in range(2):
+        out = (e.eval(q=q, p=p),) if wrt is None else e.eval_d(q=q, p=p, wrt=wrt)
+        for x in out:
+            assert isinstance(x, np.ndarray)
+            assert not any(np.shares_memory(x, y) for y in seen)
+            seen.append(x)
+
+
 def test_canonical_roundtrip():
     src = "p^2/2 + cos(q) - 0.7*sin(2*q)"
     e = expr.parse(src)
