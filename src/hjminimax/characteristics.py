@@ -9,6 +9,12 @@ place, in buffers the flow owns, with the rounding of the textbook
 out-of-place update; the slopes come from H's compiled program, whose
 arrays never alias the strand state. Strands are independent; both paths
 are vectorized over seeds and deterministic for a fixed step.
+
+On a periodic domain the strand from q0 + k*L is the strand from q0 moved
+by k*L, with the same p and z, when u0 and H repeat with period L. So when
+the sorted seeds repeat one period on and u0 and H agree at the repeats,
+only the first period is flowed and every other strand is written as its
+shifted copy; any other seed set is flowed strand by strand.
 """
 
 from __future__ import annotations
@@ -21,6 +27,10 @@ import numpy as np
 
 from .errors import NonFinite
 from .expr import Expression
+
+# relative agreement of u0 and H at seeds one period apart that lets
+# `evolve_states` flow one period and copy the rest
+REPEAT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -165,6 +175,53 @@ def _straight_lines(spec, times, q0, p0, z0, Q, P, Z):
                 np.copyto(Q[k], edge, where=t >= t_exit)
 
 
+def _agree(a, b):
+    """a equals b to REPEAT_TOL relative to the larger magnitude of both."""
+    scale = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))))
+    return bool(np.all(np.abs(a - b) <= REPEAT_TOL * scale))
+
+
+def _period_width(spec: ProblemSpec, seeds, p0, z0):
+    """The number n of seeds in one period when the flow of seeds[:n]
+    determines every other strand, len(seeds) otherwise.
+
+    That needs a periodic domain; sorted seeds with seeds[n:] = seeds[:-n] + L
+    to a few ulps; u0's value z0 and slope p0 agreeing at the repeats; and,
+    when H reads q, H, H_p and H_q agreeing there at t = 0 and t = t_max."""
+    N = len(seeds)
+    if not isinstance(spec.domain, Periodic) or N < 2:
+        return N
+    L = spec.domain.period
+    tol = 4 * np.spacing(max(abs(seeds[0]), abs(seeds[-1])))
+    n = int(np.searchsorted(seeds, seeds[0] + L - tol))
+    if not (0 < n < N and np.all(seeds[1:] >= seeds[:-1])
+            and np.all(np.abs(seeds[n:] - seeds[:-n] - L) <= tol)):
+        return N
+    if not (_agree(z0[n:], z0[:-n]) and _agree(p0[n:], p0[:-n])):
+        return N
+    if "q" in spec.H.variables:
+        for t in (0.0, spec.t_max):
+            for h in spec.H.eval_d(t=t, q=seeds, p=p0, wrt=("p", "q")):
+                h = np.broadcast_to(h, seeds.shape)
+                if not _agree(h[n:], h[:-n]):
+                    return N
+    return n
+
+
+def _tile(L, n, Q, P, Z):
+    """Fill columns n: of Q, P, Z from the first n, moved by k*L per period.
+
+    Row by row, so source and target never overlap in one numpy call."""
+    N = Q.shape[1]
+    for k, lo in enumerate(range(n, N, n), start=1):
+        w = min(n, N - lo)
+        shift = k * L
+        for row in range(Q.shape[0]):
+            np.add(Q[row, :w], shift, out=Q[row, lo:lo + w])
+            P[row, lo:lo + w] = P[row, :w]
+            Z[row, lo:lo + w] = Z[row, :w]
+
+
 def evolve_states(spec: ProblemSpec, times: Sequence[float], seeds,
                   step: float | None = None):
     """Flow all seeds through the sorted output times.
@@ -172,7 +229,9 @@ def evolve_states(spec: ProblemSpec, times: Sequence[float], seeds,
     Returns (Q, P, Z), each of shape (len(times), len(seeds)). When H
     depends on p alone every row is the closed form and step goes unused;
     otherwise each inter-time span is subdivided into uniform RK4 substeps
-    of size <= step.
+    of size <= step. When the seeds and the data repeat with the period
+    (see `_period_width`), one period is flowed and the rest are its
+    copies moved by k*L.
     """
     times = list(times)
     if any(b < a for a, b in zip(times, times[1:])):
@@ -186,17 +245,23 @@ def evolve_states(spec: ProblemSpec, times: Sequence[float], seeds,
     seeds = np.asarray(seeds, dtype=float)
 
     q, p, z = initial_state(spec, seeds)
+    n = _period_width(spec, seeds, p, z)
+    if n < len(seeds):  # copies, so the other periods' start states are freed
+        q, p, z = q[:n].copy(), p[:n].copy(), z[:n].copy()
     Q = np.empty((len(times), len(seeds)))
     P = np.empty_like(Q)
     Z = np.empty_like(Q)
+    Qn, Pn, Zn = Q[:, :n], P[:, :n], Z[:, :n]
     if spec.H.variables <= {"p"}:
-        _straight_lines(spec, times, q, p, z, Q, P, Z)
+        _straight_lines(spec, times, q, p, z, Qn, Pn, Zn)
     else:
         t_prev = 0.0
         for k, t in enumerate(times):
             q, p, z = _rk4_span(spec, t_prev, t, q, p, z, step)
             t_prev = t
-            Q[k], P[k], Z[k] = q, p, z
+            Qn[k], Pn[k], Zn[k] = q, p, z
+    if n < len(seeds):
+        _tile(spec.domain.period, n, Q, P, Z)
 
     bad = ~(np.isfinite(Q) & np.isfinite(P) & np.isfinite(Z))
     if bad.any():

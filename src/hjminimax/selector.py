@@ -10,6 +10,7 @@ front is a graph; both must agree outside surgery balls.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,11 @@ MAX_SURGERIES = 64   # rounds `eliminate` may take before giving up
 TRIM_FRAC = 0.25     # share of the vertices `trim_long` may drop per end
 SLICE_SHIFTS = 4     # time shifts of a non-generic slice in `slice_analysis`
 FIBER_TOL = 1e-9     # bbox-scaled distance of a fiber from a cusp or double point
+# where `grid_seeds` puts its lattice in each of the n cells of a period, as
+# a fraction of a cell. Not 0: an aligned lattice puts seeds on q = 0 and
+# q = pi, the symmetry points of u0 = cos(q), and then the Burgers grid of
+# criteria 3 and 4 shows 2 ShockBirths and a ForbiddenA (ROADMAP items 3, 6).
+SEED_OFFSET = 0.381966
 # where `triangle_is_coupled` probes a loop's q-span, in the order it tries them
 _PROBE_FRACS = (0.37, 0.61, 0.23, 0.79, 0.5)
 
@@ -423,8 +429,10 @@ def eliminate(f: FrontCurve):
 
 # --- grid assembly ---
 
-def default_seeds(spec: chars.ProblemSpec, n: int, t: float | None = None):
-    """Seed grid wide enough that every fiber over the base domain is covered."""
+def _seed_window(spec: chars.ProblemSpec, t: float | None):
+    """(base_lo, base_hi, margin): the base domain, and how far past each of
+    its ends the seeds must reach for every fiber over it to be covered up
+    to time t (t_max when None)."""
     t = spec.t_max if t is None else t
     if isinstance(spec.domain, chars.Periodic):
         base_lo, base_hi = 0.0, spec.domain.period
@@ -436,9 +444,35 @@ def default_seeds(spec: chars.ProblemSpec, n: int, t: float | None = None):
     for tt in np.linspace(0.0, t, 5):
         _, hp = spec.H.eval_d(t=tt, q=probe, p=p0, wrt="p")
         vmax = max(vmax, float(np.max(np.abs(hp))))
-    margin = 1.5 * vmax * t + 0.5
+    return base_lo, base_hi, 1.5 * vmax * t + 0.5
+
+
+def default_seeds(spec: chars.ProblemSpec, n: int, t: float | None = None):
+    """Seeds for one slice (`solve` snapshots, `dump-front`, `render`): n per
+    base-domain width, evenly spaced from one end of the seed window to the
+    other, so wide that every fiber over the base domain is covered."""
+    base_lo, base_hi, margin = _seed_window(spec, t)
     return np.linspace(base_lo - margin, base_hi + margin,
                        int(n * (base_hi - base_lo + 2 * margin) / (base_hi - base_lo)))
+
+
+def grid_seeds(spec: chars.ProblemSpec, n: int):
+    """Seeds for `minimax_grid`. On a periodic domain of period L, the
+    sorted lattice (j + SEED_OFFSET)*L/n + k*L, j < n, from the last point
+    at or below the seed window's lower end to the first at or above its
+    upper end, so `evolve_states` flows one period of it and copies the
+    rest. On a windowed domain, `default_seeds(spec, n)`."""
+    if not isinstance(spec.domain, chars.Periodic):
+        return default_seeds(spec, n)
+    base_lo, base_hi, margin = _seed_window(spec, None)
+    lo, hi = base_lo - margin, base_hi + margin
+    L = spec.domain.period
+    cell = (np.arange(n) + SEED_OFFSET) * L / n
+    periods = np.arange(math.floor(lo / L) - 1, math.floor(hi / L) + 2) * L
+    lattice = (periods[:, None] + cell[None, :]).ravel()
+    first = int(np.searchsorted(lattice, lo, side="right")) - 1
+    last = int(np.searchsorted(lattice, hi, side="left"))
+    return lattice[first:last + 1].copy()  # not a view pinning every period
 
 
 def trim_long(q0, q, p, z):
@@ -486,14 +520,17 @@ def slice_analysis(spec: chars.ProblemSpec, t: float, seeds,
 def minimax_grid(spec: chars.ProblemSpec, t_grid, q_grid,
                  step: float | None = None, n_seeds: int = 4096) -> GridSolution:
     """Minimax solution values on the (t,q) grid via pointwise selection.
-    Each row is the front at exactly its grid time, from that time's
-    `evolve_states` row, and each fiber is at exactly its grid q; neither
-    is shifted. A row's fibers are selected in one `select_fibers` pass over
-    the sorted q_grid, and scattered back to grid order. A fiber that
-    cannot be coupled raises: the first such fiber in grid order."""
+    The seeds are `grid_seeds(spec, n_seeds)`: on a periodic domain a
+    lattice of n_seeds per period, of which `evolve_states` flows one period
+    and copies the rest. Each row is the front at exactly its grid time,
+    from that time's `evolve_states` row, and each fiber is at exactly its
+    grid q; neither is shifted. A row's fibers are selected in one
+    `select_fibers` pass over the sorted q_grid, and scattered back to grid
+    order. A fiber that cannot be coupled raises: the first such fiber in
+    grid order."""
     t_grid = np.asarray(t_grid, dtype=float)
     q_grid = np.asarray(q_grid, dtype=float)
-    seeds = default_seeds(spec, n_seeds)
+    seeds = grid_seeds(spec, n_seeds)
     times = [float(t) for t in t_grid]
     Q, P, Z = chars.evolve_states(spec, times, seeds, step)
 

@@ -57,8 +57,9 @@ def slice_suite(burgers_spec, two_hump_spec):
 
 def _random_fiber(seed, n_modes=4, window=4.0):
     rng = np.random.default_rng(seed)
-    amps = rng.uniform(0.2, 1.0, n_modes) / (np.arange(1, n_modes + 1) ** 2)
-    phases = rng.uniform(0, 2 * math.pi, n_modes)
+    # Python floats: numpy scalars would make every values(x) call slow
+    amps = (rng.uniform(0.2, 1.0, n_modes) / (np.arange(1, n_modes + 1) ** 2)).tolist()
+    phases = rng.uniform(0, 2 * math.pi, n_modes).tolist()
 
     def values(x):
         s = 0.5 * x * x

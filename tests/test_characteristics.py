@@ -3,6 +3,7 @@ import pytest
 
 import hjminimax as hj
 from hjminimax import characteristics as chars
+from hjminimax import selector
 from hjminimax.errors import NonFinite
 
 
@@ -48,6 +49,67 @@ def test_closed_form_matches_rk4(h):
         np.testing.assert_allclose(Q[k], q, rtol=0, atol=1e-12)
         np.testing.assert_allclose(P[k], p, rtol=0, atol=1e-12)
         np.testing.assert_allclose(Z[k], z, rtol=0, atol=1e-12)
+
+
+QFLOW_H = "p^2/2 + 0.5*sin(q)*cos(t)"
+TIMES = [0.0, 0.7, 2.0]
+
+
+def _rk4_every_seed(spec, times, seeds, step):
+    """Each seed flowed on its own strand by RK4, as the untiled flow does."""
+    q, p, z = chars.initial_state(spec, seeds)
+    rows, t_prev = [], 0.0
+    for t in times:
+        q, p, z = chars._rk4_span(spec, t_prev, t, q, p, z, step)
+        t_prev = t
+        rows.append((q, p, z))
+    return [np.array(r) for r in zip(*rows)]
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("h", [QFLOW_H, "p^2/2"])
+def test_period_lattice_is_one_period_tiled(h):
+    # on the grid's lattice the flow of every period is the first period's,
+    # moved by k*L bit for bit, and within rounding of flowing every seed
+    L, n = 2 * np.pi, 64
+    spec = hj.ProblemSpec(H=hj.parse(h), u0=hj.parse("cos(q)"),
+                          domain=hj.Periodic(L), t_max=2.0)
+    seeds = selector.grid_seeds(spec, n)
+    assert len(seeds) > 2 * n
+    Q, P, Z = chars.evolve_states(spec, TIMES, seeds, 0.01)
+    Q1, P1, Z1 = chars.evolve_states(spec, TIMES, seeds[:n], 0.01)
+    for k, lo in enumerate(range(0, len(seeds), n)):
+        w = min(n, len(seeds) - lo)
+        assert np.array_equal(_bits(Q[:, lo:lo + w]), _bits(Q1[:, :w] + k * L))
+        assert np.array_equal(_bits(P[:, lo:lo + w]), _bits(P1[:, :w]))
+        assert np.array_equal(_bits(Z[:, lo:lo + w]), _bits(Z1[:, :w]))
+    # reversed seeds are not sorted, so every strand is flowed
+    Qd, Pd, Zd = (x[:, ::-1] for x in chars.evolve_states(spec, TIMES, seeds[::-1], 0.01))
+    for a, b in ((Q, Qd), (P, Pd), (Z, Zd)):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("h, u0, unsorted", [
+    (QFLOW_H, "cos(q) + 0.1*q", False),      # u0 not periodic
+    ("p^2/2 + sin(q/2)", "cos(q)", False),   # H not 2*pi-periodic
+    (QFLOW_H, "cos(q)", True),
+])
+def test_lattice_falls_back_to_every_seed(h, u0, unsorted):
+    # the lattice that the test above tiles, flowed seed by seed as before
+    periodic = hj.ProblemSpec(H=hj.parse(QFLOW_H), u0=hj.parse("cos(q)"),
+                              domain=hj.Periodic(2 * np.pi), t_max=2.0)
+    seeds = selector.grid_seeds(periodic, 32)
+    if unsorted:
+        seeds = seeds[np.random.default_rng(3).permutation(len(seeds))]
+    spec = hj.ProblemSpec(H=hj.parse(h), u0=hj.parse(u0),
+                          domain=hj.Periodic(2 * np.pi), t_max=2.0)
+    got = chars.evolve_states(spec, TIMES, seeds, 0.01)
+    want = _rk4_every_seed(spec, TIMES, seeds, 0.01)
+    for a, b in zip(got, want):
+        assert np.array_equal(_bits(a), _bits(b))
 
 
 def test_rk4_fourth_order():

@@ -207,3 +207,16 @@ def test_grid_csv_schema(burgers_grid):
 def test_default_seeds_cover_domain(burgers_spec):
     seeds = selector.default_seeds(burgers_spec, 256)
     assert seeds.min() < -2.0 and seeds.max() > 2 * np.pi + 2.0
+    # the grid's lattice covers the same window, repeats one period on and
+    # keeps off the symmetry points 0 mod L
+    L, n = 2 * np.pi, 256
+    lattice = selector.grid_seeds(burgers_spec, n)
+    assert lattice[0] <= seeds[0] and lattice[-1] >= seeds[-1]
+    assert np.all(np.diff(lattice) > 0)
+    np.testing.assert_allclose(lattice[n:] - lattice[:-n], L, rtol=0, atol=1e-14)
+    cells = np.mod(lattice, L) / (L / n)
+    assert np.all(np.minimum(cells, n - cells) >= 0.3)
+    windowed = hj.ProblemSpec(H=hj.parse("p^2/2"), u0=hj.parse("tanh(q)"),
+                              domain=hj.Windowed(-5.0, 5.0), t_max=1.0)
+    assert np.array_equal(selector.grid_seeds(windowed, n),
+                          selector.default_seeds(windowed, n))
