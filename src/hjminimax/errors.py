@@ -31,7 +31,7 @@ class NonFinite(HJError):
 
 class NonGeneric(HJError):
     """Input violates a genericity assumption (tied critical values, degenerate
-    cusp, tangential intersection, ...). Callers may perturb and retry."""
+    cusp, tangential intersection, ...)."""
 
 
 class MalformedInput(HJError):

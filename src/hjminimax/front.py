@@ -4,7 +4,9 @@ A front is a polyline in (q,z), ordered by the seed coordinate q0, carrying
 the momentum p per vertex. This module extracts cusps with signs, sections
 with branch indices, transversal double points, triangles hanging from
 homogeneous double points, the triangle surgery, and the conservative
-vanishing-triangle decision rule. Per-vertex and per-pair tests run as
+vanishing-triangle decision rule. A front is analysed at exactly its time:
+the vertical inflection of a perestroika stands, and only a fold hidden
+between two seeds is non-generic. Per-vertex and per-pair tests run as
 numpy array passes; a pass of points against edges works in chunks of at
 most CHUNK_ELEMENTS point-edge elements.
 """
@@ -117,9 +119,12 @@ def build_front(q0, q, p, z, time: float) -> FrontCurve:
 
 
 def _check_tangency(f: FrontCurve):
-    """NonGeneric on a vanishing-slope plateau without a fold (perestroika).
-    Cells touching a surgery blend's vertices (origin < 0) are not tested:
-    their q0 is a placeholder, so dq/dq0 there says nothing."""
+    """NonGeneric on a fold narrower than a seed cell. A plateau cell, where
+    |dq/dq0| (bbox-scaled) has a local minimum below DEGENERACY_TOL without
+    a sign change, is decided by the cubic through its four vertices q(q0):
+    a slope below -TIE_TOL inside the cell is a hidden cusp pair, anything
+    else the vertical inflection of a perestroika. Cells touching a surgery
+    blend's vertices (origin < 0) are not tested: their q0 is a placeholder."""
     dq = np.diff(f.q)
     dq0 = np.diff(f.q0)
     wq, _ = f.bbox_scale()
@@ -134,12 +139,20 @@ def _check_tangency(f: FrontCurve):
                & (np.sign(dq[prev]) == np.sign(dq[nxt]))
                & (dq[prev] * dq[mid] > 0) & (dq[mid] * dq[nxt] > 0)
                & (s_abs[mid] <= s_abs[prev]) & (s_abs[mid] <= s_abs[nxt]))
-    hits = np.flatnonzero(plateau)
-    if len(hits):
-        i = hits[0] + 1
-        raise NonGeneric(
-            f"near-vertical tangency at q0~{f.q0[i]:.6g} without a fold "
-            "(perestroika instant); shift t by epsilon")
+    for i in (np.flatnonzero(plateau) + 1).tolist():
+        # the cubic's slope in x = (q0 - q0[i]) / h is least at a cell end
+        # or at its one turning point
+        h = f.q0[i + 1] - f.q0[i]
+        d = np.polyder(np.polyfit((f.q0[i - 1:i + 3] - f.q0[i]) / h,
+                                  f.q[i - 1:i + 3] - f.q[i], 3))
+        xs = [0.0, 1.0]
+        if d[0] != 0:
+            xs.append(min(max(-d[1] / (2 * d[0]), 0.0), 1.0))
+        least = min(np.sign(dq[i]) * np.polyval(d, xs)) / h
+        if least / wq * (f.q0[-1] - f.q0[0]) < -TIE_TOL:
+            raise NonGeneric(
+                f"fold narrower than a seed cell at q0~{f.q0[i]:.6g}; "
+                "more seeds resolve it")
 
 
 def detect_cusps(f: FrontCurve) -> list[Cusp]:
@@ -510,8 +523,9 @@ def _segment_slope(f: FrontCurve, seg: int) -> float:
 
 
 def analyze(f: FrontCurve) -> FrontAnalysis:
-    """Full combinatorial analysis of a front; NonGeneric at a vertical
-    tangency without a fold."""
+    """Full combinatorial analysis of a front; NonGeneric at a fold narrower
+    than a seed cell. A vertical inflection (a perestroika instant) is
+    analysed like any other front."""
     _check_tangency(f)
     cusps = detect_cusps(f)
     sections = split_sections(f, cusps)

@@ -5,7 +5,9 @@ abscissa are coupled greedily and the free point is the minimax. All fibers
 of one front go through one array pass, `fiber_crossings`, and one coupling
 pass, `couple_fibers`, whether they are a grid row, a sweep or a single
 abscissa. The geometric validator removes vanishing triangles until the
-front is a graph; both must agree outside surgery balls.
+front is a graph; both must agree outside surgery balls. Every front, a
+grid row or a lone slice, is built by `_long_front` at exactly its time,
+and `default_seeds` gives both their seeds from one lattice.
 """
 
 from __future__ import annotations
@@ -25,19 +27,15 @@ from .front import FrontAnalysis, FrontCurve
 SWEEP_FIBERS = 512   # fibers `_sweep` lays across a front
 MAX_SURGERIES = 64   # rounds `eliminate` may take before giving up
 TRIM_FRAC = 0.25     # share of the vertices `trim_long` may drop per end
-SLICE_SHIFTS = 4     # time shifts of a non-generic slice in `slice_analysis`
 FIBER_TOL = 1e-9     # bbox-scaled distance of a fiber from a cusp or double point
-# where `grid_seeds` puts its lattice in each of the n cells of a period, as
-# a fraction of a cell. Not 0: an aligned lattice puts seeds on q = 0 and
-# q = pi, the symmetry points of u0 = cos(q), and then the Burgers grid of
-# criteria 3 and 4 shows 2 ShockBirths and a ForbiddenA (ROADMAP items 3, 6).
+# where `default_seeds` puts its lattice in each of the n cells of a base
+# width, as a fraction of a cell. Not 0: an aligned lattice puts seeds on
+# q = 0 and q = pi, the symmetry points of u0 = cos(q), and then the Burgers
+# grid of criteria 3 and 4 shows 2 ShockBirths and a ForbiddenA (ROADMAP
+# items 3, 6).
 SEED_OFFSET = 0.381966
 # where `triangle_is_coupled` probes a loop's q-span, in the order it tries them
 _PROBE_FRACS = (0.37, 0.61, 0.23, 0.79, 0.5)
-
-# slice failures that a small shift of the slice time may cure: a tangency
-# or coincidence at a perestroika
-_SLICE_RETRYABLE = NonGeneric
 
 
 @dataclass
@@ -448,27 +446,19 @@ def _seed_window(spec: chars.ProblemSpec, t: float | None):
 
 
 def default_seeds(spec: chars.ProblemSpec, n: int, t: float | None = None):
-    """Seeds for one slice (`solve` snapshots, `dump-front`, `render`): n per
-    base-domain width, evenly spaced from one end of the seed window to the
-    other, so wide that every fiber over the base domain is covered."""
+    """Seeds for a slice at time t, or for `minimax_grid` when t is None
+    (t_max). Over the base domain [base_lo, base_lo + W] (W the period, or
+    qmax - qmin), the sorted lattice base_lo + (j + SEED_OFFSET)*W/n + k*W,
+    j < n, from the last point at or below the lower end of t's seed window
+    to the first at or above its upper end. Slices and grids so share one
+    lattice; on a periodic domain `evolve_states` flows one period of it
+    and copies the rest."""
     base_lo, base_hi, margin = _seed_window(spec, t)
-    return np.linspace(base_lo - margin, base_hi + margin,
-                       int(n * (base_hi - base_lo + 2 * margin) / (base_hi - base_lo)))
-
-
-def grid_seeds(spec: chars.ProblemSpec, n: int):
-    """Seeds for `minimax_grid`. On a periodic domain of period L, the
-    sorted lattice (j + SEED_OFFSET)*L/n + k*L, j < n, from the last point
-    at or below the seed window's lower end to the first at or above its
-    upper end, so `evolve_states` flows one period of it and copies the
-    rest. On a windowed domain, `default_seeds(spec, n)`."""
-    if not isinstance(spec.domain, chars.Periodic):
-        return default_seeds(spec, n)
-    base_lo, base_hi, margin = _seed_window(spec, None)
     lo, hi = base_lo - margin, base_hi + margin
-    L = spec.domain.period
-    cell = (np.arange(n) + SEED_OFFSET) * L / n
-    periods = np.arange(math.floor(lo / L) - 1, math.floor(hi / L) + 2) * L
+    W = base_hi - base_lo
+    cell = (np.arange(n) + SEED_OFFSET) * W / n
+    periods = base_lo + np.arange(math.floor((lo - base_lo) / W) - 1,
+                                  math.floor((hi - base_lo) / W) + 2) * W
     lattice = (periods[:, None] + cell[None, :]).ravel()
     first = int(np.searchsorted(lattice, lo, side="right")) - 1
     last = int(np.searchsorted(lattice, hi, side="left"))
@@ -501,26 +491,15 @@ def _long_front(t: float, q0, q, p, z) -> FrontCurve:
 
 def slice_analysis(spec: chars.ProblemSpec, t: float, seeds,
                    step: float | None = None):
-    """Front analysis at time t. A non-generic slice is retried at t+k*eps,
-    or at t-k*eps where t+SLICE_SHIFTS*eps would pass t_max, so every try
-    stays inside [0, t_max]; the last failure is re-raised."""
-    eps = max(spec.t_max / 200000.0, 1e-9)
-    if t + SLICE_SHIFTS * eps > spec.t_max:
-        eps = -eps
-    for k in range(SLICE_SHIFTS + 1):
-        t_try = t + k * eps
-        try:
-            f = _long_front(t_try, *chars.evolve(spec, t_try, seeds, step))
-            return frontmod.analyze(f)
-        except _SLICE_RETRYABLE:
-            if k == SLICE_SHIFTS:
-                raise
+    """Front analysis at exactly time t, built as a grid row is. A
+    non-generic slice raises; it is never moved to another time."""
+    return frontmod.analyze(_long_front(t, *chars.evolve(spec, t, seeds, step)))
 
 
 def minimax_grid(spec: chars.ProblemSpec, t_grid, q_grid,
                  step: float | None = None, n_seeds: int = 4096) -> GridSolution:
     """Minimax solution values on the (t,q) grid via pointwise selection.
-    The seeds are `grid_seeds(spec, n_seeds)`: on a periodic domain a
+    The seeds are `default_seeds(spec, n_seeds)`: on a periodic domain a
     lattice of n_seeds per period, of which `evolve_states` flows one period
     and copies the rest. Each row is the front at exactly its grid time,
     from that time's `evolve_states` row, and each fiber is at exactly its
@@ -530,7 +509,7 @@ def minimax_grid(spec: chars.ProblemSpec, t_grid, q_grid,
     grid order."""
     t_grid = np.asarray(t_grid, dtype=float)
     q_grid = np.asarray(q_grid, dtype=float)
-    seeds = grid_seeds(spec, n_seeds)
+    seeds = default_seeds(spec, n_seeds)
     times = [float(t) for t in t_grid]
     Q, P, Z = chars.evolve_states(spec, times, seeds, step)
 

@@ -43,10 +43,11 @@ def convex_benchmark(burgers_spec):
 @pytest.fixture(scope="module")
 def slice_suite(burgers_spec, two_hump_spec):
     """Analyzed generic slices of both convex benchmarks, spanning the
-    pre-caustic, open-swallowtail and overlapping-swallowtail regimes, and
-    Burgers just after its shock birth (t=1.0, shifted by `slice_analysis`),
-    where elimination must run on fronts its own surgeries made."""
-    cases = [("burgers", burgers_spec, t) for t in (0.5, 1.0, 1.5, 2.5)]
+    pre-caustic, open-swallowtail and overlapping-swallowtail regimes,
+    Burgers at its shock birth (t=1.0, a vertical inflection without cusps)
+    and just after it (t=1.00003, two cusp pairs), where elimination must
+    run on fronts its own surgeries made."""
+    cases = [("burgers", burgers_spec, t) for t in (0.5, 1.0, 1.00003, 1.5, 2.5)]
     cases += [("two_hump", two_hump_spec, t) for t in (0.8, 1.2, 2.0, 2.8)]
     out = {}
     for name, spec, t in cases:

@@ -77,7 +77,7 @@ def test_period_lattice_is_one_period_tiled(h):
     L, n = 2 * np.pi, 64
     spec = hj.ProblemSpec(H=hj.parse(h), u0=hj.parse("cos(q)"),
                           domain=hj.Periodic(L), t_max=2.0)
-    seeds = selector.grid_seeds(spec, n)
+    seeds = selector.default_seeds(spec, n)
     assert len(seeds) > 2 * n
     Q, P, Z = chars.evolve_states(spec, TIMES, seeds, 0.01)
     Q1, P1, Z1 = chars.evolve_states(spec, TIMES, seeds[:n], 0.01)
@@ -101,7 +101,7 @@ def test_lattice_falls_back_to_every_seed(h, u0, unsorted):
     # the lattice that the test above tiles, flowed seed by seed as before
     periodic = hj.ProblemSpec(H=hj.parse(QFLOW_H), u0=hj.parse("cos(q)"),
                               domain=hj.Periodic(2 * np.pi), t_max=2.0)
-    seeds = selector.grid_seeds(periodic, 32)
+    seeds = selector.default_seeds(periodic, 32)
     if unsorted:
         seeds = seeds[np.random.default_rng(3).permutation(len(seeds))]
     spec = hj.ProblemSpec(H=hj.parse(h), u0=hj.parse(u0),

@@ -167,6 +167,37 @@ def test_dump_front_json(burgers_cfg, capsys):
     assert len(payload["cusps"]) == 4
 
 
+def _birth_cfg(tmp_path, t_max, n_seeds):
+    path = tmp_path / "birth.ini"
+    path.write_text(BURGERS_INI.format(out=tmp_path / "birth")
+                    .replace("t_max = 3.0", f"t_max = {t_max}")
+                    .replace("n_seeds = 512", f"n_seeds = {n_seeds}"))
+    return str(path)
+
+
+@pytest.mark.parametrize("t_max, n_seeds", [(1.0, 512), (3.0, 1024)])
+def test_dump_front_at_shock_birth_keeps_its_time(tmp_path, capsys, t_max, n_seeds):
+    # the shock birth is a vertical inflection: the front is written at
+    # exactly the requested time, not at a shifted one, and has no cusp yet
+    rc = cli.main(["dump-front", "--config", _birth_cfg(tmp_path, t_max, n_seeds),
+                   "--time", "1.0"])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["time"] == 1.0
+    assert payload["cusps"] == []
+
+
+def test_dump_front_non_generic_slice_exits_3(tmp_path, capsys):
+    # just after the birth the new cusps lie on the new double point to
+    # 10*TIE_TOL: the slice is reported, not written from another time
+    rc = cli.main(["dump-front", "--config", _birth_cfg(tmp_path, 3.0, 1024),
+                   "--time", "1.00001"])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cusp and double point coincide" in captured.err
+
+
 def test_render_svg(burgers_cfg, tmp_path):
     rc = cli.main(["render", "--config", burgers_cfg, "--time", "1.5",
                    "--out", str(tmp_path / "svg")])

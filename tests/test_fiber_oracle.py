@@ -23,7 +23,7 @@ def _bits(x):
 
 def _grid_rows(spec, t_grid, n_seeds):
     """The analyses `minimax_grid` builds, one per row after t = 0."""
-    seeds = selector.grid_seeds(spec, n_seeds)
+    seeds = selector.default_seeds(spec, n_seeds)
     times = [float(t) for t in t_grid]
     Q, P, Z = chars.evolve_states(spec, times, seeds, None)
     rows = {}

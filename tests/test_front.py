@@ -90,13 +90,31 @@ def test_not_long_rejected():
         frontmod.build_front(q0, -q0 * q0, zero, zero, time=0.0)
 
 
-def test_vertical_tangency_is_nongeneric():
-    # t=1 exactly: dq/dq0 vanishes at q0=0 without a sign change
-    f = fish_front(t=1.0, n=4001)
-    with pytest.raises(NonGeneric):
+def _oriented(f, orientation):
+    """f traversed toward +q (orientation 1) or, mirrored, toward -q."""
+    return FrontCurve(time=f.time, q=orientation * f.q, z=f.z,
+                      p=orientation * f.p, q0=f.q0)
+
+
+@pytest.mark.parametrize("orientation", [1.0, -1.0])
+def test_vertical_inflection_stands(orientation):
+    # t=1 exactly: dq/dq0 vanishes at q0=0 without a sign change, the shock
+    # birth's vertical inflection; the slice is a front without cusps
+    a = frontmod.analyze(_oriented(fish_front(t=1.0, n=4001), orientation))
+    assert a.cusps == () and a.doubles == ()
+    assert len(a.sections) == 1
+
+
+@pytest.mark.parametrize("orientation", [1.0, -1.0])
+def test_fold_inside_one_cell_is_nongeneric(orientation):
+    # just past t=1 the cusp pair spans 2*sqrt(2e-7) = 6.3e-4 in q0, inside
+    # the one cell of width 2*pi/3999 = 1.6e-3 around q0=0, so dq/dq0 keeps
+    # its sign on every cell; the cubic through the cell's four vertices
+    # dips to a slope of 1 - t = -5e-8 against the front's direction
+    f = _oriented(fish_front(t=1.0 + 5e-8, n=4000), orientation)
+    assert np.all(orientation * np.diff(f.q) > 0)
+    with pytest.raises(NonGeneric, match="more seeds resolve it"):
         frontmod.analyze(f)
-    # cusp detection alone does not reject the slice
-    assert sum(c.sign for c in frontmod.detect_cusps(f)) == 0
 
 
 def test_surgery_removes_triangle():

@@ -31,3 +31,15 @@ def test_evolve_states_argument_order():
     from hjminimax.characteristics import evolve_states
     params = list(inspect.signature(evolve_states).parameters)
     assert params[:4] == ["spec", "times", "seeds", "step"]
+
+
+@pytest.mark.parametrize("name, args, kwargs", [
+    ("default_seeds", ("spec", 800), {"t": 1.5}),
+    ("slice_analysis", ("spec", 1.5, "seeds"), {"step": 0.005}),
+    ("eliminate", ("front",), {}),
+    ("select_pointwise", ("analysis", 0.5), {}),
+])
+def test_direct_call_binds(name, args, kwargs):
+    # the benchmark's slice jobs and checks call these directly, in this form
+    from hjminimax import selector
+    inspect.signature(getattr(selector, name)).bind(*args, **kwargs)
