@@ -48,10 +48,6 @@ class IndexInconsistency(HJError):
     """Branch-index propagation from the two front ends disagrees."""
 
 
-class BallTooLarge(HJError):
-    """Surgery ball intersects a section not incident to the triangle vertex."""
-
-
 class DegenerateFiber(HJError):
     """Vertical fiber passes through a cusp projection or double point."""
 

@@ -3,12 +3,13 @@
 A front is a polyline in (q,z), ordered by the seed coordinate q0, carrying
 the momentum p per vertex. This module extracts cusps with signs, sections
 with branch indices, transversal double points, triangles hanging from
-homogeneous double points, the triangle surgery, and the conservative
-vanishing-triangle decision rule. A front is analysed at exactly its time:
-the vertical inflection of a perestroika stands, and only a fold hidden
-between two seeds is non-generic. Per-vertex and per-pair tests run as
-numpy array passes; a pass of points against edges works in chunks of at
-most CHUNK_ELEMENTS point-edge elements.
+homogeneous double points, the triangle surgery that cuts a loop out at its
+double point, and the conservative vanishing-triangle decision rule. A
+front is analysed at exactly its time: the vertical inflection of a
+perestroika stands, and only a fold hidden between two seeds is
+non-generic. Per-vertex and per-pair tests run as numpy array passes; a
+pass of points against edges works in chunks of at most CHUNK_ELEMENTS
+point-edge elements.
 """
 
 from __future__ import annotations
@@ -19,12 +20,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BallTooLarge, IndexInconsistency, NonGeneric, NotLong
+from .errors import IndexInconsistency, NonGeneric, NotLong
 
 ANGLE_TOL = 1e-6      # radians; smaller intersection angles are non-generic
 TIE_TOL = 1e-9        # (q,z) coincidence tolerance after bbox scaling
 DEGENERACY_TOL = 1e-4  # |dq/dq0| floor (bbox-scaled) for a vanishing-slope plateau
-BLEND_POINTS = 17     # interior vertices of the cubic blend a surgery inserts
 CHUNK_ELEMENTS = 4096  # point x edge elements per temporary of an array pass
 
 
@@ -82,16 +82,15 @@ class DoublePoint:
     sections: tuple[int, int]
     homogeneous: bool
     seg_a: int         # earlier segment along the curve
-    frac_a: float
+    frac_a: float      # where on seg_a the crossing lies, in (0, 1)
     seg_b: int
-    frac_b: float
 
 
 @dataclass(frozen=True)
 class Triangle:
     vertex: DoublePoint
-    start_seg: int     # loop runs from (start_seg, vertex.frac_a) ...
-    end_seg: int       # ... to (end_seg, vertex.frac_b)
+    start_seg: int     # loop runs from the vertex on start_seg ...
+    end_seg: int       # ... back to it on end_seg
     cusps: tuple[Cusp, Cusp]
     loop_sections: tuple[int, ...]
     branch_index: int  # shared index of the two branches at the vertex
@@ -123,8 +122,9 @@ def _check_tangency(f: FrontCurve):
     |dq/dq0| (bbox-scaled) has a local minimum below DEGENERACY_TOL without
     a sign change, is decided by the cubic through its four vertices q(q0):
     a slope below -TIE_TOL inside the cell is a hidden cusp pair, anything
-    else the vertical inflection of a perestroika. Cells touching a surgery
-    blend's vertices (origin < 0) are not tested: their q0 is a placeholder."""
+    else the vertical inflection of a perestroika. Cells touching a surgery's
+    corner vertex (origin < 0) are not tested: the slope across a corner is
+    not a front slope."""
     dq = np.diff(f.q)
     dq0 = np.diff(f.q0)
     wq, _ = f.bbox_scale()
@@ -223,7 +223,7 @@ def double_points(f: FrontCurve, sections: Sequence[Section] | None = None,
         return []
     cell = max(1e-9, float(np.median(np.linalg.norm(pts[1:] - pts[:-1], axis=1))) * 4.0)
     i, j = _hash_pairs(pts, cell)
-    i, u, j, v = _segment_intersections(pts, i, j)
+    i, u, j = _segment_intersections(pts, i, j)
     qx = f.q[i] + u * (f.q[i + 1] - f.q[i])
     zx = f.z[i] + u * (f.z[i + 1] - f.z[i])
 
@@ -249,7 +249,7 @@ def double_points(f: FrontCurve, sections: Sequence[Section] | None = None,
             ids = (-1, -1)
         result.append(DoublePoint(q=float(qx[k]), z=float(zx[k]), sections=ids,
                                   homogeneous=homog, seg_a=a, frac_a=float(u[k]),
-                                  seg_b=b, frac_b=float(v[k])))
+                                  seg_b=b))
     return result
 
 
@@ -301,7 +301,7 @@ def _section_of_segment(sections, seg):
 
 
 def _segment_intersections(pts, i, j):
-    """(i, u, j, v) of the pairs of segments i and j of the polyline pts that
+    """(i, u, j) of the pairs of segments i and j of the polyline pts that
     cross at params (u, v) in (0,1)x(0,1). Raises NonGeneric when a pair
     crosses tangentially (near-parallel and overlapping)."""
     a0, b0 = pts[i], pts[j]
@@ -326,7 +326,7 @@ def _segment_intersections(pts, i, j):
             raise NonGeneric("tangential self-intersection")
     eps = 1e-12
     hit = live & ~parallel & (eps < u) & (u < 1 - eps) & (eps < v) & (v < 1 - eps)
-    return i[hit], u[hit], j[hit], v[hit]
+    return i[hit], u[hit], j[hit]
 
 
 def find_triangles(f: FrontCurve, cusps: Sequence[Cusp],
@@ -429,7 +429,8 @@ def is_vanishing(f: FrontCurve, T: Triangle, sections: Sequence[Section],
 
 def default_ball_radius(f: FrontCurve, T: Triangle) -> float:
     """0.25 x (bbox-scaled) distance from the vertex to the nearest
-    non-incident front feature."""
+    non-incident front feature: the radius of the disc around a surgery's
+    corner that `eliminate` logs with its q-extent."""
     wq, wz = f.bbox_scale()
     d = T.vertex
     vx, vz = d.q / wq, d.z / wz
@@ -443,83 +444,39 @@ def default_ball_radius(f: FrontCurve, T: Triangle) -> float:
     return 0.25 * float(dmin)
 
 
-def remove_triangle(f: FrontCurve, T: Triangle, ball_radius: float):
-    """Delete the triangle subcurve and reconnect with a C1 cubic blend
-    inside a ball around the vertex. Outside the ball the front is untouched.
-    Returns the new front and the q-extent (q_lo, q_hi) of the replaced
-    subcurve, cut to cut."""
-    wq, wz = f.bbox_scale()
+def remove_triangle(f: FrontCurve, T: Triangle):
+    """Cut the triangle's loop out at its double point d: the vertices
+    seg_a+1 .. seg_b go, and one synthetic vertex (origin -1) at (d.q, d.z)
+    joins the two retained branches at a corner, the kink of the minimax
+    graph at the shock. It carries the incoming branch's p and q0 at
+    d.frac_a; every other vertex is kept as it is. Returns the new front and
+    the q-extent (q_lo, q_hi) of the replaced subcurve, the retained
+    vertices on either side of the cut."""
     d = T.vertex
-    vx, vz = d.q / wq, d.z / wz
+    a, b = d.seg_a, d.seg_b
 
-    dist = np.hypot(f.q / wq - vx, f.z / wz - vz)
+    def cut(x, at_d):
+        return np.concatenate([x[:a + 1], [at_d], x[b + 1:]])
 
-    # walk outward along the retained branches to the ball boundary
-    i1 = d.seg_a
-    while i1 > 0 and dist[i1] <= ball_radius:
-        i1 -= 1
-    i2 = d.seg_b + 1
-    while i2 < len(f) - 1 and dist[i2] <= ball_radius:
-        i2 += 1
-    if dist[i1] <= ball_radius or dist[i2] <= ball_radius:
-        raise BallTooLarge("ball swallows a retained noncompact branch")
+    def incoming(x):
+        return x[a] + d.frac_a * (x[a + 1] - x[a])
 
-    # third sections inside the ball: every vertex outside the two cut points
-    # (the incident branches and the loop between the cuts are exempt)
-    idx = np.arange(len(f))
-    third = np.flatnonzero(((idx <= i1) | (idx >= i2)) & (dist < ball_radius))
-    if len(third):
-        raise BallTooLarge(f"a third section enters the ball (vertex {third[0]})")
-
-    q1, z1 = f.q[i1], f.z[i1]
-    q2, z2 = f.q[i2], f.z[i2]
-    m1 = _segment_slope(f, i1)
-    m2 = _segment_slope(f, i2 - 1 if i2 > 0 else 0)
-    if not q1 < q2:
-        raise BallTooLarge("ball boundary points are not q-ordered; radius too large")
-
-    qs = np.linspace(q1, q2, BLEND_POINTS + 2)[1:-1]
-    h = q2 - q1
-    s = (qs - q1) / h
-    zs = hermite(s, h, z1, m1, z2, m2)
-    # p on the blend is the Hermite derivative dz/dq
-    ps = (6 * s ** 2 - 6 * s) / h * z1 + (3 * s ** 2 - 4 * s + 1) * m1 \
-        + (-6 * s ** 2 + 6 * s) / h * z2 + (3 * s ** 2 - 2 * s) * m2
-
-    new_q = np.concatenate([f.q[:i1 + 1], qs, f.q[i2:]])
-    new_z = np.concatenate([f.z[:i1 + 1], zs, f.z[i2:]])
-    new_p = np.concatenate([f.p[:i1 + 1], ps, f.p[i2:]])
-    # q0 on the blend is a monotone placeholder; origin=-1 marks it synthetic
-    blend_q0 = np.linspace(f.q0[i1], f.q0[i2], len(qs) + 2)[1:-1]
-    new_q0 = np.concatenate([f.q0[:i1 + 1], blend_q0, f.q0[i2:]])
-    new_origin = np.concatenate([f.origin[:i1 + 1], np.full(len(qs), -1, dtype=int),
-                                 f.origin[i2:]])
-    out = FrontCurve(time=f.time, q=new_q, z=new_z, p=new_p, q0=new_q0,
-                     origin=new_origin)
-    return out, (float(q1), float(q2))
-
-
-def hermite(s, h, z0, m0, z1, m1):
-    """Cubic Hermite interpolant at s in [0, 1] of values z0, z1 and slopes
-    m0, m1 at the two ends of an abscissa interval of length h."""
-    return hermite_powers(s, s ** 2, s ** 3, h, z0, m0, z1, m1)
+    out = FrontCurve(time=f.time, q=cut(f.q, d.q), z=cut(f.z, d.z),
+                     p=cut(f.p, incoming(f.p)), q0=cut(f.q0, incoming(f.q0)),
+                     origin=cut(f.origin, -1))
+    return out, (float(f.q[a]), float(f.q[b + 1]))
 
 
 def hermite_powers(s, s2, s3, h, z0, m0, z1, m1):
-    """`hermite` with s ** 2 and s ** 3 given: a caller that must round them
-    as Python floats do computes them itself."""
+    """Cubic Hermite interpolant at s in [0, 1] of values z0, z1 and slopes
+    m0, m1 at the two ends of an abscissa interval of length h, with s ** 2
+    and s ** 3 given: a caller that must round them as Python floats do
+    computes them itself."""
     h00 = 2 * s3 - 3 * s2 + 1
     h10 = s3 - 2 * s2 + s
     h01 = -2 * s3 + 3 * s2
     h11 = s3 - s2
     return h00 * z0 + h10 * h * m0 + h01 * z1 + h11 * h * m1
-
-
-def _segment_slope(f: FrontCurve, seg: int) -> float:
-    dq = f.q[seg + 1] - f.q[seg]
-    if dq == 0:
-        return float(f.p[seg])
-    return float((f.z[seg + 1] - f.z[seg]) / dq)
 
 
 def analyze(f: FrontCurve) -> FrontAnalysis:

@@ -4,8 +4,9 @@ The production path selects pointwise: the fiber critical points over each
 abscissa are coupled greedily and the free point is the minimax. All fibers
 of one front go through one array pass, `fiber_crossings`, and one coupling
 pass, `couple_fibers`, whether they are a grid row, a sweep or a single
-abscissa. The geometric validator removes vanishing triangles until the
-front is a graph; both must agree outside surgery balls. Every front, a
+abscissa. The geometric validator cuts vanishing triangles out at their
+double points until the front is the minimax graph, with a corner at each
+shock; both must agree outside the logged surgery regions. Every front, a
 grid row or a lone slice, is built by `_long_front` at exactly its time,
 and `default_seeds` gives both their seeds from one lattice.
 """
@@ -351,11 +352,11 @@ def _near_event(q, event_qs, slack):
 class Surgery:
     vertex_q: float
     vertex_z: float
-    ball_radius: float   # bbox-scaled
+    ball_radius: float   # bbox-scaled, of the surgery region around the corner
     loop_sections: tuple
     strict: bool     # False when selected by the smallest-loop fallback
-    q_lo: float      # q-extent of the replaced subcurve (cut to cut)
-    q_hi: float
+    q_lo: float      # q of the retained vertices on either side of the cut:
+    q_hi: float      # the q-extent of the replaced subcurve
 
 
 def triangle_is_coupled(analysis: FrontAnalysis, T) -> bool:
@@ -387,8 +388,10 @@ def _loop_area(f: FrontCurve, T) -> float:
 
 
 def eliminate(f: FrontCurve):
-    """Vanishing-triangle elimination loop (returns the smooth front and the
-    ordered surgery log). Each removal deletes one coupled pair.
+    """Vanishing-triangle elimination loop: returns the minimax graph, a
+    front with a corner at each shock, and the ordered surgery log. Each
+    surgery cuts one coupled triangle out at its double point, deleting one
+    coupled pair.
 
     When swallowtail loops overlap, their crossings can block each other
     under the strict vanishing rule even though every loop is coupled and
@@ -418,7 +421,7 @@ def eliminate(f: FrontCurve):
         candidates.sort(key=lambda T: (T.vertex.q, T.vertex.z))
         T = candidates[0]
         radius = frontmod.default_ball_radius(current, T)
-        current, (q_lo, q_hi) = frontmod.remove_triangle(current, T, radius)
+        current, (q_lo, q_hi) = frontmod.remove_triangle(current, T)
         log.append(Surgery(vertex_q=T.vertex.q, vertex_z=T.vertex.z,
                            ball_radius=radius, loop_sections=T.loop_sections,
                            strict=strict, q_lo=q_lo, q_hi=q_hi))

@@ -48,7 +48,7 @@ def hermite_z(f, seg, s):
     if not (np.isfinite(m0) and np.isfinite(m1)) or \
             max(abs(m0 - lin), abs(m1 - lin)) > 10.0 * (1.0 + abs(lin)):
         return float(z0 + s * (z1 - z0))
-    return float(frontmod.hermite(s, h, z0, m0, z1, m1))
+    return float(frontmod.hermite_powers(s, s ** 2, s ** 3, h, z0, m0, z1, m1))
 
 
 def raw_crossings(f, q):

@@ -81,19 +81,19 @@ def double_points(f, sections=None, cusps=()):
                 hit = segment_intersection(pts[i], pts[i + 1], pts[j], pts[j + 1])
                 if hit is None:
                     continue
-                u, v = hit
+                u, _ = hit
                 qx = f.q[i] + u * (f.q[i + 1] - f.q[i])
                 zx = f.z[i] + u * (f.z[i + 1] - f.z[i])
-                found.append((i, u, j, v, qx, zx))
+                found.append((i, u, j, qx, zx))
 
     wq, wz = f.bbox_scale()
     for c in cusps:
-        for i, u, j, v, qx, zx in found:
+        for i, u, j, qx, zx in found:
             if abs(qx - c.q) / wq < 10 * TIE_TOL and abs(zx - c.z) / wz < 10 * TIE_TOL:
                 raise NonGeneric("cusp and double point coincide (degenerate time slice)")
 
     result = []
-    for i, u, j, v, qx, zx in sorted(found):
+    for i, u, j, qx, zx in sorted(found):
         if sections is not None:
             sa = frontmod._section_of_segment(sections, i)
             sb = frontmod._section_of_segment(sections, j)
@@ -104,7 +104,7 @@ def double_points(f, sections=None, cusps=()):
             ids = (-1, -1)
         result.append(DoublePoint(q=float(qx), z=float(zx), sections=ids,
                                   homogeneous=homog, seg_a=i, frac_a=float(u),
-                                  seg_b=j, frac_b=float(v)))
+                                  seg_b=j))
     return result
 
 
@@ -113,14 +113,16 @@ def is_vanishing(f, T, sections, doubles):
     qx, zx = frontmod._loop_polygon(f, T)
     wq, wz = f.bbox_scale()
     lo, hi = T.start_seg, T.end_seg
+    # Python floats round as numpy's float64 scalars do, and loop faster
+    qx_list, zx_list = qx.tolist(), zx.tolist()
 
     for v in range(len(f)):
         if lo + 1 <= v <= hi:
             continue
-        qv, zv = f.q[v], f.z[v]
+        qv, zv = float(f.q[v]), float(f.z[v])
         on_boundary = np.any((np.abs(qx - qv) / wq < 10 * TIE_TOL)
                              & (np.abs(zx - zv) / wz < 10 * TIE_TOL))
-        if not on_boundary and point_in_polygon(qx, zx, qv, zv):
+        if not on_boundary and point_in_polygon(qx_list, zx_list, qv, zv):
             return False
 
     for d in doubles:

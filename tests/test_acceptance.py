@@ -183,10 +183,10 @@ def test_criterion_5_elimination_agrees_with_pointwise(slice_suite):
                 v -= 1
             o = int(smooth.origin[v])
             if o < 0:
-                # synthetic blend vertex: no section id to compare, but the
-                # blend point itself must sit in a declared surgery region
+                # a surgery's corner vertex: no section id to compare, but
+                # the corner itself must sit in a declared surgery region
                 assert in_surgery_region(q, float(smooth.z[v])), \
-                    f"{name} t={t}: blend at q={q:.3f} outside surgery regions"
+                    f"{name} t={t}: corner at q={q:.3f} outside surgery regions"
                 continue
             total += 1
             if ana.section_of_vertex(o).id == sec_p:

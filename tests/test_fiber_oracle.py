@@ -173,7 +173,7 @@ def polyline_and_grid(draw):
     events = st.lists(st.sampled_from(grid + [0.3, -1.1]), max_size=2)
     cusps = tuple(Cusp(q=c, z=0.0, sign=1, vertex=1) for c in draw(events))
     doubles = tuple(DoublePoint(q=d, z=0.0, sections=(0, 0), homogeneous=False,
-                                seg_a=0, frac_a=0.5, seg_b=1, frac_b=0.5)
+                                seg_a=0, frac_a=0.5, seg_b=1)
                     for d in draw(events))
     return FrontAnalysis(front=f, cusps=cusps, sections=sections, doubles=doubles,
                          triangles=()), np.array(grid)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+import front_oracle as oracle
 from hjminimax import front as frontmod
-from hjminimax.errors import BallTooLarge, NonGeneric, NotLong
-from hjminimax.front import FrontCurve
+from hjminimax.errors import NonGeneric, NotLong
+from hjminimax.front import DoublePoint, FrontCurve
 
 
 def fish_front(t=1.5, n=3001, half_width=np.pi):
@@ -121,49 +122,83 @@ def test_surgery_removes_triangle():
     f = fish_front()
     a = frontmod.analyze(f)
     T = a.triangles[0]
-    g, _ = frontmod.remove_triangle(f, T, frontmod.default_ball_radius(f, T))
+    g, _ = frontmod.remove_triangle(f, T)
     a2 = frontmod.analyze(g)
     assert a2.cusps == () and a2.doubles == ()
     assert np.all(np.diff(g.q) > 0)
-    # synthetic blend vertices are marked
+    # the synthetic corner vertex is marked
     assert np.any(g.origin == -1)
     assert np.all(np.isfinite(g.q0))
 
 
-def test_surgery_preserves_front_outside_ball():
-    f = fish_front()
-    a = frontmod.analyze(f)
+@pytest.mark.parametrize("which", ["fish", "burgers_front_t15"])
+def test_surgery_keeps_every_vertex_off_the_loop(which, request):
+    a = frontmod.analyze(fish_front()) if which == "fish" \
+        else request.getfixturevalue(which)
+    f = a.front
     T = a.triangles[0]
-    radius = frontmod.default_ball_radius(f, T)
-    g, (q_lo, q_hi) = frontmod.remove_triangle(f, T, radius)
-    assert q_lo < T.vertex.q < q_hi
-    wq, wz = f.bbox_scale()
-    # vertices off the loop and outside the ball must be bitwise retained
-    idx = np.arange(len(f))
-    off_loop = (idx <= T.start_seg) | (idx > T.end_seg)
-    far = np.abs(f.q / wq - T.vertex.q / wq) > 4 * radius
-    kept_q = set(np.round(g.q[g.origin >= 0], 12))
-    assert set(np.round(f.q[off_loop & far], 12)) <= kept_q
-
-
-def test_surgery_ball_too_large():
-    f = fish_front()
-    a = frontmod.analyze(f)
-    with pytest.raises(BallTooLarge):
-        frontmod.remove_triangle(f, a.triangles[0], ball_radius=10.0)
+    d = T.vertex
+    g, (q_lo, q_hi) = frontmod.remove_triangle(f, T)
+    assert q_lo < d.q < q_hi
+    # one corner vertex at the double point, every off-loop vertex bit for bit
+    (k,) = np.flatnonzero(g.origin == -1)
+    assert k == T.start_seg + 1
+    assert (g.q[k], g.z[k]) == (d.q, d.z)
+    off_loop = np.r_[0:T.start_seg + 1, T.end_seg + 1:len(f)]
+    kept = np.r_[0:k, k + 1:len(g)]
+    for x, y in ((f.q, g.q), (f.z, g.z), (f.p, g.p), (f.q0, g.q0), (f.origin, g.origin)):
+        assert np.array_equal(x[off_loop], y[kept])
 
 
 def test_double_point_blocks_vanishing():
-    # a second front copy crossing the loop must block the vanishing rule:
-    # build a 5-cusp front by superposing a deeper fold inside the fish loop
+    # rule (i): an outside vertex strictly inside the loop polygon blocks
     f = fish_front()
     a = frontmod.analyze(f)
     T = a.triangles[0]
-    # fabricate an outside vertex strictly inside the loop polygon
     qx, zx = frontmod._loop_polygon(f, T)
     q_in = float(T.vertex.q)
     z_in = float(T.vertex.z) + 0.55 * (max(zx) - float(T.vertex.z))
     assert frontmod._point_in_polygon(qx, zx, np.array([q_in]), np.array([z_in]))[0]
+    assert frontmod.is_vanishing(f, T, a.sections, a.doubles)
+    q, z = f.q.copy(), f.z.copy()
+    q[5], z[5] = q_in, z_in  # a vertex of the left noncompact section
+    g = FrontCurve(time=f.time, q=q, z=z, p=f.p, q0=f.q0)
+    assert not frontmod.is_vanishing(g, T, a.sections, a.doubles)
+    assert not oracle.is_vanishing(g, T, a.sections, a.doubles)
+
+
+# Burgers at t=1.5 carries two swallowtails: sections 0..4 of indices
+# 0, 1, 0, 1, 0, triangle 0 looping over sections (0, 1, 2) and triangle 1
+# over (2, 3, 4), both of branch index 0. Each case links a segment of
+# section `loop_sec` on the triangle's loop to one of section `out_sec`.
+@pytest.mark.parametrize("tri, loop_sec, out_sec, homogeneous, vanishing", [
+    (0, 1, 3, True, False),   # (ii) homogeneous, with a section off the loop
+    (1, 3, 1, True, False),
+    (0, 1, 4, False, False),  # (iii) a section of the branch index off the loop
+    (1, 3, 0, False, False),
+    (0, 1, 2, True, True),    # the loop's own section 2, past the vertex
+    (0, 2, 3, False, True),   # index 1 off the loop, not homogeneous
+])
+def test_arc_crossings_block_vanishing(burgers_front_t15, tri, loop_sec,
+                                       out_sec, homogeneous, vanishing):
+    a = burgers_front_t15
+    T = a.triangles[tri]
+    assert [s.index for s in a.sections] == [0, 1, 0, 1, 0]
+    assert T.loop_sections == ((0, 1, 2), (2, 3, 4))[tri]
+    assert frontmod.is_vanishing(a.front, T, a.sections, a.doubles)
+
+    def segment(sec, on_loop):
+        """The middle one of section sec's segments on (or off) the loop."""
+        segs = np.arange(a.sections[sec].start, a.sections[sec].end)
+        segs = segs[((T.start_seg < segs) & (segs < T.end_seg)) == on_loop]
+        return int(segs[len(segs) // 2])
+
+    seg_a, seg_b = sorted((segment(loop_sec, True), segment(out_sec, False)))
+    d = DoublePoint(q=0.0, z=0.0, sections=(-1, -1), homogeneous=homogeneous,
+                    seg_a=seg_a, frac_a=0.5, seg_b=seg_b)
+    doubles = a.doubles + (d,)
+    assert frontmod.is_vanishing(a.front, T, a.sections, doubles) is vanishing
+    assert oracle.is_vanishing(a.front, T, a.sections, doubles) is vanishing
 
 
 def test_front_json_schema(burgers_front_t15):

@@ -95,7 +95,7 @@ def test_eliminate_agrees_with_pointwise(fish):
     smooth, log = selector.eliminate(fish.front)
     for q in np.linspace(-2.5, 2.5, 101):
         if abs(q - log[0].vertex_q) < 0.05:
-            continue  # inside the surgery ball
+            continue  # at the corner the surgery leaves at the shock
         z_pt, _ = selector.select_pointwise(fish, q)
         z_el = float(np.interp(q, smooth.q, smooth.z))
         assert z_el == pytest.approx(z_pt, abs=1e-4)
