@@ -8,7 +8,10 @@ any other H is integrated by classical RK4. The RK4 stages are summed in
 place, in buffers the flow owns, with the rounding of the textbook
 out-of-place update; the slopes come from H's compiled program, whose
 arrays never alias the strand state. Strands are independent; both paths
-are vectorized over seeds and deterministic for a fixed step.
+are vectorized over seeds. An explicit step is used as given; without one
+the RK4 step is chosen by step doubling on a fixed subsample of the seeds
+(`_choose_step`), so the strands depend only on the spec, the times and
+the seeds.
 
 On a periodic domain the strand from q0 + k*L is the strand from q0 moved
 by k*L, with the same p and z, when u0 and H repeat with period L. So when
@@ -25,12 +28,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NonFinite
+from .errors import DomainError, NonFinite
 from .expr import Expression
 
 # relative agreement of u0 and H at seeds one period apart that lets
 # `evolve_states` flow one period and copy the rest
 REPEAT_TOL = 1e-12
+# error allowed at the last output time, relative to max(1, max|z|), when
+# `evolve_states` chooses the RK4 step itself
+RK4_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -69,7 +75,8 @@ class ProblemSpec:
             raise ValueError("t_max must be positive and finite")
 
     def default_step(self):
-        """RK4 substep, used only when H reads q or t."""
+        """The finest RK4 substep `evolve_states` chooses by itself, and the
+        one it falls back to when no coarser step meets RK4_TOL."""
         return self.t_max / 2000.0
 
 
@@ -141,6 +148,35 @@ def _rk4_span(spec, t0, t1, q, p, z, step):
             a *= dt / 6.0
             x += a
     return q, p, z
+
+
+def _choose_step(spec: ProblemSpec, t_end, q, p, z):
+    """The RK4 step for flowing the strands q, p, z from 0 to t_end.
+
+    Step doubling on every 16th strand: flow them to t_end in m and in 2m
+    uniform substeps, m starting at ceil(50 t_end / t_max), and estimate the
+    error of the m-substep flow as 16/15 of the largest difference in q, p
+    or z. The first step t_end/m whose estimate is at most
+    RK4_TOL * max(1, max|z|) is returned; each level's 2m flow is the next
+    level's m flow. When no step down to `default_step()` passes, when the
+    estimate is not finite, or when a probe leaves H's domain, the result
+    is `default_step()`: the chosen step is never finer than that floor."""
+    floor = spec.default_step()
+    q, p, z = q[::16], p[::16], z[::16]
+    m = max(1, math.ceil(50 * t_end / spec.t_max - 1e-12))
+    try:
+        coarse = _rk4_span(spec, 0.0, t_end, q, p, z, t_end / m)
+        while t_end / m >= floor:
+            fine = _rk4_span(spec, 0.0, t_end, q, p, z, t_end / (2 * m))
+            err = 16 / 15 * float(np.max(np.abs(np.subtract(fine, coarse))))
+            if not math.isfinite(err):
+                break
+            if err <= RK4_TOL * max(1.0, float(np.max(np.abs(fine[2])))):
+                return t_end / m
+            coarse, m = fine, 2 * m
+    except (NonFinite, DomainError):
+        pass
+    return floor
 
 
 def _window_stops(domain: Windowed, q0, hp):
@@ -229,8 +265,10 @@ def evolve_states(spec: ProblemSpec, times: Sequence[float], seeds,
     Returns (Q, P, Z), each of shape (len(times), len(seeds)). When H
     depends on p alone every row is the closed form and step goes unused;
     otherwise each inter-time span is subdivided into uniform RK4 substeps
-    of size <= step. When the seeds and the data repeat with the period
-    (see `_period_width`), one period is flowed and the rest are its
+    of size <= step. Without a step, `_choose_step` picks the first of
+    about t_max/50, t_max/100, ... whose step-doubling error estimate at
+    times[-1] meets RK4_TOL, and never one finer than `spec.default_step()`. When the seeds and the data repeat with the
+    period (see `_period_width`), one period is flowed and the rest are its
     copies moved by k*L.
     """
     times = list(times)
@@ -238,9 +276,7 @@ def evolve_states(spec: ProblemSpec, times: Sequence[float], seeds,
         raise ValueError("times must be sorted")
     if times and (times[0] < 0 or times[-1] > spec.t_max + 1e-12):
         raise ValueError("times must lie in [0, t_max]")
-    if step is None:
-        step = spec.default_step()
-    if not 0 < step < math.inf:
+    if step is not None and not 0 < step < math.inf:
         raise ValueError("step must be positive and finite")
     seeds = np.asarray(seeds, dtype=float)
 
@@ -255,6 +291,8 @@ def evolve_states(spec: ProblemSpec, times: Sequence[float], seeds,
     if spec.H.variables <= {"p"}:
         _straight_lines(spec, times, q, p, z, Qn, Pn, Zn)
     else:
+        if step is None:
+            step = _choose_step(spec, times[-1] if times else 0.0, q, p, z)
         t_prev = 0.0
         for k, t in enumerate(times):
             q, p, z = _rk4_span(spec, t_prev, t, q, p, z, step)

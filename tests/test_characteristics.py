@@ -127,6 +127,93 @@ def test_rk4_fourth_order():
     assert errs[1] / errs[2] >= 8.0
 
 
+def _max_error(got, want):
+    return max(np.abs(g - w).max() for g, w in zip(got, want))
+
+
+def test_chosen_step_meets_the_tolerance_on_the_exact_flow():
+    # H = q*p flows q -> q0 e^t, p -> p0 e^-t and keeps z = u0(q0)
+    spec = hj.ProblemSpec(H=hj.parse("q*p"), u0=hj.parse("cos(q)"),
+                          domain=hj.Windowed(-50.0, 50.0), t_max=2.0)
+    seeds = np.linspace(-2.0, 2.0, 161)
+    times = [0.5, 1.0, 2.0]
+    got = chars.evolve_states(spec, times, seeds)
+    t = np.array(times)[:, None]
+    exact = (seeds * np.exp(t), -np.sin(seeds) * np.exp(-t), np.cos(seeds) + 0 * t)
+    assert _max_error(got, exact) <= chars.RK4_TOL * max(1.0, np.abs(exact[2]).max())
+    # coarser than the floor, so the step was chosen
+    step = chars._choose_step(spec, 2.0, *chars.initial_state(spec, seeds))
+    assert spec.default_step() < step <= spec.t_max / 50
+
+
+def test_chosen_step_meets_the_tolerance_on_qflow():
+    # qflow's H on its periodic domain, against a t_max/16000 reference
+    spec = hj.ProblemSpec(H=hj.parse(QFLOW_H), u0=hj.parse("cos(q)"),
+                          domain=hj.Periodic(2 * np.pi), t_max=2.0)
+    seeds = selector.default_seeds(spec, 64)
+    times = np.linspace(0.0, 2.0, 64)
+    got = chars.evolve_states(spec, times, seeds)
+    want = chars.evolve_states(spec, times, seeds, spec.t_max / 16000)
+    assert _max_error(got, want) <= chars.RK4_TOL * max(1.0, np.abs(want[2]).max())
+
+
+def test_probe_leaving_the_domain_falls_back_to_the_floor():
+    # dq/dt = -150 q: a t_max/50 RK4 stage overshoots q = 0, where sqrt(q)
+    # is undefined, while the floor step keeps every q positive
+    spec = hj.ProblemSpec(H=hj.parse("-150*q*p + 0.001*sqrt(q)"), u0=hj.parse("0*q"),
+                          domain=hj.Windowed(-50.0, 50.0), t_max=1.0)
+    seeds = np.linspace(0.5, 2.0, 5)
+    state = chars.initial_state(spec, seeds)
+    assert chars._choose_step(spec, 1.0, *state) == spec.default_step()
+    Q, _, _ = chars.evolve_states(spec, [0.5, 1.0], seeds)
+    assert np.all(Q > 0)
+
+
+def _count_rk4_spans(monkeypatch):
+    calls = []
+    rk4_span = chars._rk4_span
+
+    def counted(*args):
+        calls.append(args)
+        return rk4_span(*args)
+    monkeypatch.setattr(chars, "_rk4_span", counted)
+    return calls
+
+
+@pytest.mark.parametrize("h, step", [("p^2/2", None), ("cos(p) - 1", None),
+                                     (QFLOW_H, 0.01), (QFLOW_H, 0.001)])
+def test_no_probe_for_a_p_only_h_or_an_explicit_step(monkeypatch, h, step):
+    # a p-only H flows in closed form, with no RK4 span, and an explicit
+    # step takes one span per output time at that step: neither probes
+    spec = hj.ProblemSpec(H=hj.parse(h), u0=hj.parse("cos(q)"),
+                          domain=hj.Periodic(2 * np.pi), t_max=2.0)
+    calls = _count_rk4_spans(monkeypatch)
+    chars.evolve_states(spec, TIMES, np.linspace(-1.0, 7.0, 101), step)
+    assert len(calls) == (0 if step is None else len(TIMES))
+    assert all(c[-1] == step for c in calls)
+
+
+@pytest.mark.parametrize("tol", [chars.RK4_TOL, 0.0])
+def test_no_step_probes_only_a_subsample(monkeypatch, tol):
+    # the probe flows every 16th strand, each level from 0 to the last time
+    # at half the step of the one before; with nothing passing it stops at
+    # the floor and the flow takes the floor step
+    monkeypatch.setattr(chars, "RK4_TOL", tol)
+    spec = hj.ProblemSpec(H=hj.parse(QFLOW_H), u0=hj.parse("cos(q)"),
+                          domain=hj.Periodic(2 * np.pi), t_max=2.0)
+    calls = _count_rk4_spans(monkeypatch)
+    chars.evolve_states(spec, TIMES, np.linspace(-1.0, 7.0, 101))
+    probes, flow = calls[:-len(TIMES)], calls[-len(TIMES):]
+    assert all(c[1:3] == (0.0, 2.0) and len(c[3]) == 7 for c in probes)
+    steps = [c[-1] for c in probes]
+    assert steps[:2] == [2.0 / 50, 2.0 / 100]
+    assert all(a == 2 * b for a, b in zip(steps, steps[1:]))
+    chosen = steps[-2] if tol else spec.default_step()
+    if not tol:
+        assert steps[-1] == 2.0 / 3200  # the fine flow of the last level >= floor
+    assert all(len(c[3]) == 101 and c[-1] == chosen for c in flow)
+
+
 @pytest.mark.parametrize("step", [0.0, -0.1, np.inf, np.nan])
 def test_step_must_be_positive_and_finite(step):
     # an infinite step would take one RK4 substep per output interval
@@ -210,3 +297,12 @@ def test_nonfinite_detected():
     spec = hj.ProblemSpec(H=H, u0=u0, domain=hj.Windowed(-1e300, 1e300), t_max=5.0)
     with pytest.raises(NonFinite):
         chars.evolve(spec, 5.0, [3.0], step=0.05)
+
+
+def test_nonfinite_detected_with_a_chosen_step():
+    # the probe meets the same overflow and hands the flow the floor step,
+    # which raises as it always did
+    spec = hj.ProblemSpec(H=hj.parse("exp(q)*p"), u0=hj.parse("q^2"),
+                          domain=hj.Windowed(-1e300, 1e300), t_max=5.0)
+    with pytest.raises(NonFinite, match=r"non-finite value in eval of 'exp\(q\)\*p'"):
+        chars.evolve(spec, 5.0, [3.0])

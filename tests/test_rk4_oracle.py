@@ -9,10 +9,11 @@ import rk4_oracle as oracle
 from hjminimax import characteristics as chars
 
 _CASES = {
-    # the qflow benchmark's H on its periodic domain, 64 output times
+    # the qflow benchmark's H on its periodic domain, 64 output times, at
+    # the step `default_step()` gives it
     "qflow": (hj.ProblemSpec(H=hj.parse("p^2/2 + 0.5*sin(q)*cos(t)"), u0=hj.parse("cos(q)"),
                              domain=hj.Periodic(2 * np.pi), t_max=2.0),
-              np.linspace(0.0, 2.0, 64), np.linspace(-1.0, 7.3, 257), None),
+              np.linspace(0.0, 2.0, 64), np.linspace(-1.0, 7.3, 257), 2.0 / 2000),
     # strands that reach the window's edge freeze there, within a substep
     "window": (hj.ProblemSpec(H=hj.parse("(1 + t)*p^2/2"), u0=hj.parse("2*sin(q)"),
                               domain=hj.Windowed(-2.0, 2.0), t_max=1.0),
@@ -48,7 +49,18 @@ def test_rk4_span_leaves_its_arguments_unchanged(case):
     spec, times, seeds, step = _CASES[case]
     state = chars.initial_state(spec, seeds)
     before = [x.copy() for x in state]
-    out = chars._rk4_span(spec, 0.0, times[-1], *state, step or spec.default_step())
+    out = chars._rk4_span(spec, 0.0, times[-1], *state, step)
     for x, b, o in zip(state, before, out):
         assert _bits(x) == _bits(b)
         assert not np.shares_memory(o, x)
+
+
+def test_no_step_flows_at_the_chosen_step():
+    # without a step the strands are the ones the chosen step gives
+    spec, times, seeds, _ = _CASES["qflow"]
+    chosen = chars._choose_step(spec, times[-1], *chars.initial_state(spec, seeds))
+    assert chosen > spec.default_step()
+    got = chars.evolve_states(spec, times, seeds)
+    want = chars.evolve_states(spec, times, seeds, chosen)
+    for g, w in zip(got, want):
+        assert _bits(g) == _bits(w)
