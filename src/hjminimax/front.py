@@ -158,38 +158,43 @@ def _check_tangency(f: FrontCurve):
 def detect_cusps(f: FrontCurve) -> list[Cusp]:
     """Cusps sit where dq/dq0 changes sign between consecutive cells.
 
-    Positions are refined by a local quadratic fit in q0. The sign follows
-    the coorientation rule: positive when the traversal passes onto the
-    branch lying above (in +z) the branch it leaves. In the Legendrian
-    normal form near a cusp, q = a s^2 and p = p_c + b s, so dz = p dq
-    gives the branches z(s) - z(-s) = (4/3) a b s^3: the sign is that of
-    a b, read off the vertices around the cusp. Only cusps are found here
-    and nothing is raised: the tangency check is `analyze`'s.
+    All reversal vertices v are refined in one array pass. Each is interior,
+    and the quadratics through its three vertices v-1, v, v+1 for q(q0) and
+    z(q0) come in closed form from divided differences in x = q0 - q0[v].
+    The cusp is at the turning point x* = -b/(2a) of q's quadratic, clipped
+    to the nearer of the two neighbours' |x|; on coincident q0 or a == 0 it
+    is the vertex v itself. The sign follows the coorientation rule: positive when
+    the traversal passes onto the branch lying above (in +z) the branch it
+    leaves. In the Legendrian normal form near a cusp, q = a s^2 and
+    p = p_c + b s, so dz = p dq gives the branches z(s) - z(-s) =
+    (4/3) a b s^3: the sign is that of a b, read off the vertices around
+    the cusp. Only cusps are found here and nothing is raised: the tangency
+    check is `analyze`'s.
     """
     dq = np.diff(f.q)
-    cusps = []
-    for i in np.flatnonzero(dq[:-1] * dq[1:] < 0).tolist():
-        v = i + 1  # vertex where the direction reverses
-        qc, zc = _refine_cusp(f, v)
-        sign = 1 if (f.q[v + 1] - f.q[v]) * (f.p[v + 1] - f.p[v - 1]) >= 0 else -1
-        cusps.append(Cusp(q=qc, z=zc, sign=sign, vertex=v))
-    return cusps
+    v = np.flatnonzero(dq[:-1] * dq[1:] < 0) + 1  # vertices where the direction reverses
+    x_lo = f.q0[v - 1] - f.q0[v]
+    x_hi = f.q0[v + 1] - f.q0[v]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        aq, bq = _quadratic(f.q, v, x_lo, x_hi)
+        az, bz = _quadratic(f.z, v, x_lo, x_hi)
+        flat = (x_lo == 0) | (x_hi == 0) | (x_lo == x_hi) | (aq == 0)
+        reach = np.minimum(np.abs(x_lo), np.abs(x_hi))
+        x = np.where(flat, 0.0, np.clip(-bq / (2.0 * aq), -reach, reach))
+        qc = np.where(flat, f.q[v], (aq * x + bq) * x + f.q[v])
+        zc = np.where(flat, f.z[v], (az * x + bz) * x + f.z[v])
+    sign = np.where((f.q[v + 1] - f.q[v]) * (f.p[v + 1] - f.p[v - 1]) >= 0, 1, -1)
+    return [Cusp(q=a, z=b, sign=c, vertex=d) for a, b, c, d in
+            zip(qc.tolist(), zc.tolist(), sign.tolist(), v.tolist())]
 
 
-def _refine_cusp(f: FrontCurve, v: int):
-    """Quadratic fit of q(q0) and z(q0) through the reversal vertex."""
-    lo, hi = max(0, v - 1), min(len(f) - 1, v + 1)
-    s = f.q0[lo:hi + 1]
-    if len(s) < 3 or len(set(s)) < 3:
-        return float(f.q[v]), float(f.z[v])
-    cq = np.polyfit(s - f.q0[v], f.q[lo:hi + 1], 2)
-    cz = np.polyfit(s - f.q0[v], f.z[lo:hi + 1], 2)
-    if cq[0] == 0:
-        return float(f.q[v]), float(f.z[v])
-    s_star = -cq[1] / (2.0 * cq[0])
-    ds = min(abs(f.q0[v] - f.q0[lo]), abs(f.q0[hi] - f.q0[v]))
-    s_star = float(np.clip(s_star, -ds, ds))
-    return float(np.polyval(cq, s_star)), float(np.polyval(cz, s_star))
+def _quadratic(y, v, x_lo, x_hi):
+    """(a, b) of the quadratics a x^2 + b x + y[v] through (x_lo, y[v-1]),
+    (0, y[v]) and (x_hi, y[v+1]), from divided differences."""
+    d_lo = (y[v] - y[v - 1]) / -x_lo
+    d_hi = (y[v + 1] - y[v]) / x_hi
+    width = x_hi - x_lo
+    return (d_hi - d_lo) / width, (d_lo * x_hi - d_hi * x_lo) / width
 
 
 def split_sections(f: FrontCurve, cusps: Sequence[Cusp]) -> list[Section]:

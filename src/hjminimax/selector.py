@@ -21,8 +21,7 @@ import numpy as np
 from . import characteristics as chars
 from . import front as frontmod
 from . import morse1d
-from .errors import (DegenerateFiber, InconsistentSweep, MalformedInput,
-                     NoVanishingTriangle, NonGeneric)
+from .errors import DegenerateFiber, InconsistentSweep, NoVanishingTriangle
 from .front import FrontAnalysis, FrontCurve
 
 SWEEP_FIBERS = 512   # fibers `_sweep` lays across a front
@@ -185,7 +184,7 @@ class Coupling:
     """The coupling of every fiber of `fibers`. `free[k]` is the crossing
     number of fiber k's free point, -1 on a fiber in `failed`, which maps
     each fiber that cannot be coupled to the error it raises. `pairs[k]`
-    holds the (upper, lower) crossing numbers of fiber k's coupled pairs, in
+    holds the [upper, lower] crossing numbers of fiber k's coupled pairs, in
     greedy order, for each coupled fiber of three or more crossings."""
     fibers: Fibers
     free: np.ndarray
@@ -194,27 +193,28 @@ class Coupling:
 
 
 def couple_fibers(fibers: Fibers) -> Coupling:
-    """Greedy coupling of every fiber: one crossing is free, and every fiber
-    of three or more goes through `morse1d.couple` on its crossings'
-    values and branch indices."""
+    """Greedy coupling of every fiber: one crossing is free. The fibers of
+    three or more crossings are grouped by crossing count, and each group
+    goes through one `morse1d.couple_rows` call on its crossings' values
+    and branch indices."""
     fb = fibers
     counts = fb.counts()
     failed = dict(fb.failed)
-    free = np.where(counts == 1, fb.bounds[:-1], -1)
-    free[list(failed)] = -1
+    ok = np.ones(len(counts), dtype=bool)
+    ok[list(failed)] = False
+    free = np.where(ok & (counts == 1), fb.bounds[:-1], -1)
     pairs = {}
-    z, index, bounds = fb.z.tolist(), fb.index.tolist(), fb.bounds.tolist()
-    for k in np.flatnonzero(counts >= 3).tolist():
-        if k in failed:
-            continue
-        lo, hi = bounds[k], bounds[k + 1]
-        try:
-            j, prs = morse1d.couple(z[lo:hi], index[lo:hi])
-        except (MalformedInput, NonGeneric) as exc:
-            failed[k] = exc
-            continue
-        free[k] = lo + j
-        pairs[k] = [(lo + u, lo + v) for u, v in prs]
+    for c in np.unique(counts[ok & (counts >= 3)]).tolist():
+        ks = np.flatnonzero(ok & (counts == c))
+        lo = fb.bounds[ks]
+        at = lo[:, None] + np.arange(c)
+        j, prs, bad = morse1d.couple_rows(fb.z[at], fb.index[at])
+        for r, exc in bad.items():
+            failed[int(ks[r])] = exc
+        good = j >= 0
+        free[ks[good]] = lo[good] + j[good]
+        pairs.update(zip(ks[good].tolist(),
+                         (prs[good] + lo[good, None, None]).tolist()))
     return Coupling(fibers=fb, free=free, failed=failed, pairs=pairs)
 
 

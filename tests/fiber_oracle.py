@@ -3,8 +3,9 @@
 This is the one-fiber-at-a-time path the batched pass replaced, kept only
 as a test oracle: per abscissa it scans every front segment, interpolates
 each crossing with a scalar cubic Hermite, looks its section up by a linear
-scan and couples the fiber with `morse1d.couple`. On the same input the
-batched pass must give the same values bit for bit and the same errors.
+scan and couples the fiber with the scalar loop `morse_oracle.couple`. On
+the same input the batched pass must give the same values bit for bit and
+the same errors.
 
 Its crossing test, `(qa - q) * (qb - q) < 0`, is the batched pass's
 "strictly between qa and qb" unless that product underflows to zero, which
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+import morse_oracle
 from hjminimax import front as frontmod
-from hjminimax import morse1d
 from hjminimax.errors import DegenerateFiber
 from hjminimax.selector import FIBER_TOL
 
@@ -93,7 +94,7 @@ def coupled_fiber(analysis, q):
     pts = fiber_points(analysis, q)
     if len(pts) == 1:
         return pts, 0, []
-    free, pairs = morse1d.couple([pt.z for pt in pts], [pt.index for pt in pts])
+    free, pairs = morse_oracle.couple([pt.z for pt in pts], [pt.index for pt in pts])
     return pts, free, pairs
 
 

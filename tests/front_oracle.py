@@ -2,14 +2,44 @@
 
 These are the per-vertex and per-pair loops the array code replaced, kept
 only as test oracles: on the same input the array passes must give the
-same booleans, the same double points (bit for bit) and the same errors.
+same booleans, the same double points (bit for bit) and the same errors,
+and the same cusps with positions to rounding.
 """
 
 import numpy as np
 
 from hjminimax import front as frontmod
 from hjminimax.errors import NonGeneric
-from hjminimax.front import TIE_TOL, DoublePoint
+from hjminimax.front import TIE_TOL, Cusp, DoublePoint
+
+
+def detect_cusps(f):
+    """One cusp per reversal vertex, each refined by `refine_cusp`."""
+    dq = np.diff(f.q)
+    cusps = []
+    for i in np.flatnonzero(dq[:-1] * dq[1:] < 0).tolist():
+        v = i + 1
+        qc, zc = refine_cusp(f, v)
+        sign = 1 if (f.q[v + 1] - f.q[v]) * (f.p[v + 1] - f.p[v - 1]) >= 0 else -1
+        cusps.append(Cusp(q=qc, z=zc, sign=sign, vertex=v))
+    return cusps
+
+
+def refine_cusp(f, v):
+    """Least-squares quadratic fit (`np.polyfit`) of q(q0) and z(q0) through
+    the reversal vertex and its neighbours."""
+    lo, hi = max(0, v - 1), min(len(f) - 1, v + 1)
+    s = f.q0[lo:hi + 1]
+    if len(s) < 3 or len(set(s)) < 3:
+        return float(f.q[v]), float(f.z[v])
+    cq = np.polyfit(s - f.q0[v], f.q[lo:hi + 1], 2)
+    cz = np.polyfit(s - f.q0[v], f.z[lo:hi + 1], 2)
+    if cq[0] == 0:
+        return float(f.q[v]), float(f.z[v])
+    s_star = -cq[1] / (2.0 * cq[0])
+    ds = min(abs(f.q0[v] - f.q0[lo]), abs(f.q0[hi] - f.q0[v]))
+    s_star = float(np.clip(s_star, -ds, ds))
+    return float(np.polyval(cq, s_star)), float(np.polyval(cz, s_star))
 
 
 def point_in_polygon(qx, zx, q, z):

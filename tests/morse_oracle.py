@@ -1,8 +1,9 @@
-"""Persistence oracle for the greedy fiber coupling in `hjminimax.morse1d`.
+"""Oracles for the greedy fiber coupling in `hjminimax.morse1d`.
 
 Fiber functions of one variable, their sampled critical points, and a
-union-find persistence pass over the sampled sublevel filtration. None of
-this runs in the solver; the tests check `morse1d.couple` against it.
+union-find persistence pass over the sampled sublevel filtration; and
+`couple`, the one-fiber scalar loop that `morse1d.couple_rows` replaced.
+None of this runs in the solver; the tests check `morse1d` against it.
 """
 
 from __future__ import annotations
@@ -195,3 +196,47 @@ def perturbed(f: FiberFunction, seed: int) -> FiberFunction:
     base = f.values
     return FiberFunction(values=lambda x: base(x) + eps * math.sin(k * x + phase),
                          window=f.window, infinity_index=f.infinity_index)
+
+
+def couple(values, index):
+    """Greedy coupling of one fiber, one pair per loop turn: repeatedly
+    removes the incident (adjacent max/min) pair with the smallest value
+    gap, re-linking neighbors, until a single free point remains. Equal
+    gaps go to the first pair along the fiber (the sort is stable). Returns
+    (free, pairs) as `morse1d.couple` does, and raises what it raises."""
+    n = len(values)
+    if n % 2 == 0:
+        raise MalformedInput(f"expected an odd number of critical points, got {n}")
+    if n == 1:
+        return 0, []
+    for k in range(n - 1):
+        if abs(index[k] - index[k + 1]) != 1:
+            raise MalformedInput("indices must alternate along xi")
+        upper, lower = _upper_lower(index, k, k + 1)
+        if not values[upper] > values[lower]:
+            raise MalformedInput(
+                "adjacent maximum does not dominate its neighbor minimum "
+                f"({values[upper]} <= {values[lower]})")
+
+    scale = max(1.0, max(abs(v) for v in values))
+    two_level = len(set(index)) == 2
+    alive = list(range(n))
+    pairs = []
+    while len(alive) > 1:
+        gaps = []
+        for k in range(len(alive) - 1):
+            upper, lower = _upper_lower(index, alive[k], alive[k + 1])
+            gaps.append((values[upper] - values[lower], k, upper, lower))
+        gaps.sort(key=lambda g: g[0])
+        if not two_level and len(gaps) > 1 \
+                and gaps[1][0] - gaps[0][0] <= VALUE_TOL * scale:
+            raise NonGeneric("tied coupling gaps over three or more index levels")
+        _, k, upper, lower = gaps[0]
+        pairs.append((upper, lower))
+        del alive[k:k + 2]
+    return alive[0], pairs
+
+
+def _upper_lower(index, u, v):
+    """The positions u and v, the one of higher index first."""
+    return (u, v) if index[u] > index[v] else (v, u)

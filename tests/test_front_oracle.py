@@ -11,7 +11,7 @@ import front_oracle as oracle
 from hjminimax import front as frontmod
 from hjminimax import selector
 from hjminimax.errors import NonGeneric
-from hjminimax.front import FrontCurve
+from hjminimax.front import Cusp, FrontCurve
 
 # half-integer coordinates: ties between vertices, edges and test points are exact
 coord = st.integers(-6, 6).map(lambda k: 0.5 * k)
@@ -120,3 +120,64 @@ def test_eliminate_rounds_match_oracles(front_fixture, surgeries, request, monke
     assert calls["double_points"] == surgeries + 1  # one analysis per round
     assert calls["default_ball_radius"] == surgeries
     assert calls["is_vanishing"] >= surgeries - sum(not s.strict for s in log)
+
+
+def _assert_cusps_match_oracle(f):
+    """Same cusp vertices and signs as the polyfit oracle, positions within
+    1e-12 (bbox-scaled); returns the cusps."""
+    got, expected = frontmod.detect_cusps(f), oracle.detect_cusps(f)
+    assert [(c.vertex, c.sign) for c in got] == [(c.vertex, c.sign) for c in expected]
+    wq, wz = f.bbox_scale()
+    for g, e in zip(got, expected):
+        assert abs(g.q - e.q) / wq <= 1e-12 and abs(g.z - e.z) / wz <= 1e-12
+    return got
+
+
+@pytest.mark.parametrize("front_fixture, n_cusps", [
+    ("burgers_front_t15", 4),
+    ("two_hump_front_t20", 10),
+])
+def test_detect_cusps_matches_polyfit_oracle(front_fixture, n_cusps, request, monkeypatch):
+    f = request.getfixturevalue(front_fixture).front
+
+    def no_polyfit(*args, **kwargs):
+        raise AssertionError("detect_cusps called np.polyfit")
+    monkeypatch.setattr(np, "polyfit", no_polyfit)
+    got = frontmod.detect_cusps(f)
+    monkeypatch.undo()
+    assert len(got) == n_cusps
+    assert _assert_cusps_match_oracle(f) == got
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(3, 30).flatmap(lambda n: st.tuples(
+    st.lists(st.floats(0.25, 4.0), min_size=n - 1, max_size=n - 1),
+    st.lists(st.integers(-8, 8), min_size=n, max_size=n),
+    st.lists(st.integers(-8, 8), min_size=n, max_size=n),
+    st.lists(st.integers(-3, 3), min_size=n, max_size=n))))
+def test_detect_cusps_matches_polyfit_oracle_on_random_polylines(data):
+    steps, q, z, p = data
+    f = FrontCurve(time=1.0, q0=np.cumsum([0.0] + steps), q=0.5 * np.array(q, dtype=float),
+                   z=0.5 * np.array(z, dtype=float), p=np.array(p, dtype=float))
+    _assert_cusps_match_oracle(f)
+
+
+def test_detect_cusps_at_a_corner_sharing_its_neighbours_q0():
+    # a corner vertex (origin -1) with the q0 of its neighbour: both
+    # reversals next to it have coincident q0 and stay at their vertices
+    f = FrontCurve(time=1.0, q0=np.array([0.0, 1.0, 1.0, 2.0, 3.0]),
+                   q=np.array([0.0, 1.0, 0.5, 1.5, 2.5]),
+                   z=np.array([0.0, 0.3, 0.2, 0.7, 0.9]),
+                   p=np.array([0.0, 1.0, 2.0, 1.0, 0.0]),
+                   origin=np.array([0, 1, -1, 2, 3]))
+    cusps = _assert_cusps_match_oracle(f)
+    assert [(c.vertex, c.q, c.z) for c in cusps] == [(1, 1.0, 0.3), (2, 0.5, 0.2)]
+
+
+def test_detect_cusps_on_an_exactly_flat_quadratic():
+    # q0 folding back puts the three vertices of the reversal on one line in
+    # (q0, q): a == 0, and the cusp stays at its vertex. The least-squares
+    # fit misses the exact zero (a ~ -1.7e-16) and clips to q = 1.
+    f = FrontCurve(time=1.0, q0=np.array([0.0, 2.0, 1.0]), q=np.array([-2.0, 0.0, -1.0]),
+                   z=np.array([1.0, 3.0, 0.5]), p=np.array([0.0, 1.0, 2.0]))
+    assert frontmod.detect_cusps(f) == [Cusp(q=0.0, z=3.0, sign=-1, vertex=1)]

@@ -127,6 +127,63 @@ def test_couple_two_level_free_value_ignores_ties(end_level, levels, rnd):
         assert tied == pytest.approx(free_value(bumped), abs=1e-9)
 
 
+def _outcome(fn, values, index):
+    """What `fn(values, index)` returns, or the type and message it raises."""
+    try:
+        return fn(values, index)
+    except (MalformedInput, NonGeneric) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def coupling_row(draw, c):
+    """c critical points over two or three index levels, their values from a
+    small set so that gaps tie; some rows break alternation or dominance."""
+    levels = draw(st.sampled_from([(0, 1), (-1, 0, 1)]))
+    index = [draw(st.sampled_from(levels))]
+    for _ in range(c - 1):
+        index.append(draw(st.sampled_from(
+            [i for i in (index[-1] - 1, index[-1] + 1) if i in levels])))
+    if c > 1 and draw(st.integers(0, 5)) == 0:
+        k = draw(st.integers(1, c - 1))
+        index[k] = index[k - 1]
+    # 2*index + {0, 1, 2}: a maximum dominates its minimum unless they meet at 2
+    values = [float(2 * i + draw(st.integers(0, 2))) for i in index]
+    return values, index
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([1, 3, 5, 7, 9]).flatmap(
+    lambda c: st.lists(coupling_row(c), min_size=1, max_size=6)))
+def test_couple_rows_matches_scalar_loop(rows):
+    values = np.array([v for v, _ in rows])
+    index = np.array([i for _, i in rows])
+    free, pairs, failed = morse1d.couple_rows(values, index)
+    for r, (vals, idx) in enumerate(rows):
+        expected = _outcome(morse_oracle.couple, vals, idx)
+        if r in failed:
+            got = type(failed[r]), str(failed[r])
+            assert free[r] == -1 and np.all(pairs[r] == -1)
+        else:
+            got = int(free[r]), [tuple(p) for p in pairs[r].tolist()]
+        assert got == expected, r
+        # the same row alone, through couple_rows and through couple
+        alone = morse1d.couple_rows(values[r:r + 1], index[r:r + 1])
+        assert np.array_equal(alone[0], free[r:r + 1])
+        assert np.array_equal(alone[1], pairs[r:r + 1])
+        assert [(type(e), str(e)) for e in alone[2].values()] == \
+            ([got] if r in failed else [])
+        assert _outcome(morse1d.couple, vals, idx) == expected
+
+
+def test_couple_rows_even_count_fails_every_row():
+    free, pairs, failed = morse1d.couple_rows(np.zeros((3, 4)), np.zeros((3, 4), dtype=int))
+    assert free.tolist() == [-1, -1, -1]
+    assert sorted(failed) == [0, 1, 2]
+    assert all(isinstance(e, MalformedInput) for e in failed.values())
+    assert str(failed[1]) == "expected an odd number of critical points, got 4"
+
+
 def double_well(x):
     """Tilted double well, rising at both window ends."""
     return x ** 4 / 4 - x ** 2 + 0.05 * x
