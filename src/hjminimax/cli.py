@@ -145,7 +145,7 @@ def _solve_grid(cfg):
 
 def _slice(cfg, t):
     spec = cfg["spec"]
-    seeds = selector.default_seeds(spec, cfg["n_seeds"], t=max(t, spec.t_max / 100.0))
+    seeds = selector.default_seeds(spec, cfg["n_seeds"], t=t)
     return selector.slice_analysis(spec, t, seeds, step=cfg["step"])
 
 

@@ -91,7 +91,6 @@ class Triangle:
     vertex: DoublePoint
     start_seg: int     # loop runs from the vertex on start_seg ...
     end_seg: int       # ... back to it on end_seg
-    cusps: tuple[Cusp, Cusp]
     loop_sections: tuple[int, ...]
     branch_index: int  # shared index of the two branches at the vertex
 
@@ -215,19 +214,16 @@ def split_sections(f: FrontCurve, cusps: Sequence[Cusp]) -> list[Section]:
     return sections
 
 
-def double_points(f: FrontCurve, sections: Sequence[Section] | None = None,
-                  cusps: Sequence[Cusp] = ()) -> list[DoublePoint]:
+def double_points(f: FrontCurve, sections: Sequence[Section],
+                  cusps: Sequence[Cusp]) -> list[DoublePoint]:
     """All transversal self-intersections between non-adjacent segments.
 
-    Candidate pairs are the segments whose bbox-scaled (q,z) boxes share a
-    cell of a uniform spatial hash; all candidates are intersected in one
-    array pass."""
+    Candidate pairs are the segments whose bbox-scaled (q,z) boxes overlap
+    (`_box_pairs`); all candidates are intersected in one array pass.
+    NonGeneric on a tangential crossing, where two candidates are nearly
+    collinear (`_segment_intersections`), or on a crossing at a cusp."""
     pts = f.scaled_points()
-    n_seg = len(f) - 1
-    if n_seg < 3:
-        return []
-    cell = max(1e-9, float(np.median(np.linalg.norm(pts[1:] - pts[:-1], axis=1))) * 4.0)
-    i, j = _hash_pairs(pts, cell)
+    i, j = _box_pairs(pts)
     i, u, j = _segment_intersections(pts, i, j)
     qx = f.q[i] + u * (f.q[i + 1] - f.q[i])
     zx = f.z[i] + u * (f.z[i + 1] - f.z[i])
@@ -238,49 +234,34 @@ def double_points(f: FrontCurve, sections: Sequence[Section] | None = None,
                   & (np.abs(zx - c.z) / wz < 10 * TIE_TOL)):
             raise NonGeneric("cusp and double point coincide (degenerate time slice)")
 
-    if sections is not None:
-        sec_i = _section_of_vertex(sections, i + 1)
-        sec_j = _section_of_vertex(sections, j + 1)
+    sec_i = _section_of_vertex(sections, i + 1)
+    sec_j = _section_of_vertex(sections, j + 1)
     result = []
     for k in np.lexsort((j, u, i)):  # along the curve: by seg_a, frac_a, seg_b
-        a, b = int(i[k]), int(j[k])
-        if sections is not None:
-            sa = sections[sec_i[k]]
-            sb = sections[sec_j[k]]
-            homog = sa.index == sb.index
-            ids = (sa.id, sb.id)
-        else:
-            homog = False
-            ids = (-1, -1)
-        result.append(DoublePoint(q=float(qx[k]), z=float(zx[k]), sections=ids,
-                                  homogeneous=homog, seg_a=a, frac_a=float(u[k]),
-                                  seg_b=b))
+        sa, sb = sections[sec_i[k]], sections[sec_j[k]]
+        result.append(DoublePoint(q=float(qx[k]), z=float(zx[k]), sections=(sa.id, sb.id),
+                                  homogeneous=sa.index == sb.index, seg_a=int(i[k]),
+                                  frac_a=float(u[k]), seg_b=int(j[k])))
     return result
 
 
-def _hash_pairs(pts, cell):
-    """Segment pairs (i, j), i < j - 1, whose boxes share a hash cell; each
-    pair once, ordered by (i, j)."""
-    lo = np.floor(np.minimum(pts[:-1], pts[1:]) / cell).astype(np.int64)
-    hi = np.floor(np.maximum(pts[:-1], pts[1:]) / cell).astype(np.int64)
-    nx, ny = (hi - lo + 1).T
-    # one (cell, segment) entry per cell each segment's box covers
-    per_seg = nx * ny
-    seg = np.repeat(np.arange(len(lo)), per_seg)
-    k = _counting(per_seg)
-    cx = lo[seg, 0] + k // ny[seg]
-    cy = lo[seg, 1] + k % ny[seg]
-    order = np.lexsort((seg, cy, cx))
-    cx, cy, seg = cx[order], cy[order], seg[order]
-    # within a cell run, pair every entry with each later one
-    new_cell = np.r_[True, (cx[1:] != cx[:-1]) | (cy[1:] != cy[:-1])]
-    run_end = np.r_[np.flatnonzero(new_cell)[1:], len(seg)]
-    later = run_end[np.cumsum(new_cell) - 1] - np.arange(len(seg)) - 1
-    first = np.repeat(np.arange(len(seg)), later)
-    second = first + 1 + _counting(later)
-    i, j = seg[first], seg[second]
-    key = np.unique((i * len(lo) + j)[j - i > 1])
-    return key // len(lo), key % len(lo)
+def _box_pairs(pts):
+    """Segment pairs (i, j), i < j - 1, of the polyline pts whose boxes
+    overlap in both coordinates, each box widened by 1e-7 of its own
+    segment's length, the touch tolerance of `_segment_intersections`. A
+    sweep over the segments sorted by their lowest q pairs each with the
+    later ones whose lowest q does not pass its highest."""
+    a, b = pts[:-1], pts[1:]
+    pad = 1e-7 * np.hypot(b[:, 0] - a[:, 0], b[:, 1] - a[:, 1])[:, None]
+    lo = np.minimum(a, b) - pad
+    hi = np.maximum(a, b) + pad
+    order = np.argsort(lo[:, 0], kind="stable")
+    pos = np.arange(len(order))
+    later = np.searchsorted(lo[order, 0], hi[order, 0], side="right") - pos - 1
+    first = np.repeat(pos, later)
+    s, t = order[first], order[first + 1 + _counting(later)]
+    keep = (np.abs(s - t) > 1) & (lo[s, 1] <= hi[t, 1]) & (lo[t, 1] <= hi[s, 1])
+    return np.minimum(s, t)[keep], np.maximum(s, t)[keep]
 
 
 def _counting(counts):
@@ -306,9 +287,10 @@ def _section_of_segment(sections, seg):
 
 
 def _segment_intersections(pts, i, j):
-    """(i, u, j) of the pairs of segments i and j of the polyline pts that
-    cross at params (u, v) in (0,1)x(0,1). Raises NonGeneric when a pair
-    crosses tangentially (near-parallel and overlapping)."""
+    """(i, u, j) of the candidate pairs of segments i and j of the polyline
+    pts that cross at params (u, v) in (0,1)x(0,1). Each candidate's
+    widened box reaches its partner's, so a near-parallel pair whose
+    supporting lines nearly touch is a tangential crossing: NonGeneric."""
     a0, b0 = pts[i], pts[j]
     d1 = pts[i + 1] - a0
     d2 = pts[j + 1] - b0
@@ -320,15 +302,10 @@ def _segment_intersections(pts, i, j):
     live = (n1 != 0) & (n2 != 0)
     parallel = live & (np.abs(den) < ANGLE_TOL * n1 * n2)
     with np.errstate(divide="ignore", invalid="ignore"):
-        # near-parallel: tangential only if the supporting lines nearly touch
-        touch = parallel & (np.abs(cross_r1) / n1 < 1e-7 * np.maximum(n1, n2))
+        if np.any(parallel & (np.abs(cross_r1) / n1 < 1e-7 * np.maximum(n1, n2))):
+            raise NonGeneric("tangential self-intersection")
         u = (r[:, 0] * d2[:, 1] - r[:, 1] * d2[:, 0]) / den
         v = cross_r1 / den
-    # the few touching pairs overlap when the projection of b0 lies along a;
-    # np.dot keeps the rounding of the per-pair test
-    for k in np.flatnonzero(touch):
-        if -0.5 <= np.dot(r[k], d1[k]) / (n1[k] * n1[k]) <= 1.5:
-            raise NonGeneric("tangential self-intersection")
     eps = 1e-12
     hit = live & ~parallel & (eps < u) & (u < 1 - eps) & (eps < v) & (v < 1 - eps)
     return i[hit], u[hit], j[hit]
@@ -343,14 +320,12 @@ def find_triangles(f: FrontCurve, cusps: Sequence[Cusp],
     for d in doubles:
         if not d.homogeneous:
             continue
-        inside = [c for c in cusps if d.seg_a < c.vertex <= d.seg_b]
-        if len(inside) != 2:
+        if sum(d.seg_a < c.vertex <= d.seg_b for c in cusps) != 2:
             continue
         loop_secs = sorted({sections[k].id for k in np.unique(
             _section_of_vertex(sections, np.arange(d.seg_a + 1, d.seg_b + 2)))})
         branch_index = _section_of_segment(sections, d.seg_a).index
         triangles.append(Triangle(vertex=d, start_seg=d.seg_a, end_seg=d.seg_b,
-                                  cusps=(inside[0], inside[1]),
                                   loop_sections=tuple(loop_secs),
                                   branch_index=branch_index))
     return triangles

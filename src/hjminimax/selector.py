@@ -353,7 +353,6 @@ class Surgery:
     vertex_q: float
     vertex_z: float
     ball_radius: float   # bbox-scaled, of the surgery region around the corner
-    loop_sections: tuple
     strict: bool     # False when selected by the smallest-loop fallback
     q_lo: float      # q of the retained vertices on either side of the cut:
     q_hi: float      # the q-extent of the replaced subcurve
@@ -423,8 +422,7 @@ def eliminate(f: FrontCurve):
         radius = frontmod.default_ball_radius(current, T)
         current, (q_lo, q_hi) = frontmod.remove_triangle(current, T)
         log.append(Surgery(vertex_q=T.vertex.q, vertex_z=T.vertex.z,
-                           ball_radius=radius, loop_sections=T.loop_sections,
-                           strict=strict, q_lo=q_lo, q_hi=q_hi))
+                           ball_radius=radius, strict=strict, q_lo=q_lo, q_hi=q_hi))
     raise NoVanishingTriangle("elimination did not terminate", diagnostics={})
 
 

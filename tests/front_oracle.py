@@ -57,7 +57,8 @@ def point_in_polygon(qx, zx, q, z):
 
 def segment_intersection(a0, a1, b0, b1):
     """Intersection params (u, v) in (0,1)x(0,1), or None. Raises NonGeneric
-    on a tangential (near-parallel, overlapping) crossing."""
+    when the two segments are nearly parallel and their supporting lines
+    nearly touch: the caller only passes segments whose boxes overlap."""
     d1 = a1 - a0
     d2 = b1 - b0
     den = d1[0] * d2[1] - d1[1] * d2[0]
@@ -67,11 +68,8 @@ def segment_intersection(a0, a1, b0, b1):
         return None
     r = b0 - a0
     if abs(den) < frontmod.ANGLE_TOL * n1 * n2:
-        dist = abs(r[0] * d1[1] - r[1] * d1[0]) / n1
-        if dist < 1e-7 * max(n1, n2):
-            u = np.dot(r, d1) / (n1 * n1)
-            if -0.5 <= u <= 1.5:
-                raise NonGeneric("tangential self-intersection")
+        if abs(r[0] * d1[1] - r[1] * d1[0]) / n1 < 1e-7 * max(n1, n2):
+            raise NonGeneric("tangential self-intersection")
         return None
     u = (r[0] * d2[1] - r[1] * d2[0]) / den
     v = (r[0] * d1[1] - r[1] * d1[0]) / den
@@ -81,40 +79,34 @@ def segment_intersection(a0, a1, b0, b1):
     return None
 
 
-def double_points(f, sections=None, cusps=()):
-    """Spatial hash in a dict, then one `segment_intersection` per pair."""
+def box_pairs(pts):
+    """Segment pairs (i, j), i < j - 1, in order, whose boxes overlap in q and
+    z, each box widened by 1e-7 of its segment's length: every segment's box
+    tested against all later ones."""
+    a, b = pts[:-1], pts[1:]
+    pad = 1e-7 * np.hypot(b[:, 0] - a[:, 0], b[:, 1] - a[:, 1])[:, None]
+    lo = np.minimum(a, b) - pad
+    hi = np.maximum(a, b) + pad
+    pairs = []
+    for i in range(len(lo) - 2):
+        overlap = (lo[i + 2:] <= hi[i]) & (lo[i] <= hi[i + 2:])
+        later = np.flatnonzero(overlap[:, 0] & overlap[:, 1]) + i + 2
+        pairs += [(i, j) for j in later.tolist()]
+    return pairs
+
+
+def double_points(f, sections, cusps):
+    """`box_pairs`, then one `segment_intersection` per pair."""
     pts = f.scaled_points()
-    n_seg = len(f) - 1
-    if n_seg < 3:
-        return []
-    seg_lo = np.minimum(pts[:-1], pts[1:])
-    seg_hi = np.maximum(pts[:-1], pts[1:])
-    cell = max(1e-9, float(np.median(np.linalg.norm(pts[1:] - pts[:-1], axis=1))) * 4.0)
-
-    grid = {}
-    for i in range(n_seg):
-        x0, y0 = np.floor(seg_lo[i] / cell).astype(int)
-        x1, y1 = np.floor(seg_hi[i] / cell).astype(int)
-        for cx in range(x0, x1 + 1):
-            for cy in range(y0, y1 + 1):
-                grid.setdefault((cx, cy), []).append(i)
-
-    seen = set()
     found = []
-    for bucket in grid.values():
-        for ai in range(len(bucket)):
-            for bi in range(ai + 1, len(bucket)):
-                i, j = bucket[ai], bucket[bi]
-                if j - i <= 1 or (i, j) in seen:
-                    continue
-                seen.add((i, j))
-                hit = segment_intersection(pts[i], pts[i + 1], pts[j], pts[j + 1])
-                if hit is None:
-                    continue
-                u, _ = hit
-                qx = f.q[i] + u * (f.q[i + 1] - f.q[i])
-                zx = f.z[i] + u * (f.z[i + 1] - f.z[i])
-                found.append((i, u, j, qx, zx))
+    for i, j in box_pairs(pts):
+        hit = segment_intersection(pts[i], pts[i + 1], pts[j], pts[j + 1])
+        if hit is None:
+            continue
+        u, _ = hit
+        qx = f.q[i] + u * (f.q[i + 1] - f.q[i])
+        zx = f.z[i] + u * (f.z[i + 1] - f.z[i])
+        found.append((i, u, j, qx, zx))
 
     wq, wz = f.bbox_scale()
     for c in cusps:
@@ -124,17 +116,11 @@ def double_points(f, sections=None, cusps=()):
 
     result = []
     for i, u, j, qx, zx in sorted(found):
-        if sections is not None:
-            sa = frontmod._section_of_segment(sections, i)
-            sb = frontmod._section_of_segment(sections, j)
-            homog = sa.index == sb.index
-            ids = (sa.id, sb.id)
-        else:
-            homog = False
-            ids = (-1, -1)
-        result.append(DoublePoint(q=float(qx), z=float(zx), sections=ids,
-                                  homogeneous=homog, seg_a=i, frac_a=float(u),
-                                  seg_b=j))
+        sa = frontmod._section_of_segment(sections, i)
+        sb = frontmod._section_of_segment(sections, j)
+        result.append(DoublePoint(q=float(qx), z=float(zx), sections=(sa.id, sb.id),
+                                  homogeneous=sa.index == sb.index, seg_a=i,
+                                  frac_a=float(u), seg_b=j))
     return result
 
 

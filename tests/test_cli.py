@@ -4,6 +4,7 @@ import os
 import pytest
 
 from hjminimax import cli, selector
+from hjminimax import front as frontmod
 
 BURGERS_INI = """\
 [problem]
@@ -165,6 +166,17 @@ def test_dump_front_json(burgers_cfg, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["time"] == pytest.approx(1.5)
     assert len(payload["cusps"]) == 4
+
+
+@pytest.mark.parametrize("t", [0.0, 0.005])
+def test_dump_front_early_slice_is_the_library_slice(burgers_cfg, capsys, t):
+    # below t_max/100 too, the slice seeds the window of its own time
+    rc = cli.main(["dump-front", "--config", burgers_cfg, "--time", str(t)])
+    assert rc == 0
+    cfg = cli.load_config(burgers_cfg)
+    seeds = selector.default_seeds(cfg["spec"], cfg["n_seeds"], t=t)
+    analysis = selector.slice_analysis(cfg["spec"], t, seeds, step=cfg["step"])
+    assert capsys.readouterr().out == frontmod.front_to_json(analysis) + "\n"
 
 
 def _birth_cfg(tmp_path, t_max, n_seeds):

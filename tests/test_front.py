@@ -78,7 +78,7 @@ def test_fish_triangle():
     assert len(a.triangles) == 1
     T = a.triangles[0]
     assert T.branch_index == 0
-    assert len(T.cusps) == 2
+    assert sum(T.start_seg < c.vertex <= T.end_seg for c in a.cusps) == 2
     assert T.vertex is a.doubles[0]
     assert frontmod.is_vanishing(a.front, T, a.sections, a.doubles)
 

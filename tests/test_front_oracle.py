@@ -11,7 +11,7 @@ import front_oracle as oracle
 from hjminimax import front as frontmod
 from hjminimax import selector
 from hjminimax.errors import NonGeneric
-from hjminimax.front import Cusp, FrontCurve
+from hjminimax.front import Cusp, FrontCurve, Section
 
 # half-integer coordinates: ties between vertices, edges and test points are exact
 coord = st.integers(-6, 6).map(lambda k: 0.5 * k)
@@ -65,23 +65,50 @@ def _outcome(fn, *args):
         return f"NonGeneric: {e}"
 
 
-# unit and doubled steps: a doubled segment overlapped by a unit one puts the
-# overlap projection exactly on the -0.5 and 1.5 bounds of the tangency test
+# unit and doubled steps: walks retrace, overlap collinearly and meet end to
+# end, so both transversal crossings and tangential NonGeneric pairs come up
 step = st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1),
                         (2, 0), (0, -2), (-2, -2), (2, 1), (-1, 2), (3, -2)])
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(step, min_size=2, max_size=40))
-# the walk closes onto its first segment from behind: projection exactly -0.5
-@example([(2, 0), (0, 1), (-1, 0), (-1, 0), (-1, 0), (0, -1), (1, 0)])
-def test_double_points_match_pairwise_loop(steps):
-    # lattice walks cross, touch, retrace and overlap collinearly, so both
-    # transversal crossings and tangential NonGeneric pairs come up
+def _walk(steps):
+    """The lattice walk from (0, 0) as a front with one section."""
     qz = np.cumsum(np.array([(0, 0)] + steps, dtype=float), axis=0)
     f = FrontCurve(time=0.0, q=qz[:, 0], z=qz[:, 1], p=np.zeros(len(qz)),
                    q0=np.arange(len(qz), dtype=float))
-    assert _outcome(frontmod.double_points, f) == _outcome(oracle.double_points, f)
+    return f, (Section(id=0, start=0, end=len(qz) - 1, index=0, kind="noncompact"),)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(step, min_size=2, max_size=40))
+# the walk closes onto its first segment from behind, end to end and collinear
+@example([(2, 0), (0, 1), (-1, 0), (-1, 0), (-1, 0), (0, -1), (1, 0)])
+def test_double_points_match_pairwise_loop(steps):
+    f, sections = _walk(steps)
+    assert (_outcome(frontmod.double_points, f, sections, ())
+            == _outcome(oracle.double_points, f, sections, ()))
+
+
+def test_collinear_segments_apart_do_not_cross():
+    # segments 0 and 2 lie on one line, a unit gap apart
+    f, sections = _walk([(0, -2), (0, -1), (0, -2)])
+    assert frontmod.double_points(f, sections, ()) == []
+
+
+def test_collinear_segments_meeting_end_to_end_are_tangential():
+    # segment 2 runs back onto the end of segment 0, touching it at (1, 0)
+    f, sections = _walk([(1, 0), (1, 0), (-1, 0)])
+    with pytest.raises(NonGeneric, match="tangential"):
+        frontmod.double_points(f, sections, ())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(vertex, st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))),
+                min_size=2, max_size=40))
+def test_box_pairs_match_all_pairs_test(verts):
+    pts = np.array(verts, dtype=float)
+    i, j = frontmod._box_pairs(pts)
+    assert sorted(zip(i.tolist(), j.tolist())) == oracle.box_pairs(pts)
 
 
 @pytest.fixture(scope="module")

@@ -148,7 +148,7 @@ def test_slice_analysis_stays_inside_time_range(burgers_to_birth):
     assert a.front.time == 1.0
 
 
-def test_slice_analysis_retries_index_inconsistency(burgers_spec):
+def test_slice_analysis_at_shock_birth_has_no_cusp(burgers_spec):
     # at the shock birth t=1 the 1024-seed slice is the vertical inflection
     # itself: no time shift, no cusp yet, and the index walk closes
     seeds = selector.default_seeds(burgers_spec, 1024, t=1.0)
