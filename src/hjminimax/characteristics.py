@@ -6,12 +6,12 @@ geometric solution. When H depends on p alone the strands are straight
 lines, q = q0 + t*H_p(p0), z = z0 + t*(p0*H_p - H), written in closed form;
 any other H is integrated by classical RK4. The RK4 stages are summed in
 place, in buffers the flow owns, with the rounding of the textbook
-out-of-place update; the slopes come from H's compiled program, whose
-arrays never alias the strand state. Strands are independent; both paths
-are vectorized over seeds. An explicit step is used as given; without one
-the RK4 step is chosen by step doubling on a fixed subsample of the seeds
-(`_choose_step`), so the strands depend only on the spec, the times and
-the seeds.
+out-of-place update; the slopes come straight from H's compiled program,
+unchecked, and the strands are checked for finiteness once per output
+span. Strands are independent; both paths are vectorized over seeds. An
+explicit step is used as given; without one the RK4 step is chosen by step
+doubling on a fixed subsample of the seeds (`_choose_step`), so the strands
+depend only on the spec, the times and the seeds.
 
 On a periodic domain the strand from q0 + k*L is the strand from q0 moved
 by k*L, with the same p and z, when u0 and H repeat with period L. So when
@@ -81,9 +81,26 @@ class ProblemSpec:
 
 
 def char_rhs(H: Expression, t, q, p):
-    """(dq, dp, dz) = (H_p, -H_q, p*H_p - H)."""
-    hval, hp, hq = H.eval_d(t=t, q=q, p=p, wrt=("p", "q"))
-    return hp, -hq, p * hp - hval
+    """(dq, dp, dz) = (H_p, -H_q, p*H_p - H) at the states q, p of one shape,
+    each a new array of that shape, from H's compiled program.
+
+    Unchecked, like the program: call it under
+    np.errstate(over="ignore", invalid="ignore") and check what it feeds."""
+    hval, hp, hq = H.compiled(("p", "q"))(t, q, p)
+    hp = _own(hp, q, p)
+    return hp, -_own(hq, q, p), p * hp - hval
+
+
+def _own(x, q, p):
+    """The tangent x as an array of q's shape that is neither q nor p: x
+    itself when it is one, else a new array of its value (0 for a
+    structurally zero tangent, None)."""
+    if isinstance(x, np.ndarray) and x.shape == np.shape(q) and x is not q and x is not p:
+        return x
+    out = np.zeros(np.shape(q))
+    if x is not None:
+        out[...] = x
+    return out
 
 
 def initial_state(spec: ProblemSpec, seeds):
@@ -103,7 +120,11 @@ def _rk4_span(spec, t0, t1, q, p, z, step):
 
     Returns new arrays and leaves q, p and z as they are. The stages are
     summed in place, in the order of the textbook update
-    x + dt/6 * (((k1 + 2*k2) + 2*k3) + k4), so the bits are its bits."""
+    x + dt/6 * (((k1 + 2*k2) + 2*k3) + k4), so the bits are its bits.
+    The slopes are unchecked (`char_rhs`): a DomainError of H's program
+    raises at the stage that meets it, and NonFinite is raised once, when
+    the strands are not finite at t1. A non-finite slope always reaches
+    them there, unless a Windowed domain freezes its strand."""
     q, p, z = q.copy(), p.copy(), z.copy()
     if t1 == t0:
         return q, p, z
@@ -113,7 +134,6 @@ def _rk4_span(spec, t0, t1, q, p, z, step):
     qs, ps = np.empty_like(q), np.empty_like(p)  # the state a stage reads
 
     def rhs(t, qq, pp):
-        # eval_d returns arrays of its own, so the slopes are ours to change
         k = char_rhs(spec.H, t, qq, pp)
         mask = _freeze_mask(spec, qq)
         if mask is not None:
@@ -132,21 +152,27 @@ def _rk4_span(spec, t0, t1, q, p, z, step):
             d *= 2
             a += d
 
-    for i in range(m):
-        t = t0 + i * dt
-        acc = rhs(t, q, p)
-        stage(half, acc)
-        k = rhs(t + half, qs, ps)
-        stage(half, k)
-        add_twice(acc, k)
-        k = rhs(t + half, qs, ps)
-        stage(dt, k)
-        add_twice(acc, k)
-        k = rhs(t + dt, qs, ps)
-        for x, a, d in zip((q, p, z), acc, k):
-            a += d
-            a *= dt / 6.0
-            x += a
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            for i in range(m):
+                t = t0 + i * dt
+                acc = rhs(t, q, p)
+                stage(half, acc)
+                k = rhs(t + half, qs, ps)
+                stage(half, k)
+                add_twice(acc, k)
+                k = rhs(t + half, qs, ps)
+                stage(dt, k)
+                add_twice(acc, k)
+                k = rhs(t + dt, qs, ps)
+                for x, a, d in zip((q, p, z), acc, k):
+                    a += d
+                    a *= dt / 6.0
+                    x += a
+        except OverflowError:  # a Python float ** overflows by raising
+            raise NonFinite(f"non-finite value in eval of {spec.H.source!r}") from None
+    if not (np.isfinite(q).all() and np.isfinite(p).all() and np.isfinite(z).all()):
+        raise NonFinite(f"non-finite value in eval of {spec.H.source!r}")
     return q, p, z
 
 
@@ -267,7 +293,8 @@ def evolve_states(spec: ProblemSpec, times: Sequence[float], seeds,
     otherwise each inter-time span is subdivided into uniform RK4 substeps
     of size <= step. Without a step, `_choose_step` picks the first of
     about t_max/50, t_max/100, ... whose step-doubling error estimate at
-    times[-1] meets RK4_TOL, and never one finer than `spec.default_step()`. When the seeds and the data repeat with the
+    times[-1] meets RK4_TOL, and never one finer than
+    `spec.default_step()`. When the seeds and the data repeat with the
     period (see `_period_width`), one period is flowed and the rest are its
     copies moved by k*L.
     """

@@ -208,14 +208,27 @@ class Expression:
                 f"wrt must be one of {VARIABLES} or a tuple of them, got {wrt!r}")
         return self._run(names, t, q, p)
 
+    def compiled(self, wrt):
+        """The compiled program of the tuple of variable names wrt, made on
+        first use: (t, q, p) -> (value, d/dw1, d/dw2, ...), unchecked.
+
+        A structurally zero tangent is None. Any other may be a scalar or
+        smaller than the inputs' broadcast shape, and may be an input or the
+        value itself (d/dp of q*p is q). Data checks raise DomainError in
+        tree order; nothing is checked for finiteness, and a Python float
+        power that overflows raises OverflowError. Run it under
+        np.errstate(over="ignore", invalid="ignore"), as `eval_d` does."""
+        program = self._programs.get(wrt)
+        if program is None:
+            program = self._programs[wrt] = _Compiler(wrt).program(self.ast)
+        return program
+
     def _run(self, wrt, t, q, p):
         """The value and one tangent per name in wrt, each checked to be
         finite. Every tangent has the inputs' broadcast shape, and no
         returned array is an input or another of the returned arrays."""
         shape = np.broadcast(t, q, p).shape if wrt else ()
-        program = self._programs.get(wrt)
-        if program is None:
-            program = self._programs[wrt] = _Compiler(wrt).program(self.ast)
+        program = self.compiled(wrt)
         with np.errstate(over="ignore", invalid="ignore"):
             try:
                 value, *dots = program(t, q, p)

@@ -101,19 +101,13 @@ def fiber_crossings(analysis: FrontAnalysis, q) -> Fibers:
     if np.any(q[1:] < q[:-1]):
         raise ValueError("fiber abscissae must be sorted")
     wq, _ = f.bbox_scale()
-    qa, qb = f.q[:-1], f.q[1:]
-    seg_in, first_in, n_in = _grid_runs(q, np.minimum(qa, qb), "right",
-                                        np.maximum(qa, qb), "left")
-    seg_at, first_at, n_at = _grid_runs(q, qa, "left", qa, "right")
-    _, first_last, n_last = _grid_runs(q, f.q[-1:], "left", f.q[-1:], "right")
-    n = np.concatenate([n_in, n_at, n_last])
-    seg = np.repeat(np.concatenate([seg_in, seg_at, np.full(len(n_last), len(f) - 2)]), n)
-    fiber = np.repeat(np.concatenate([first_in, first_at, first_last]), n) \
-        + frontmod._counting(n)
+    seg, first, n = _crossing_runs(q, f.q)
+    seg = np.repeat(seg, n)
+    fiber = np.repeat(first, n) + frontmod._counting(n)
     # stable: a last-vertex crossing follows a first-vertex one on its segment
     order = np.lexsort((seg, fiber))
     seg, fiber = seg[order], fiber[order]
-    last = order >= len(order) - n_last.sum()
+    last = order >= len(order) - np.count_nonzero(q == f.q[-1])
 
     z = np.full(len(seg), f.z[-1])
     z[~last] = _crossing_z(f, seg[~last], q[fiber[~last]])
@@ -138,14 +132,25 @@ def fiber_crossings(analysis: FrontAnalysis, q) -> Fibers:
                   failed=failed)
 
 
-def _grid_runs(q, lo, lo_side, hi, hi_side):
+def _crossing_runs(q, fq):
     """(segment, first grid index, count) of each non-empty run of the
-    sorted grid q between lo and hi per segment; the sides are
-    `searchsorted`'s, "right" for lo and "left" for hi leaving the ends out."""
-    first = np.searchsorted(q, lo, side=lo_side)
-    count = np.searchsorted(q, hi, side=hi_side) - first
-    seg = np.flatnonzero(count > 0)
-    return seg, first[seg], count[seg]
+    sorted grid q that crosses the polyline with vertex abscissae fq: per
+    segment the grid points strictly inside its q-interval, then per vertex
+    those equal to its q, on the segment it starts (the last vertex: the
+    segment it ends).
+
+    One search per vertex and side: `searchsorted` is monotone in its key,
+    so the search of min(qa, qb) is the smaller of the searches of qa and
+    qb. The abscissae fq must not be NaN."""
+    lo = np.searchsorted(q, fq, side="left")
+    hi = np.searchsorted(q, fq, side="right")
+    first = np.minimum(hi[:-1], hi[1:])
+    count = np.maximum(lo[:-1], lo[1:]) - first
+    inside = np.flatnonzero(count > 0)
+    at = np.flatnonzero(hi > lo)  # vertices on grid points
+    return (np.concatenate([inside, np.minimum(at, len(fq) - 2)]),
+            np.concatenate([first[inside], lo[at]]),
+            np.concatenate([count[inside], (hi - lo)[at]]))
 
 
 def _near(q, event_qs, wq):

@@ -30,6 +30,27 @@ class FiberPoint:
     seg: int
 
 
+def crossing_runs(q, fq):
+    """(segment, first grid index, count) of each non-empty run of the
+    sorted grid q that crosses the polyline with vertex abscissae fq, by six
+    searches per segment: the runs strictly inside each segment's q-interval,
+    those at its first vertex, and those at the last vertex."""
+    qa, qb = fq[:-1], fq[1:]
+
+    def runs(lo, lo_side, hi, hi_side):
+        first = np.searchsorted(q, lo, side=lo_side)
+        count = np.searchsorted(q, hi, side=hi_side) - first
+        seg = np.flatnonzero(count > 0)
+        return seg, first[seg], count[seg]
+
+    seg_in, first_in, n_in = runs(np.minimum(qa, qb), "right", np.maximum(qa, qb), "left")
+    seg_at, first_at, n_at = runs(qa, "left", qa, "right")
+    _, first_last, n_last = runs(fq[-1:], "left", fq[-1:], "right")
+    return (np.concatenate([seg_in, seg_at, np.full(len(n_last), len(fq) - 2)]),
+            np.concatenate([first_in, first_at, first_last]),
+            np.concatenate([n_in, n_at, n_last]))
+
+
 def section_of_segment(sections, seg):
     """The section holding segment seg (vertices seg and seg+1)."""
     for s in sections:

@@ -2,15 +2,17 @@
 
 This is the arithmetic the in-place stages replaced, kept only as a test
 oracle: every stage state, frozen slope, stage sum and update is a new
-array. On the same input `evolve_states` must give the same strands bit for
-bit.
+array. Its slopes come from the checked `Expression.eval_d`, as the flow's
+did before it ran H's compiled program directly, so every stage raises
+NonFinite at a non-finite slope, of a frozen strand too. On the same input
+`evolve_states` must give the same strands bit for bit.
 """
 
 import math
 
 import numpy as np
 
-from hjminimax.characteristics import _freeze_mask, char_rhs, initial_state
+from hjminimax.characteristics import _freeze_mask, initial_state
 
 
 def rk4_span(spec, t0, t1, q, p, z, step):
@@ -24,7 +26,8 @@ def rk4_span(spec, t0, t1, q, p, z, step):
         t = t0 + i * dt
 
         def rhs(tt, qq, pp):
-            dq, dp, dz = char_rhs(H, tt, qq, pp)
+            hval, hp, hq = H.eval_d(t=tt, q=qq, p=pp, wrt=("p", "q"))
+            dq, dp, dz = hp, -hq, pp * hp - hval
             mask = _freeze_mask(spec, qq)
             if mask is not None:
                 dq = np.where(mask, dq, 0.0)

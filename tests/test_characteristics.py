@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 import hjminimax as hj
+import rk4_oracle
 from hjminimax import characteristics as chars
 from hjminimax import selector
-from hjminimax.errors import NonFinite
+from hjminimax.errors import DomainError, NonFinite
 
 
 def exact_burgers(q0, t):
@@ -17,10 +18,12 @@ def exact_burgers(q0, t):
 
 def test_rhs_signs():
     H = hj.parse("p^2/2 + 0.3*cos(q)")
-    dq, dp, dz = chars.char_rhs(H, 0.0, 0.5, 1.2)
+    q, p = np.array([0.5]), np.array([1.2])
+    dq, dp, dz = chars.char_rhs(H, 0.0, q, p)
     assert dq == pytest.approx(1.2)
     assert dp == pytest.approx(0.3 * np.sin(0.5))
     assert dz == pytest.approx(1.2 ** 2 - (1.2 ** 2 / 2 + 0.3 * np.cos(0.5)))
+    assert dq is not p  # H_p is p itself: the slope is an array of its own
 
 
 def test_burgers_matches_closed_form(burgers_spec):
@@ -167,6 +170,10 @@ def test_probe_leaving_the_domain_falls_back_to_the_floor():
     assert chars._choose_step(spec, 1.0, *state) == spec.default_step()
     Q, _, _ = chars.evolve_states(spec, [0.5, 1.0], seeds)
     assert np.all(Q > 0)
+    # at the t_max/50 step the flow itself meets q < 0 at a substep's second
+    # stage, and the error is the program's, raised there
+    with pytest.raises(DomainError, match="sqrt of a negative value"):
+        chars.evolve_states(spec, [0.5, 1.0], seeds, spec.t_max / 50)
 
 
 def _count_rk4_spans(monkeypatch):
@@ -306,3 +313,38 @@ def test_nonfinite_detected_with_a_chosen_step():
                           domain=hj.Windowed(-1e300, 1e300), t_max=5.0)
     with pytest.raises(NonFinite, match=r"non-finite value in eval of 'exp\(q\)\*p'"):
         chars.evolve(spec, 5.0, [3.0])
+
+
+@pytest.mark.parametrize("h, error, message, oracle_error, oracle_message", [
+    # exp(710) overflows at the first stage, so its slope is infinite; the
+    # second stage's state is q = inf, where sqrt(800 - q) is undefined. The
+    # flow checks the strands at the end of the span, so the DomainError
+    # wins; the oracle checks every stage and raises the NonFinite
+    ("exp(q)*p + sqrt(800 - q)", DomainError, "sqrt of a negative value",
+     NonFinite, "non-finite value in eval of"),
+    # H is finite and H_q = (1 - tanh(inf)^2)*inf*p^3 is NaN: one message
+    # for any non-finite strand
+    ("tanh(exp(q))*p^3", NonFinite, "non-finite value in eval of",
+     NonFinite, "non-finite value in derivative of"),
+], ids=["domain_error_wins", "one_message"])
+def test_error_order_of_a_span(h, error, message, oracle_error, oracle_message):
+    spec = hj.ProblemSpec(H=hj.parse(h), u0=hj.parse("q"),
+                          domain=hj.Windowed(-1e300, 1e300), t_max=1.0)
+    with pytest.raises(error, match=message):
+        chars.evolve_states(spec, [0.5, 1.0], [710.0], 0.1)
+    with pytest.raises(oracle_error, match=oracle_message):
+        rk4_oracle.evolve_states(spec, [0.5, 1.0], [710.0], 0.1)
+
+
+def test_frozen_strands_slopes_are_not_checked():
+    # outside [-2, 2] exp(q^2) overflows, but those strands never move: their
+    # slopes are zeroed, so the flow is finite. Checking every stage's slope
+    # before the freeze, the out-of-place flow raises
+    spec = hj.ProblemSpec(H=hj.parse("(1 + t)*p^2/2 + exp(q^2)"), u0=hj.parse("sin(q)"),
+                          domain=hj.Windowed(-2.0, 2.0), t_max=1.0)
+    seeds = np.array([-30.0, -1.0, 0.5, 30.0])
+    Q, P, Z = chars.evolve_states(spec, [0.5, 1.0], seeds, 0.01)
+    assert np.all(np.isfinite(Q) & np.isfinite(P) & np.isfinite(Z))
+    assert np.all(Q[:, [0, 3]] == seeds[[0, 3]]) and np.all(Q[1, 1:3] != seeds[1:3])
+    with pytest.raises(NonFinite, match="non-finite value in eval of"):
+        rk4_oracle.evolve_states(spec, [0.5, 1.0], seeds, 0.01)

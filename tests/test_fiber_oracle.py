@@ -186,3 +186,22 @@ def test_random_polylines_match_oracle(case):
     with np.errstate(invalid="ignore", over="ignore"):
         _assert_matches_oracle(analysis, grid)
 
+
+
+eighth = st.integers(-18, 18).map(lambda k: 0.125 * k)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_crossing_runs_match_six_searches_per_segment(data):
+    # vertices on grid points, off them, and repeated, consecutively (a
+    # segment of zero length) or not; grids with repeated points
+    grid = np.array(sorted(data.draw(st.lists(eighth, min_size=1, max_size=12))))
+    vertex = st.one_of(st.sampled_from(grid.tolist()), eighth, st.floats(-3.0, 3.0))
+    fq = np.array(data.draw(st.lists(vertex, min_size=2, max_size=14)))
+    fq = np.repeat(fq, data.draw(st.lists(st.integers(1, 3), min_size=len(fq),
+                                          max_size=len(fq))))
+    got = selector._crossing_runs(grid, fq)
+    want = oracle.crossing_runs(grid, fq)
+    for g, w in zip(got, want):
+        assert g.tolist() == w.tolist()

@@ -22,6 +22,11 @@ _CASES = {
     "qp": (hj.ProblemSpec(H=hj.parse("q*p"), u0=hj.parse("cos(q)"),
                           domain=hj.Windowed(-50.0, 50.0), t_max=2.0),
            [0.3, 1.1, 2.0], np.linspace(0.5, 2.0, 9), 0.05),
+    # H_p is the scalar 0.5 and H_q is structurally zero: both become
+    # arrays of the state's shape that the flow owns
+    "const_tangents": (hj.ProblemSpec(H=hj.parse("0.5*p + cos(t)"), u0=hj.parse("cos(q)"),
+                                      domain=hj.Periodic(2 * np.pi), t_max=1.0),
+                       [0.25, 1.0], np.linspace(-1.0, 7.3, 33), 0.01),
 }
 
 
@@ -53,6 +58,15 @@ def test_rk4_span_leaves_its_arguments_unchanged(case):
     for x, b, o in zip(state, before, out):
         assert _bits(x) == _bits(b)
         assert not np.shares_memory(o, x)
+
+
+@pytest.mark.parametrize("case", ["qflow", "window", "qp"])
+def test_chosen_step_is_the_out_of_place_probes(monkeypatch, case):
+    spec, times, seeds, _ = _CASES[case]
+    state = chars.initial_state(spec, seeds)
+    got = chars._choose_step(spec, times[-1], *state)
+    monkeypatch.setattr(chars, "_rk4_span", oracle.rk4_span)
+    assert got == chars._choose_step(spec, times[-1], *state)
 
 
 def test_no_step_flows_at_the_chosen_step():
