@@ -219,7 +219,9 @@ def _window_stops(domain: Windowed, q0, hp):
 
 
 def _straight_lines(spec, times, q0, p0, z0, Q, P, Z):
-    """Write the exact flow of a p-only H into the rows of Q, P, Z in place."""
+    """Write the exact flow of a p-only H into the rows of Q, P, Z in place;
+    NonFinite names the first strand, in time then seed order, that is not
+    finite."""
     hval, hp = spec.H.eval_d(p=p0, wrt="p")
     dz = p0 * hp - hval
     windowed = isinstance(spec.domain, Windowed)
@@ -235,6 +237,10 @@ def _straight_lines(spec, times, q0, p0, z0, Q, P, Z):
             Z[k] += z0
             if windowed:
                 np.copyto(Q[k], edge, where=t >= t_exit)
+    bad = ~(np.isfinite(Q) & np.isfinite(P) & np.isfinite(Z))
+    if bad.any():
+        k, s = np.argwhere(bad)[0]
+        raise NonFinite(f"strand with seed q0={q0[s]} diverged by t={times[k]}")
 
 
 def _agree(a, b):
@@ -327,11 +333,6 @@ def evolve_states(spec: ProblemSpec, times: Sequence[float], seeds,
             Qn[k], Pn[k], Zn[k] = q, p, z
     if n < len(seeds):
         _tile(spec.domain.period, n, Q, P, Z)
-
-    bad = ~(np.isfinite(Q) & np.isfinite(P) & np.isfinite(Z))
-    if bad.any():
-        kt, ks = np.argwhere(bad)[0]
-        raise NonFinite(f"strand with seed q0={seeds[ks]} diverged by t={times[kt]}")
     return Q, P, Z
 
 

@@ -29,6 +29,15 @@ class ConfigError(Exception):
     pass
 
 
+# every section and key a config may set (docs/formats.md); anything else is a typo
+CONFIG_KEYS = {
+    "problem": ("H", "u0", "domain", "period", "qmin", "qmax", "t_max"),
+    "grid": ("nt", "nq"),
+    "solver": ("n_seeds", "step"),
+    "output": ("dir", "snapshot_times"),
+}
+
+
 def _fmt(x):
     return f"{float(x):.17g}"
 
@@ -47,6 +56,13 @@ def load_config(path, grid_override=None):
     read = cp.read(path)
     if not read:
         raise ConfigError(f"config file not found: {path}")
+    for name in cp.sections():
+        if name not in CONFIG_KEYS:
+            raise ConfigError(f"unknown section [{name}]")
+        known = {cp.optionxform(key) for key in CONFIG_KEYS[name]}
+        for key in cp.options(name):
+            if key not in known:
+                raise ConfigError(f"unknown key {key!r} in [{name}]")
     try:
         prob = cp["problem"]
     except KeyError:
@@ -92,13 +108,10 @@ def load_config(path, grid_override=None):
     sol = cp["solver"] if cp.has_section("solver") else {}
     step = _number(sol, "step", None, float) if "step" in sol else None
     n_seeds = _number(sol, "n_seeds", 4096, int)
-    cfl = _number(sol, "cfl", 0.5, float)
     if step is not None and not 0 < step < math.inf:
         raise ConfigError(f"step must be positive and finite, got {step}")
     if not n_seeds > 0:
         raise ConfigError(f"n_seeds must be positive, got {n_seeds}")
-    if not 0 < cfl <= viscosity.CFL_MAX:
-        raise ConfigError(f"cfl must lie in (0, {viscosity.CFL_MAX}], got {cfl}")
 
     out = cp["output"] if cp.has_section("output") else {}
     try:
@@ -114,7 +127,6 @@ def load_config(path, grid_override=None):
         "nq": nq,
         "step": step,
         "n_seeds": n_seeds,
-        "cfl": cfl,
         "out_dir": out.get("dir", "out"),
         "snapshot_times": snapshot_times,
     }
@@ -183,7 +195,7 @@ def cmd_compare(cfg):
 
     lines = [f"grid nt={cfg['nt']} nq={cfg['nq']} h={_fmt(h)}"]
 
-    lf = viscosity.lax_friedrichs(spec, t_grid, q_grid, cfl=cfg["cfl"])
+    lf = viscosity.lax_friedrichs(spec, t_grid, q_grid)
     _write(os.path.join(cfg["out_dir"], "lax_friedrichs.csv"), lf.to_csv())
     d = np.abs(mm.u - lf.u)
     lines.append(f"Linf(minimax - lax_friedrichs) = {_fmt(d.max())}")

@@ -59,16 +59,8 @@ class InconsistentSweep(HJError):
 class NoVanishingTriangle(HJError):
     """Front is not smooth but the vanishing rule found no removable triangle."""
 
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or {}
-
 
 # --- viscosity solvers ---
 
 class OutOfRange(HJError):
     """Legendre transform queried outside the attainable slope range."""
-
-
-class CFLViolation(HJError):
-    """Time step violates the monotone-scheme stability bound."""

@@ -416,11 +416,9 @@ def eliminate(f: FrontCurve):
         if not candidates:
             if not coupled:
                 raise NoVanishingTriangle(
-                    "front is not smooth but no triangle loop is coupled",
-                    diagnostics={"cusps": len(analysis.cusps),
-                                 "doubles": len(analysis.doubles),
-                                 "triangles": len(analysis.triangles),
-                                 "time": current.time})
+                    "front is not smooth but no triangle loop is coupled "
+                    f"(cusps={len(analysis.cusps)}, doubles={len(analysis.doubles)}, "
+                    f"triangles={len(analysis.triangles)}, t={current.time})")
             candidates = [min(coupled, key=lambda T: _loop_area(current, T))]
         candidates.sort(key=lambda T: (T.vertex.q, T.vertex.z))
         T = candidates[0]
@@ -428,7 +426,7 @@ def eliminate(f: FrontCurve):
         current, (q_lo, q_hi) = frontmod.remove_triangle(current, T)
         log.append(Surgery(vertex_q=T.vertex.q, vertex_z=T.vertex.z,
                            ball_radius=radius, strict=strict, q_lo=q_lo, q_hi=q_hi))
-    raise NoVanishingTriangle("elimination did not terminate", diagnostics={})
+    raise NoVanishingTriangle("elimination did not terminate")
 
 
 # --- grid assembly ---

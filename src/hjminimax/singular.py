@@ -1,9 +1,12 @@
 """Singular set extraction and codimension <= 2 event classification.
 
-The classifier is combinatorial: singular points per time slice are
-clustered, clusters are chained into arcs over t, and arc topology decides
-the event kind. Shock arcs are codim 1; births and merges codim 2. Arc
-endpoints that leave branches behind, or arcs splitting forward in time,
+The classifier is combinatorial and chains arcs in one pass over the time
+slices. Each slice's singular points are clustered. Every arc that reached
+the previous slice claims its nearest cluster within MATCH_RADIUS_CELLS; a
+cluster claimed by several arcs merges them into the first, a cluster no
+arc claims starts a new arc, and an arc that claims none ends. Arc topology
+decides the event kind: shock arcs are codim 1, births and merges codim 2.
+Arc ends that leave branches behind, and arcs splitting forward in time,
 are the forbidden patterns and must never occur in minimax solutions.
 """
 
@@ -59,9 +62,9 @@ def singular_set(g: GridSolution, periodic: bool = False) -> np.ndarray:
     return mask
 
 
-def _clusters(row_mask: np.ndarray, q: np.ndarray, periodic: bool):
-    """Connected runs of singular grid points, bridging gaps of up to
-    BRIDGE_CELLS cells; returns center q per cluster."""
+def _clusters(row_mask: np.ndarray, q: np.ndarray, periodic: bool) -> list[float]:
+    """Centre q of each connected run of singular grid points, bridging gaps
+    of up to BRIDGE_CELLS cells."""
     idx = np.nonzero(row_mask)[0]
     if len(idx) == 0:
         return []
@@ -88,7 +91,7 @@ def _clusters(row_mask: np.ndarray, q: np.ndarray, periodic: bool):
                 center -= period
         else:
             center = float(qs.mean())
-        out.append({"q": center, "cells": grp})
+        out.append(center)
     return out
 
 
@@ -107,124 +110,86 @@ def classify(g: GridSolution, mask: np.ndarray,
     dq = float(g.q[1] - g.q[0])
     period = nq * dq if periodic else None
     radius = MATCH_RADIUS_CELLS * dq
-
-    per_slice = [_clusters(mask[i], g.q, periodic) for i in range(nt)]
-
-    arcs = []       # each: {"points": [(i, q)], "open": bool}
+    arcs = []       # each arc's points (i, q) in the order they joined it
     events = []
 
-    def branch_count_near(i, qv):
-        j = int(round((qv - g.q[0]) / dq))
-        j = j % nq if periodic else int(np.clip(j, 0, nq - 1))
-        if periodic:
-            js = [(j + k) % nq for k in range(-2, 3)]
-        else:
-            js = list(range(max(0, j - 2), min(nq, j + 3)))
-        return int(max(g.branch_count[i, jj] for jj in js))
+    def emit(kind, i, qv, **evidence):
+        events.append(SingularEvent(kind=kind, t=float(g.t[i]), q=qv, evidence=evidence))
 
-    active = []  # arc indices
+    def branch_count_near(i, qv):
+        js = int(round((qv - g.q[0]) / dq)) + np.arange(-2, 3)
+        js = js % nq if periodic else np.clip(js, 0, nq - 1)
+        return int(g.branch_count[i, js].max())
+
+    active = []     # indices of the arcs that reached the previous slice
     for i in range(nt):
-        clusters = per_slice[i]
-        # match active arcs to clusters
-        matches = {k: [] for k in range(len(clusters))}
-        arc_match = {}
+        clusters = _clusters(mask[i], g.q, periodic)
+        # each arc's clusters within reach, nearest first; the nearest claims
+        # it, and an arc that reaches none ended at slice i - 1
         within = {}
+        arrived = [[] for _ in clusters]
         for a in active:
-            tip_q = arcs[a]["points"][-1][1]
-            near = [(abs_d, k) for k, c in enumerate(clusters)
-                    if (abs_d := _circ_dist(tip_q, c["q"], period)) <= radius]
-            near.sort()
+            tip = arcs[a][-1][1]
+            near = sorted((d, k) for k, c in enumerate(clusters)
+                          if (d := _circ_dist(tip, c, period)) <= radius)
             within[a] = [k for _, k in near]
-            best = near[0][1] if near else None
-            arc_match[a] = best
-            if best is not None:
-                matches[best].append(a)
+            if near:
+                arrived[near[0][1]].append(a)
+            elif (after := branch_count_near(i, tip)) >= 2:
+                emit("ForbiddenA", i - 1, tip, branch_count_after=after,
+                     reason="arc ends forward in t with branches persisting")
+            else:
+                emit("Unclassified", i - 1, tip,
+                     reason="arc ends with a single-branch future fiber")
 
         # an arc seeing several unclaimed clusters is a forward split
         split_children = set()
         for a in active:
-            extras = [k for k in within.get(a, [])[1:] if not matches[k]]
+            extras = [k for k in within[a][1:] if not arrived[k]]
             if extras:
-                events.append(SingularEvent(
-                    kind="ForbiddenB", t=float(g.t[i]),
-                    q=arcs[a]["points"][-1][1],
-                    evidence={"reason": "arc splits forward in t",
-                              "outgoing": 1 + len(extras)}))
+                emit("ForbiddenB", i, arcs[a][-1][1], reason="arc splits forward in t",
+                     outgoing=1 + len(extras))
                 split_children.update(extras)
 
         new_active = []
         for k, c in enumerate(clusters):
-            arrived = matches[k]
-            if len(arrived) == 0:
-                if k in split_children:
-                    arcs.append({"points": [(i, c["q"])]})
-                    new_active.append(len(arcs) - 1)
-                    continue
-                arcs.append({"points": [(i, c["q"])]})
-                a = len(arcs) - 1
-                if i > 0:
-                    # the mask can lag the fold by a few slices while the slope
-                    # jump is still tiny; date the birth at the first slice
-                    # whose fiber near q is multivalued
-                    j = i
-                    while j - 1 >= 1 and j > i - 10 and branch_count_near(j - 1, c["q"]) >= 2:
-                        j -= 1
-                    if branch_count_near(j - 1, c["q"]) <= 1:
-                        events.append(SingularEvent(
-                            kind="ShockBirth", t=float(g.t[j]), q=c["q"],
-                            evidence={"branch_count_before": branch_count_near(j - 1, c["q"]),
-                                      "branch_count_here": branch_count_near(j, c["q"]),
-                                      "mask_onset_t": float(g.t[i])}))
-                    else:
-                        events.append(SingularEvent(
-                            kind="Unclassified", t=float(g.t[i]), q=c["q"],
-                            evidence={"reason": "arc appears with a multivalued past fiber"}))
+            if not arrived[k]:
+                arcs.append([(i, c)])
+                new_active.append(len(arcs) - 1)
+                if i == 0 or k in split_children:
+                    continue    # singular from the first slice, or a split's child
+                # the mask can lag the fold by a few slices while the slope
+                # jump is still tiny; date the birth at the first slice
+                # whose fiber near q is multivalued
+                j = i
+                while j - 1 >= 1 and j > i - 10 and branch_count_near(j - 1, c) >= 2:
+                    j -= 1
+                before = branch_count_near(j - 1, c)
+                if before <= 1:
+                    emit("ShockBirth", j, c, branch_count_before=before,
+                         branch_count_here=branch_count_near(j, c),
+                         mask_onset_t=float(g.t[i]))
                 else:
-                    # singular from the very first slice: treat as pre-existing shock
-                    pass
-                new_active.append(a)
-            elif len(arrived) == 1:
-                a = arrived[0]
-                arcs[a]["points"].append((i, c["q"]))
-                new_active.append(a)
-            else:
-                # two or more arcs merge into one continuing arc
-                events.append(SingularEvent(
-                    kind="ShockMerge", t=float(g.t[i]), q=c["q"],
-                    evidence={"incoming_arcs": len(arrived),
-                              "branch_count": branch_count_near(i, c["q"])}))
-                keep = arrived[0]
-                for a in arrived[1:]:
-                    arcs[keep]["points"].extend(arcs[a]["points"])
-                arcs[keep]["points"].append((i, c["q"]))
-                new_active.append(keep)
-
-        # arcs that found no cluster this slice have ended at slice i-1
-        matched_arcs = {a for a in new_active}
-        for a in active:
-            if a in matched_arcs or arc_match.get(a) is not None:
+                    emit("Unclassified", i, c,
+                         reason="arc appears with a multivalued past fiber")
                 continue
-            i_end, q_end = arcs[a]["points"][-1]
-            if branch_count_near(min(i_end + 1, nt - 1), q_end) >= 2:
-                events.append(SingularEvent(
-                    kind="ForbiddenA", t=float(g.t[i_end]), q=q_end,
-                    evidence={"reason": "arc ends forward in t with branches persisting",
-                              "branch_count_after": branch_count_near(min(i_end + 1, nt - 1), q_end)}))
-            else:
-                events.append(SingularEvent(
-                    kind="Unclassified", t=float(g.t[i_end]), q=q_end,
-                    evidence={"reason": "arc ends with a single-branch future fiber"}))
+            keep = arrived[k][0]
+            if len(arrived[k]) > 1:
+                # two or more arcs merge into the first: it takes their points
+                emit("ShockMerge", i, c, incoming_arcs=len(arrived[k]),
+                     branch_count=branch_count_near(i, c))
+                for a in arrived[k][1:]:
+                    arcs[keep].extend(arcs[a])
+            arcs[keep].append((i, c))
+            new_active.append(keep)
         active = new_active
 
     # one Shock event per arc with interior extent
-    for arc in arcs:
-        pts = arc["points"]
+    for pts in arcs:
         if len(pts) >= 2:
             i_mid, q_mid = pts[len(pts) // 2]
-            events.append(SingularEvent(
-                kind="Shock", t=float(g.t[i_mid]), q=q_mid,
-                evidence={"arc_slices": len(pts),
-                          "t_span": [float(g.t[pts[0][0]]), float(g.t[pts[-1][0]])]}))
+            emit("Shock", i_mid, q_mid, arc_slices=len(pts),
+                 t_span=[float(g.t[pts[0][0]]), float(g.t[pts[-1][0]])])
     events.sort(key=lambda e: (e.t, e.q, e.kind))
     return events
 

@@ -38,11 +38,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .characteristics import Periodic, ProblemSpec
-from .errors import CFLViolation, MalformedInput, NonFinite, OutOfRange
+from .errors import MalformedInput, NonFinite, OutOfRange
 from .expr import Expression
 from .selector import GridSolution
 
-CFL_MAX = 0.9               # largest Courant number `lax_friedrichs` accepts
+COURANT = 0.5               # Courant number of the `lax_friedrichs` time step
 SLOPE_SAMPLES = 4097        # p samples of the attainable slope range H'(p)
 CONVEXITY_SAMPLES = 2048    # p samples of the second-difference certificate
 CONVEXITY_TOL = 1e-8        # floor the sampled H'' must exceed
@@ -210,12 +210,11 @@ def lax_oleinik_grid(Hc: ConvexHamiltonian, u0: Expression, t_grid, q_grid) -> G
                         branch_count=np.ones_like(zeros))
 
 
-def lax_friedrichs(spec: ProblemSpec, t_grid, q_grid, cfl: float = 0.5) -> GridSolution:
+def lax_friedrichs(spec: ProblemSpec, t_grid, q_grid) -> GridSolution:
     """Explicit monotone scheme
     u+ = u - dt [H(t, q, Dc u) - theta (u_{j+1} - 2 u_j + u_{j-1}) / (2 dq)],
-    Dc the centered slope, theta = 1.05 x max sampled |H_p|."""
-    if cfl > CFL_MAX:
-        raise CFLViolation(f"cfl={cfl} exceeds the {CFL_MAX} bound")
+    Dc the centered slope, theta = 1.05 x max sampled |H_p|, and
+    dt <= COURANT dq / theta."""
     t_grid = np.asarray(t_grid, dtype=float)
     q_grid = np.asarray(q_grid, dtype=float)
     dq = float(q_grid[1] - q_grid[0])
@@ -231,7 +230,7 @@ def lax_friedrichs(spec: ProblemSpec, t_grid, q_grid, cfl: float = 0.5) -> GridS
         theta = max(theta, float(np.max(np.abs(hp))))
     theta *= 1.05
     theta = max(theta, 1e-8)
-    dt_max = cfl * dq / theta
+    dt_max = COURANT * dq / theta
 
     out = np.empty((len(t_grid), len(q_grid)))
     t = float(t_grid[0])

@@ -293,7 +293,8 @@ def test_nonfinite_detected_on_the_closed_form():
     # z = u0 + t*p^2/2 reaches 2.5e308 by t = 5 where |sin(q0)| = 1
     spec = hj.ProblemSpec(H=hj.parse("p^2/2"), u0=hj.parse("1e154*cos(q)"),
                           domain=hj.Periodic(2 * np.pi), t_max=5.0)
-    with pytest.raises(NonFinite):
+    with pytest.raises(NonFinite, match=r"^strand with seed q0=1\.5707963267948966 "
+                                        r"diverged by t=5\.0$"):
         chars.evolve_states(spec, [1.0, 5.0], np.linspace(0.0, 2 * np.pi, 9))
 
 

@@ -1,5 +1,7 @@
 import json
 import os
+import re
+from pathlib import Path
 
 import pytest
 
@@ -291,6 +293,37 @@ def test_bad_numeric_settings_exit_2(tmp_path, monkeypatch, capsys, section, lin
     assert cli.main(["compare", "--config", str(path),
                      "--out", str(tmp_path / "out")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("typo, message", [
+    ("[solver]\nn_seed = 800\n", "unknown key 'n_seed' in [solver]"),
+    ("[solvr]\nn_seeds = 800\n", "unknown section [solvr]"),
+], ids=["key", "section"])
+def test_misspelled_setting_exit_2(tmp_path, monkeypatch, capsys, typo, message):
+    def no_solver(*args, **kwargs):
+        raise AssertionError("solver ran on a misspelled config")
+
+    monkeypatch.setattr(cli.selector, "minimax_grid", no_solver)
+    path = tmp_path / "typo.ini"
+    path.write_text("[problem]\nH = p^2/2\nu0 = cos(q)\nt_max = 1.0\n" + typo)
+    with pytest.raises(cli.ConfigError, match=re.escape(message)):
+        cli.load_config(str(path))
+    assert cli.main(["solve", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_documented_config_keys_are_the_schema():
+    # the INI block of docs/formats.md, commented keys (`; qmin = ...`) included
+    text = (Path(__file__).resolve().parent.parent / "docs" / "formats.md").read_text()
+    block = text.split("```ini\n", 1)[1].split("```", 1)[0]
+    documented, section = {}, None
+    for line in block.splitlines():
+        if header := re.match(r"\[(\w+)\]", line):
+            section = header.group(1)
+            documented[section] = set()
+        elif key := re.match(r";?\s*(\w+)\s*=", line):
+            documented[section].add(key.group(1))
+    assert documented == {name: set(keys) for name, keys in cli.CONFIG_KEYS.items()}
 
 
 @pytest.mark.parametrize("argv, snapshot", [

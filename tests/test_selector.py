@@ -5,7 +5,7 @@ import hjminimax as hj
 from hjminimax import characteristics as chars
 from hjminimax import front as frontmod
 from hjminimax import selector, viscosity
-from hjminimax.errors import DegenerateFiber
+from hjminimax.errors import DegenerateFiber, NoVanishingTriangle
 from hjminimax.front import FrontCurve
 
 
@@ -106,6 +106,18 @@ def test_eliminate_two_triangles(burgers_front_t15):
     smooth, log = selector.eliminate(burgers_front_t15.front)
     assert len(log) == 2
     assert frontmod.analyze(smooth).cusps == ()
+
+
+def test_no_vanishing_triangle_message_carries_the_counts():
+    # a known failing input: the slice keeps 2 cusps and finds no double
+    # point, so elimination has no triangle to cut out
+    spec = hj.ProblemSpec(H=hj.parse("p^2/2"), u0=hj.parse("cos(q) + 0.7*cos(2*q - 0.8)"),
+                          domain=hj.Periodic(2 * np.pi), t_max=3.0)
+    a = selector.slice_analysis(spec, 0.8, selector.default_seeds(spec, 600, t=0.8),
+                                step=0.005)
+    with pytest.raises(NoVanishingTriangle, match=r"^front is not smooth but no triangle "
+                       r"loop is coupled \(cusps=2, doubles=0, triangles=0, t=0\.8\)$"):
+        selector.eliminate(a.front)
 
 
 def test_minimax_grid_initial_slice(burgers_spec):

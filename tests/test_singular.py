@@ -128,9 +128,9 @@ def test_seam_cluster_centre_stays_in_period(q_start):
     q = q_start + np.linspace(0.0, 2 * np.pi, nq, endpoint=False)
     mask = np.zeros(nq, bool)
     mask[[nq - 1, 0, 1]] = True
-    (cluster,) = singular._clusters(mask, q, periodic=True)
-    assert q[0] <= cluster["q"] < q[0] + 2 * np.pi
-    assert cluster["q"] == pytest.approx(q[0], abs=1e-12)
+    (centre,) = singular._clusters(mask, q, periodic=True)
+    assert q[0] <= centre < q[0] + 2 * np.pi
+    assert centre == pytest.approx(q[0], abs=1e-12)
 
 
 def test_events_json_roundtrip(burgers_grid):

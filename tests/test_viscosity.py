@@ -3,7 +3,7 @@ import pytest
 
 import hjminimax as hj
 from hjminimax import viscosity
-from hjminimax.errors import CFLViolation, MalformedInput
+from hjminimax.errors import MalformedInput
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +60,7 @@ def test_lax_friedrichs_transport():
                           domain=hj.Periodic(2 * np.pi), t_max=1.0)
     t_grid = np.linspace(0, 1, 9)
     q_grid = np.linspace(0, 2 * np.pi, 256, endpoint=False)
-    g = viscosity.lax_friedrichs(spec, t_grid, q_grid, cfl=0.5)
+    g = viscosity.lax_friedrichs(spec, t_grid, q_grid)
     exact = np.cos(q_grid - 0.8)
     assert np.abs(g.u[-1] - exact).max() < 0.05
 
@@ -68,17 +68,10 @@ def test_lax_friedrichs_transport():
 def test_lax_friedrichs_matches_lax_oleinik(quad, burgers_spec):
     t_grid = np.linspace(0, 2.0, 17)
     q_grid = np.linspace(0, 2 * np.pi, 256, endpoint=False)
-    lf = viscosity.lax_friedrichs(burgers_spec, t_grid, q_grid, cfl=0.5)
+    lf = viscosity.lax_friedrichs(burgers_spec, t_grid, q_grid)
     lo = viscosity.lax_oleinik_grid(quad, burgers_spec.u0, t_grid, q_grid)
     # first-order scheme on a shocked solution: agreement at grid accuracy
     assert np.abs(lf.u - lo.u).max() < 0.12
-
-
-def test_lax_friedrichs_cfl_guard(burgers_spec):
-    t_grid = np.linspace(0, 1, 5)
-    q_grid = np.linspace(0, 2 * np.pi, 64, endpoint=False)
-    with pytest.raises(CFLViolation):
-        viscosity.lax_friedrichs(burgers_spec, t_grid, q_grid, cfl=1.2)
 
 
 def test_zero_hamiltonian_all_methods_agree():
