@@ -255,7 +255,9 @@ def _period_width(spec: ProblemSpec, seeds, p0, z0):
 
     That needs a periodic domain; sorted seeds with seeds[n:] = seeds[:-n] + L
     to a few ulps; u0's value z0 and slope p0 agreeing at the repeats; and,
-    when H reads q, H, H_p and H_q agreeing there at t = 0 and t = t_max."""
+    when H reads q, H, H_p and H_q agreeing there at the nine times
+    k t_max / 8. Those times are a sample: an H that disagrees across a
+    period only between them is still tiled."""
     N = len(seeds)
     if not isinstance(spec.domain, Periodic) or N < 2:
         return N
@@ -268,7 +270,7 @@ def _period_width(spec: ProblemSpec, seeds, p0, z0):
     if not (_agree(z0[n:], z0[:-n]) and _agree(p0[n:], p0[:-n])):
         return N
     if "q" in spec.H.variables:
-        for t in (0.0, spec.t_max):
+        for t in (k * spec.t_max / 8 for k in range(9)):
             for h in spec.H.eval_d(t=t, q=seeds, p=p0, wrt=("p", "q")):
                 h = np.broadcast_to(h, seeds.shape)
                 if not _agree(h[n:], h[:-n]):

@@ -5,26 +5,29 @@ Lax-Friedrichs scheme for general H. Both emit the same GridSolution
 schema as the minimax path. `is_convex_in_p` certifies convexity on a
 p-window, the one the Lax-Oleinik conjugate is tabulated on.
 
+The conjugate L(v) = sup_p (v p - H(p)) is tabulated in closed parametric
+form: for convex H the sup at v = H'(p) is attained at p itself, so
+L(H'(p)) = p H'(p) - H(p) at each of the TABLE_P samples p of the
+p-window, and L is interpolated linearly between those nodes. The
+certificate makes the nodes H'(p) strictly increasing; the first and
+last, vmin and vmax, bound the slope range.
+
 Lax-Oleinik minimizes phi(q, q0) = u0(q0) + t L((q - q0)/t) over seeds
 q0 on the window [qmin - vmax t, qmax - vmin t], which holds every
-admissible foot q0 in [q - vmax t, q - vmin t] of every grid point;
-[vmin, vmax] is the slope range H'(p) on the p-window, and phi is inf
-outside it. The conjugate L is tabulated by maximizing v p - H(p) over
-p samples. Neither matrix is scanned in full: in both the leftmost
-argmin never decreases down the rows (ascending q, ascending v), so
-`_monotone_argmin` finds it by divide and conquer over the rows
-(Aggarwal, Klawe, Moran, Shor & Wilber, Algorithmica 2, 1987). The
-reasons:
+admissible foot q0 in [q - vmax t, q - vmin t] of every grid point; phi
+is inf outside it. The matrix is not scanned in full: its leftmost
+argmin never decreases down the rows (ascending q), so `_monotone_argmin`
+finds it by divide and conquer over the rows (Aggarwal, Klawe, Moran,
+Shor & Wilber, Algorithmica 2, 1987). The reasons:
 - t L((q - q0)/t) is Monge for convex L (so is the tabulated L, which
   interpolates convex samples linearly), and adding u0(q0) keeps it so;
-- v p - H(p) is supermodular in (v, p);
 - the admissible band of seeds moves right as q grows, so an inf entry
   never sits between two rows' argmins.
 Every entry it looks at is computed elementwise by the dense matrix's
 expression, so the argmin, the minimum and the parabolic refinement
 around it are the dense scan's bit for bit, unless rounding reverses the
 order of two entries that the argument above ranks; tests/viscosity_oracle.py
-keeps the dense scans to check that. The seeds are spaced no wider than
+keeps the dense scan to check that. The seeds are spaced no wider than
 1/BAND_STEPS of the admissible band, (vmax - vmin) t wide, so every grid
 point has admissible seeds however small t is; a band too narrow for
 MAX_SEED seeds raises OutOfRange.
@@ -43,10 +46,9 @@ from .expr import Expression
 from .selector import GridSolution
 
 COURANT = 0.5               # Courant number of the `lax_friedrichs` time step
-SLOPE_SAMPLES = 4097        # p samples of the attainable slope range H'(p)
 CONVEXITY_SAMPLES = 2048    # p samples of the second-difference certificate
 CONVEXITY_TOL = 1e-8        # floor the sampled H'' must exceed
-TABLE_V = TABLE_P = 8192    # tabulated slopes v of L(v), p samples maximized over per v
+TABLE_P = 8192              # p samples of the conjugate table, H' strictly increasing on them
 N_SEED = 2049               # fewest seed abscissae of the Lax-Oleinik minimization
 BAND_STEPS = 6              # fewest seed spacings across the admissible band
 MAX_SEED = 16384            # most seed abscissae
@@ -63,25 +65,25 @@ class ConvexHamiltonian:
         if extra:
             raise MalformedInput(f"convex Hamiltonian must depend on p only, uses {sorted(extra)}")
         if not is_convex_in_p(self.H, self.p_window):
-            raise MalformedInput("sampled second differences are not positive: H is not convex "
-                                 "on the window")
-
-    def slope_range(self):
-        ps = np.linspace(*self.p_window, SLOPE_SAMPLES)
-        _, hp = self.H.eval_d(p=ps, wrt="p")
-        return float(hp.min()), float(hp.max())
+            raise MalformedInput("sampled second differences are not positive or H' is not "
+                                 "increasing: H is not convex on the window")
 
 
 def is_convex_in_p(H: Expression, p_window) -> bool:
-    """True when H depends on p only and its sampled second differences
-    exceed CONVEXITY_TOL on p_window."""
+    """True when H depends on p only, its second differences sampled at
+    CONVEXITY_SAMPLES points of p_window exceed CONVEXITY_TOL, and H'
+    strictly increases over the TABLE_P samples the conjugate is tabulated
+    on, which `np.interp` needs of the table's nodes."""
     if H.variables - {"p"}:
         return False
     ps = np.linspace(p_window[0], p_window[1], CONVEXITY_SAMPLES)
     vals = H.eval(p=ps)
     dp = ps[1] - ps[0]
     d2 = (vals[2:] - 2.0 * vals[1:-1] + vals[:-2]) / (dp * dp)
-    return bool(np.all(d2 > CONVEXITY_TOL))
+    if not np.all(d2 > CONVEXITY_TOL):
+        return False
+    _, hp = H.eval_d(p=np.linspace(p_window[0], p_window[1], TABLE_P), wrt="p")
+    return bool(np.all(np.diff(hp) > 0))
 
 
 def _monotone_argmin(f, n_rows, n_cols):
@@ -114,29 +116,15 @@ def _monotone_argmin(f, n_rows, n_cols):
 
 
 class _LegendreTable:
-    """Dense tabulation of the conjugate for vectorized Lax-Oleinik."""
+    """The conjugate L on the nodes v = H'(p) of the TABLE_P samples p of
+    the p-window, where L(v) = p v - H(p), interpolated linearly between."""
 
     def __init__(self, Hc: ConvexHamiltonian):
         self.Hc = Hc
-        self.vmin, self.vmax = Hc.slope_range()
-        self.vs = np.linspace(self.vmin, self.vmax, TABLE_V)
         ps = np.linspace(*Hc.p_window, TABLE_P)
-        hs = Hc.H.eval(p=ps)
-        dp = ps[1] - ps[0]
-
-        def g(rows, cols):
-            return self.vs[rows] * ps[cols] - hs[cols]
-
-        # v p - H(p) is supermodular: its leftmost argmax in p never decreases in v
-        k, _ = _monotone_argmin(lambda rows, cols: -g(rows, cols), TABLE_V, TABLE_P)
-        k = np.clip(k, 1, TABLE_P - 2)
-        rows = np.arange(TABLE_V)
-        gm1, g0, gp1 = g(rows, k - 1), g(rows, k), g(rows, k + 1)
-        denom = gm1 - 2 * g0 + gp1
-        off = np.where(denom < 0, 0.5 * (gm1 - gp1) / denom, 0.0)
-        off = np.clip(off, -1.0, 1.0)
-        p_star = ps[k] + off * dp
-        self.Ls = self.vs * p_star - Hc.H.eval(p=p_star)
+        hs, self.vs = Hc.H.eval_d(p=ps, wrt="p")
+        self.Ls = self.vs * ps - hs
+        self.vmin, self.vmax = float(self.vs[0]), float(self.vs[-1])
 
     def __call__(self, v):
         return np.interp(v, self.vs, self.Ls)
@@ -236,18 +224,14 @@ def lax_friedrichs(spec: ProblemSpec, t_grid, q_grid) -> GridSolution:
     t = float(t_grid[0])
     out[0] = u
 
-    def slopes(w):
-        if periodic:
-            return (np.roll(w, -1) - np.roll(w, 1)) / (2 * dq), \
-                   (np.roll(w, -1) - 2 * w + np.roll(w, 1)) / (2 * dq)
-        wp = np.concatenate([[2 * w[0] - w[1]], w, [2 * w[-1] - w[-2]]])
-        return (wp[2:] - wp[:-2]) / (2 * dq), (wp[2:] - 2 * w + wp[:-2]) / (2 * dq)
-
     for i in range(1, len(t_grid)):
         t_target = float(t_grid[i])
         while t < t_target - 1e-14:
             dt = min(dt_max, t_target - t)
-            dc, diff2 = slopes(u)
+            lo, hi = (u[-1:], u[:1]) if periodic else ([2 * u[0] - u[1]], [2 * u[-1] - u[-2]])
+            w = np.concatenate([lo, u, hi])
+            dc = (w[2:] - w[:-2]) / (2 * dq)
+            diff2 = (w[2:] - 2 * u + w[:-2]) / (2 * dq)
             u = u - dt * (spec.H.eval(t=t, q=q_grid, p=dc) - theta * diff2)
             t += dt
             if not np.all(np.isfinite(u)):

@@ -98,6 +98,8 @@ def test_period_lattice_is_one_period_tiled(h):
 @pytest.mark.parametrize("h, u0, unsorted", [
     (QFLOW_H, "cos(q) + 0.1*q", False),      # u0 not periodic
     ("p^2/2 + sin(q/2)", "cos(q)", False),   # H not 2*pi-periodic
+    # H's q-term vanishes at t = 0 and t = t_max = 2, not in between
+    ("p^2/2 + q*sin(1.5707963267948966*t)", "cos(q)", False),
     (QFLOW_H, "cos(q)", True),
 ])
 def test_lattice_falls_back_to_every_seed(h, u0, unsorted):

@@ -26,6 +26,19 @@ def test_convexity_certificate_reads_its_window():
     assert not viscosity.is_convex_in_p(H, (-5.0, 5.0))
 
 
+def test_convexity_certificate_needs_increasing_slopes():
+    # the sine's frequency is 2 pi 2047/8: it aliases away on the 2048
+    # second-difference samples of (-4, 4), but H' is not increasing on
+    # the TABLE_P samples the conjugate is tabulated on
+    H = hj.parse("p^2 + 0.001*sin(1607.7100404745765*p)")
+    ps = np.linspace(-4.0, 4.0, viscosity.CONVEXITY_SAMPLES)
+    vals = H.eval(p=ps)
+    assert np.all(vals[2:] - 2.0 * vals[1:-1] + vals[:-2] > 0)
+    assert not viscosity.is_convex_in_p(H, (-4.0, 4.0))
+    with pytest.raises(MalformedInput):
+        viscosity.ConvexHamiltonian(H=H, p_window=(-4.0, 4.0))
+
+
 def test_convex_hamiltonian_rejects_nonconvex():
     with pytest.raises(MalformedInput):
         viscosity.ConvexHamiltonian(H=hj.parse("cos(p)"), p_window=(-3, 3))

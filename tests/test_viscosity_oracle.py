@@ -1,5 +1,8 @@
 """The monotone divide-and-conquer argmins of `hjminimax.viscosity` against
-the dense matrix scans they replaced (`viscosity_oracle`)."""
+the dense matrix scans they replaced (`viscosity_oracle`), the conjugate
+table's closed parametric form against closed-form conjugates and the
+dense scan, and the padded Lax-Friedrichs stencil against the `np.roll`
+one it replaced."""
 
 import math
 
@@ -50,13 +53,28 @@ def test_table_and_rows_match_dense_scan(H, u0, window, nt, nq):
     q_grid = _periodic(nq)
     Hc = viscosity.ConvexHamiltonian(H=hj.parse(H), p_window=window or _compare_window(u0, q_grid))
     table = viscosity._LegendreTable(Hc)
+    # the parametric table within interpolation error of the dense argmax scan
     dense = oracle.LegendreTable(Hc)
-    assert np.array_equal(table.Ls, dense.Ls)
+    assert (table.vmin, table.vmax) == (dense.vmin, dense.vmax)
+    np.testing.assert_allclose(table(dense.vs), dense.Ls, rtol=1e-5, atol=1e-5)
     t_grid = np.linspace(0.0, 3.0, nt)
     got = viscosity.lax_oleinik_grid(Hc, u0, t_grid, q_grid).u
     for i, t in enumerate(t_grid):
-        want = oracle.lax_oleinik(Hc, u0, float(t), q_grid, table=dense)
+        want = oracle.lax_oleinik(Hc, u0, float(t), q_grid, table=table)
         assert np.array_equal(got[i], want), f"t={t}"
+
+
+@pytest.mark.parametrize("H, conjugate", [
+    ("p^2/2", lambda v: v * v / 2),
+    ("p^2/2 + p", lambda v: (v - 1) ** 2 / 2),
+])
+def test_table_is_the_closed_form_conjugate(H, conjugate):
+    Hc = viscosity.ConvexHamiltonian(H=hj.parse(H), p_window=(-4.0, 4.0))
+    table = viscosity._LegendreTable(Hc)
+    ps = np.linspace(-4.0, 4.0, viscosity.TABLE_P)
+    # a few ulps of the terms v p and H(p) that Ls is the difference of
+    ulp = np.spacing(np.abs(table.vs * ps) + np.abs(Hc.H.eval(p=ps)))
+    assert np.all(np.abs(table.Ls - conjugate(table.vs)) <= 4 * ulp)
 
 
 def _trig_polynomial(coefficients):
@@ -81,9 +99,18 @@ def _outcome(fn, *args, **kw):
 
 @settings(max_examples=8, deadline=None)
 @given(H=_hamiltonians, pmax=st.floats(1.0, 8.0))
-def test_table_matches_dense_scan_random_hamiltonian(H, pmax):
+def test_table_nodes_are_fenchel_young_maximizers(H, pmax):
+    # v p - H(p) over every p sample peaks at the sample whose slope is v
     Hc = viscosity.ConvexHamiltonian(H=hj.parse(H), p_window=(-pmax, pmax))
-    assert np.array_equal(viscosity._LegendreTable(Hc).Ls, oracle.LegendreTable(Hc).Ls)
+    table = viscosity._LegendreTable(Hc)
+    ps = np.linspace(-pmax, pmax, viscosity.TABLE_P)
+    hs = Hc.H.eval(p=ps)
+    scale = np.abs(table.vs) * pmax + np.abs(hs).max()
+    for k0 in range(0, len(ps), 512):
+        k = np.arange(k0, min(k0 + 512, len(ps)))
+        g = table.vs[k, None] * ps[None, :] - hs[None, :]
+        assert np.array_equal(g[np.arange(len(k)), k], table.Ls[k])
+        assert np.all(g.max(axis=1) - table.Ls[k] <= 4 * np.spacing(scale[k]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -166,7 +193,8 @@ def test_narrow_band_rows_match_dense_scan():
     # holds no seed of N_SEED; the seeds are spaced to put BAND_STEPS in it
     u0, q = hj.parse("cos(q)"), _periodic(32)
     Hc = viscosity.ConvexHamiltonian(H=hj.parse("0.01*p^2"), p_window=_compare_window(u0, q))
-    vmin, vmax = Hc.slope_range()
+    table = viscosity._LegendreTable(Hc)
+    vmin, vmax = table.vmin, table.vmax
     t = 1.0 / 63.0
     width = q[-1] - q[0] + (vmax - vmin) * t
     assert width / (viscosity.N_SEED - 1) > (vmax - vmin) * t
@@ -186,3 +214,16 @@ def test_no_admissible_seed_raises():
     # a single grid point with the seed window as wide as its band always has one
     assert np.array_equal(viscosity.lax_oleinik(Hc, u0, 1.0, q[:1]),
                           oracle.lax_oleinik(Hc, u0, 1.0, q[:1]))
+
+
+@pytest.mark.parametrize("H", ["p^2/2", "p^2/2 + 0.5*sin(q)*cos(t)"])
+@pytest.mark.parametrize("domain, q_grid", [
+    (hj.Periodic(TWO_PI), _periodic(128)),
+    (hj.Windowed(-3.0, 3.0), np.linspace(-3.0, 3.0, 129)),
+])
+def test_lax_friedrichs_matches_roll_stencil(H, domain, q_grid):
+    spec = hj.ProblemSpec(H=hj.parse(H), u0=hj.parse("cos(q)"), domain=domain, t_max=2.0)
+    t_grid = np.linspace(0.0, 2.0, 33)
+    got = viscosity.lax_friedrichs(spec, t_grid, q_grid)
+    want = oracle.lax_friedrichs(spec, t_grid, q_grid)
+    assert np.array_equal(got.u, want.u)
