@@ -63,4 +63,6 @@ class NoVanishingTriangle(HJError):
 # --- viscosity solvers ---
 
 class OutOfRange(HJError):
-    """Legendre transform queried outside the attainable slope range."""
+    """A viscosity solver left the range it was set up for: a Legendre
+    transform queried outside the attainable slope range, or a
+    Lax-Friedrichs step faster than its Courant bound."""

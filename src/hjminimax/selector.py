@@ -2,13 +2,14 @@
 
 The production path selects pointwise: the fiber critical points over each
 abscissa are coupled greedily and the free point is the minimax. All fibers
-of one front go through one array pass, `fiber_crossings`, and one coupling
-pass, `couple_fibers`, whether they are a grid row, a sweep or a single
-abscissa. The geometric validator cuts vanishing triangles out at their
-double points until the front is the minimax graph, with a corner at each
-shock; both must agree outside the logged surgery regions. Every front, a
-grid row or a lone slice, is built by `_long_front` at exactly its time,
-and `default_seeds` gives both their seeds from one lattice.
+of one front go through one array pass, `fiber_crossings`, whether they are
+a grid row, a sweep or a single abscissa, and one coupling pass,
+`couple_fibers`, takes the fibers of a front or of a whole grid. The
+geometric validator cuts vanishing triangles out at their double points
+until the front is the minimax graph, with a corner at each shock; both
+must agree outside the logged surgery regions. Every front, a grid row or
+a lone slice, is built by `_long_front` at exactly its time, and
+`default_seeds` gives both their seeds from one lattice.
 """
 
 from __future__ import annotations
@@ -201,7 +202,9 @@ def couple_fibers(fibers: Fibers) -> Coupling:
     """Greedy coupling of every fiber: one crossing is free. The fibers of
     three or more crossings are grouped by crossing count, and each group
     goes through one `morse1d.couple_rows` call on its crossings' values
-    and branch indices."""
+    and branch indices. The fibers may come from several fronts, stacked
+    by `_stack_fibers`: `minimax_grid` couples a whole grid in one call,
+    one `couple_rows` call per distinct crossing count."""
     fb = fibers
     counts = fb.counts()
     failed = dict(fb.failed)
@@ -507,10 +510,14 @@ def minimax_grid(spec: chars.ProblemSpec, t_grid, q_grid,
     lattice of n_seeds per period, of which `evolve_states` flows one period
     and copies the rest. Each row is the front at exactly its grid time,
     from that time's `evolve_states` row, and each fiber is at exactly its
-    grid q; neither is shifted. A row's fibers are selected in one
-    `select_fibers` pass over the sorted q_grid, and scattered back to grid
-    order. A fiber that cannot be coupled raises: the first such fiber in
-    grid order."""
+    grid q; neither is shifted. Each row's crossings come from one
+    `fiber_crossings` pass over the sorted q_grid; the fibers of all rows
+    are coupled in one `couple_fibers` call, after the flow and the fronts
+    are released, and scattered back to grid order.
+
+    A fiber that cannot be coupled raises: the first such fiber in grid
+    order. A row with a crossing failure is coupled with the rows before
+    it, at once, so its error is raised before any later row is built."""
     t_grid = np.asarray(t_grid, dtype=float)
     q_grid = np.asarray(q_grid, dtype=float)
     seeds = default_seeds(spec, n_seeds)
@@ -525,22 +532,48 @@ def minimax_grid(spec: chars.ProblemSpec, t_grid, q_grid,
     u0q = spec.u0.eval(q=q_grid)
     order = np.argsort(q_grid, kind="stable")
     q_sorted = q_grid[order]
-
+    rows, fibers = [], []
     for i, t in enumerate(times):
         if t == 0.0:
             u[i] = u0q
             continue
-        f = _long_front(t, seeds, Q[i], P[i], Z[i])
-        cusps = frontmod.detect_cusps(f)
-        analysis = FrontAnalysis(front=f, cusps=tuple(cusps),
-                                 sections=tuple(frontmod.split_sections(f, cusps)),
-                                 doubles=(), triangles=())
-        cp = select_fibers(analysis, q_sorted)
-        if cp.failed:
-            # the first failing fiber in grid order
-            raise cp.failed[min(cp.failed, key=lambda k: order[k])]
-        u[i, order] = cp.fibers.z[cp.free]
-        branch[i, order] = cp.fibers.section[cp.free]
-        count[i, order] = cp.fibers.counts()
+        rows.append(i)
+        fibers.append(_row_crossings(t, seeds, Q[i], P[i], Z[i], q_sorted))
+        if fibers[-1].failed:
+            break
+    del Q, P, Z  # release the flow before the grid's crossings are coupled
+    cp = couple_fibers(_stack_fibers(fibers, nq))
+    if cp.failed:
+        raise cp.failed[min(cp.failed, key=lambda k: (k // nq, order[k % nq]))]
+    at = (np.array(rows, dtype=int)[:, None], order)
+    free = cp.free.reshape(len(rows), nq)
+    u[at] = cp.fibers.z[free]
+    branch[at] = cp.fibers.section[free]
+    count[at] = cp.fibers.counts().reshape(len(rows), nq)
     return GridSolution(t=t_grid, q=q_grid, u=u, branch=branch,
                         branch_count=count)
+
+
+def _row_crossings(t: float, q0, q, p, z, q_sorted) -> Fibers:
+    """The crossings of the grid row at time t, from its seed-sorted states,
+    with the sorted abscissae q_sorted; the row's front dies with the call."""
+    f = _long_front(t, q0, q, p, z)
+    cusps = frontmod.detect_cusps(f)
+    analysis = FrontAnalysis(front=f, cusps=tuple(cusps),
+                             sections=tuple(frontmod.split_sections(f, cusps)),
+                             doubles=(), triangles=())
+    return fiber_crossings(analysis, q_sorted)
+
+
+def _stack_fibers(parts, n: int) -> Fibers:
+    """The fibers of parts, each with n fibers, as one Fibers: fiber r*n + k
+    is fiber k of parts[r]. `seg` keeps each part's own segment numbers."""
+    start = np.cumsum([0] + [len(fb.z) for fb in parts])
+    return Fibers(
+        bounds=np.concatenate([fb.bounds[:-1] + s for fb, s in zip(parts, start)]
+                              + [start[-1:]]),
+        z=np.concatenate([fb.z for fb in parts] + [np.empty(0)]),
+        seg=np.concatenate([fb.seg for fb in parts] + [np.empty(0, dtype=int)]),
+        section=np.concatenate([fb.section for fb in parts] + [np.empty(0, dtype=int)]),
+        index=np.concatenate([fb.index for fb in parts] + [np.empty(0, dtype=int)]),
+        failed={r * n + k: exc for r, fb in enumerate(parts) for k, exc in fb.failed.items()})

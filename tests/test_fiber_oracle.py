@@ -42,13 +42,22 @@ def _grid_rows(spec, t_grid, n_seeds):
     ("p^2/2", "cos(q)", 3.0, 12, 64, 512, 3),
     ("p^2/2", "cos(q) + 0.7*cos(2*q)", 3.0, 12, 96, 1024, 7),
     ("p^2/2 + 0.5*sin(q)*cos(t)", "cos(q)", 2.0, 8, 32, 1024, 3),
+    # the Burgers and two-hump grids of perfbench/configs
+    ("p^2/2", "cos(q)", 3.0, 128, 256, 2048, 3),
+    ("p^2/2", "cos(q) + 0.7*cos(2*q)", 3.0, 96, 192, 2048, 7),
 ])
-def test_grid_rows_match_oracle_bit_for_bit(H, u0, t_max, nt, nq, n_seeds, most):
+def test_grid_rows_match_oracle_bit_for_bit(monkeypatch, H, u0, t_max, nt, nq, n_seeds, most):
     spec = hj.ProblemSpec(H=hj.parse(H), u0=hj.parse(u0),
                           domain=hj.Periodic(TWO_PI), t_max=t_max)
     t_grid = np.linspace(0.0, t_max, nt)
     q_grid = np.linspace(0.0, TWO_PI, nq, endpoint=False)
+    couple_rows, batches = selector.morse1d.couple_rows, []
+    monkeypatch.setattr(selector.morse1d, "couple_rows",
+                        lambda values, index: batches.append(values.shape[1])
+                        or couple_rows(values, index))
     g = selector.minimax_grid(spec, t_grid, q_grid, n_seeds=n_seeds)
+    # one coupling call per crossing count of three or more, for the whole grid
+    assert batches == np.unique(g.branch_count[g.branch_count >= 3]).tolist()
     for i, analysis in _grid_rows(spec, t_grid, n_seeds).items():
         u, branch, count = oracle.select_row(analysis, q_grid)
         assert np.array_equal(_bits(g.u[i]), _bits(u)), f"row {i}"
@@ -145,6 +154,39 @@ def test_fiber_near_a_cusp_raises_in_grid_order(burgers_spec):
         selector.minimax_grid(burgers_spec, t_grid, q_grid, n_seeds=512)
     assert str(exc.value) == str(oracle_exc.value)
     assert f"q={c1}" in str(exc.value)
+
+
+def _fibers(*fibers):
+    """Fibers of the (values, indices, crossing error or None) of each fiber."""
+    n = [len(z) for z, _, _ in fibers]
+    return selector.Fibers(bounds=np.cumsum([0] + n), z=np.concatenate([z for z, _, _ in fibers]),
+                           seg=np.zeros(sum(n), dtype=int), section=np.arange(sum(n)),
+                           index=np.concatenate([i for _, i, _ in fibers]),
+                           failed={k: exc for k, (_, _, exc) in enumerate(fibers) if exc})
+
+
+def test_grid_failures_in_grid_order(monkeypatch, burgers_spec):
+    # fiber 0 of each row sits at grid column 1, fiber 1 at column 0
+    ok = ([0.5], [0], None)
+    unmatched = ([0.0, 1.0, 0.5], [0, 0, 1], None)    # coupling: indices do not alternate
+    crossing = ([0.5], [0], DegenerateFiber("crossing"))
+
+    def solve(rows):
+        def crossings(t, *_):
+            if rows[t] is None:
+                raise NonGeneric(f"front at t={t}")
+            return _fibers(*rows[t])
+        monkeypatch.setattr(selector, "_row_crossings", crossings)
+        selector.minimax_grid(burgers_spec, [0.0, 1.0, 2.0], [2.0, 1.0], n_seeds=64)
+
+    # within a row, grid order; a crossing failure couples the rows before it
+    with pytest.raises(DegenerateFiber, match="crossing"):
+        solve({1.0: [unmatched, crossing], 2.0: None})
+    with pytest.raises(MalformedInput, match="alternate"):
+        solve({1.0: [unmatched, ok], 2.0: [ok, crossing]})
+    # the rows are coupled after every front is built
+    with pytest.raises(NonGeneric, match="front at t=2.0"):
+        solve({1.0: [unmatched, ok], 2.0: None})
 
 
 # --- random polylines against the oracle ---

@@ -3,7 +3,7 @@ import pytest
 
 import hjminimax as hj
 from hjminimax import viscosity
-from hjminimax.errors import MalformedInput
+from hjminimax.errors import MalformedInput, OutOfRange
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +76,18 @@ def test_lax_friedrichs_transport():
     g = viscosity.lax_friedrichs(spec, t_grid, q_grid)
     exact = np.cos(q_grid - 0.8)
     assert np.abs(g.u[-1] - exact).max() < 0.05
+
+
+def test_lax_friedrichs_checks_each_steps_speed():
+    # theta comes from |H_p| at t = 0, 0.5, ..., 2, where the sine vanishes
+    # and |H_p| = 1; between those times it reaches 21, and stepping on
+    # past the Courant bound grows max|u| to 9.2e34 by t = 2
+    spec = hj.ProblemSpec(H=hj.parse("p*(1 + 20*sin(6.283185307179586*t)^2)"),
+                          u0=hj.parse("cos(q)"), domain=hj.Periodic(2 * np.pi), t_max=2.0)
+    with pytest.raises(OutOfRange, match=r"^Lax-Friedrichs step at t=0\.0233\d+: "
+                       r"max\|H_p\| = 1\.428\d* exceeds theta = 1\.05,"):
+        viscosity.lax_friedrichs(spec, np.linspace(0.0, 2.0, 33),
+                                 np.linspace(0, 2 * np.pi, 128, endpoint=False))
 
 
 def test_lax_friedrichs_matches_lax_oleinik(quad, burgers_spec):

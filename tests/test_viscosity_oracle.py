@@ -145,7 +145,7 @@ def _search(matrix):
     def f(rows, cols):
         asked.append(len(rows))
         return matrix[rows, cols]
-    arg, val = viscosity._monotone_argmin(f, *matrix.shape)
+    arg, val = viscosity._monotone_argmin(f, [matrix.shape[0]], [matrix.shape[1]])
     return arg, val, sum(asked)
 
 
@@ -163,6 +163,48 @@ def test_monotone_argmin_takes_the_leftmost_tie(shape):
         assert np.array_equal(arg, want_arg)
         assert np.array_equal(val, want_val)
         assert asked <= (n_rows + n_cols) * (math.log2(n_rows) + 2)
+
+
+@st.composite
+def _monge_matrix(draw):
+    """a[j] + (x_i - j)^2 with small integers a and sorted integers x, so
+    leftmost ties are common, and in some matrices inf outside a band of
+    columns that moves right down the rows."""
+    n_rows, n_cols = draw(st.integers(1, 9)), draw(st.integers(1, 12))
+    x = np.sort(draw(st.lists(st.integers(0, n_cols - 1), min_size=n_rows, max_size=n_rows)))
+    a = np.array(draw(st.lists(st.integers(0, 3), min_size=n_cols, max_size=n_cols)), float)
+    matrix = a[None, :] + (x[:, None] - np.arange(n_cols)[None, :]) ** 2.0
+    if draw(st.booleans()):
+        first = np.sort(draw(st.lists(st.integers(0, n_cols - 1),
+                                      min_size=n_rows, max_size=n_rows)))
+        stop = np.maximum(np.sort(draw(st.lists(st.integers(1, n_cols),
+                                                min_size=n_rows, max_size=n_rows))), first + 1)
+        cols = np.arange(n_cols)[None, :]
+        matrix[(cols < first[:, None]) | (cols >= stop[:, None])] = np.inf
+    return matrix
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_monge_matrix(), min_size=1, max_size=5))
+def test_blocked_monotone_argmin_matches_one_block_calls(matrices):
+    # the rows of all blocks in one sequence; each block's columns its own
+    n_rows = [len(m) for m in matrices]
+    first_row = np.cumsum([0] + n_rows)
+    block = np.repeat(np.arange(len(matrices)), n_rows)
+
+    def f(rows, cols):
+        out = np.empty(len(rows))
+        for b, m in enumerate(matrices):
+            mine = block[rows] == b
+            out[mine] = m[rows[mine] - first_row[b], cols[mine]]
+        return out
+    arg, val = viscosity._monotone_argmin(f, n_rows, [m.shape[1] for m in matrices])
+    for b, m in enumerate(matrices):
+        want_arg, want_val, _ = _search(m)
+        rows = slice(first_row[b], first_row[b + 1])
+        assert arg[rows].tolist() == want_arg.tolist()
+        assert val[rows].tobytes() == want_val.tobytes()
+        assert want_arg.tolist() == np.argmin(m, axis=1).tolist()
 
 
 def test_monotone_argmin_flat_rows_give_column_zero():
@@ -202,6 +244,24 @@ def test_narrow_band_rows_match_dense_scan():
     assert viscosity.N_SEED < n_seed <= viscosity.MAX_SEED
     assert width / (n_seed - 1) <= (vmax - vmin) * t / viscosity.BAND_STEPS
     assert np.array_equal(viscosity.lax_oleinik(Hc, u0, t, q), oracle.lax_oleinik(Hc, u0, t, q))
+
+
+def test_grid_blocks_match_dense_scan():
+    # a t = 0 row, narrow-band rows spaced finer than N_SEED seeds allow,
+    # and wide-band rows: more argmin entries than two blocks take
+    u0, q = hj.parse("cos(q)"), _periodic(32)
+    Hc = viscosity.ConvexHamiltonian(H=hj.parse("0.01*p^2"), p_window=_compare_window(u0, q))
+    table = viscosity._LegendreTable(Hc)
+    t_grid = np.concatenate([[0.0, 1.0 / 63.0, 0.02, 0.03, 0.05, 0.08],
+                             np.linspace(0.2, 3.0, 48)])
+    seeds = [viscosity._seed_range(table, float(t), q)[2] for t in t_grid[1:]]
+    assert max(seeds) > viscosity.N_SEED
+    assert sum(seeds) + len(q) * len(seeds) > 2 * viscosity.ARGMIN_ENTRIES
+    got = viscosity.lax_oleinik_grid(Hc, u0, t_grid, q).u
+    assert np.array_equal(got[0], u0.eval(q=q))
+    for i, t in enumerate(t_grid):
+        want = oracle.lax_oleinik(Hc, u0, float(t), q, table=table)
+        assert got[i].tobytes() == want.tobytes(), f"t={t}"
 
 
 def test_no_admissible_seed_raises():
