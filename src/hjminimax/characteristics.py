@@ -16,8 +16,9 @@ depend only on the spec, the times and the seeds.
 On a periodic domain the strand from q0 + k*L is the strand from q0 moved
 by k*L, with the same p and z, when u0 and H repeat with period L. So when
 the sorted seeds repeat one period on and u0 and H agree at the repeats,
-only the first period is flowed and every other strand is written as its
-shifted copy; any other seed set is flowed strand by strand.
+only the first period is flowed and returned, and `tile_row` expands one
+row to every seed when the row is read; any other seed set is flowed
+strand by strand.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .errors import DomainError, NonFinite
 from .expr import Expression
 
 # relative agreement of u0 and H at seeds one period apart that lets
-# `evolve_states` flow one period and copy the rest
+# `evolve_states` flow one period only
 REPEAT_TOL = 1e-12
 # error allowed at the last output time, relative to max(1, max|z|), when
 # `evolve_states` chooses the RK4 step itself
@@ -278,33 +279,33 @@ def _period_width(spec: ProblemSpec, seeds, p0, z0):
     return n
 
 
-def _tile(L, n, Q, P, Z):
-    """Fill columns n: of Q, P, Z from the first n, moved by k*L per period.
-
-    Row by row, so source and target never overlap in one numpy call."""
-    N = Q.shape[1]
-    for k, lo in enumerate(range(n, N, n), start=1):
-        w = min(n, N - lo)
-        shift = k * L
-        for row in range(Q.shape[0]):
-            np.add(Q[row, :w], shift, out=Q[row, lo:lo + w])
-            P[row, lo:lo + w] = P[row, :w]
-            Z[row, lo:lo + w] = Z[row, :w]
+def tile_row(spec: ProblemSpec, N: int, q, p, z):
+    """The N seed-sorted states of one `evolve_states` row q, p, z: the row
+    itself when it holds every strand, else its period repeated, period k
+    moved by k*L and period 0 left as it is."""
+    n = len(q)
+    if n == N:
+        return q, p, z
+    reps = math.ceil(N / n)
+    out = np.empty((3, reps, n))
+    out[0], out[1], out[2] = q, p, z
+    out[0, 1:] += np.arange(1, reps)[:, None] * spec.domain.period
+    return tuple(out.reshape(3, -1)[:, :N])
 
 
 def evolve_states(spec: ProblemSpec, times: Sequence[float], seeds,
                   step: float | None = None):
-    """Flow all seeds through the sorted output times.
+    """Flow the seeds through the sorted output times.
 
-    Returns (Q, P, Z), each of shape (len(times), len(seeds)). When H
-    depends on p alone every row is the closed form and step goes unused;
-    otherwise each inter-time span is subdivided into uniform RK4 substeps
-    of size <= step. Without a step, `_choose_step` picks the first of
-    about t_max/50, t_max/100, ... whose step-doubling error estimate at
-    times[-1] meets RK4_TOL, and never one finer than
+    Returns (Q, P, Z), each of shape (len(times), n), n the number of
+    strands flowed. When H depends on p alone every row is the closed form
+    and step goes unused; otherwise each inter-time span is subdivided into
+    uniform RK4 substeps of size <= step. Without a step, `_choose_step`
+    picks the first of about t_max/50, t_max/100, ... whose step-doubling
+    error estimate at times[-1] meets RK4_TOL, and never one finer than
     `spec.default_step()`. When the seeds and the data repeat with the
-    period (see `_period_width`), one period is flowed and the rest are its
-    copies moved by k*L.
+    period (see `_period_width`), only the first period seeds[:n] is flowed
+    and `tile_row` expands a row to every seed; otherwise n = len(seeds).
     """
     times = list(times)
     if any(b < a for a, b in zip(times, times[1:])):
@@ -317,14 +318,12 @@ def evolve_states(spec: ProblemSpec, times: Sequence[float], seeds,
 
     q, p, z = initial_state(spec, seeds)
     n = _period_width(spec, seeds, p, z)
-    if n < len(seeds):  # copies, so the other periods' start states are freed
-        q, p, z = q[:n].copy(), p[:n].copy(), z[:n].copy()
-    Q = np.empty((len(times), len(seeds)))
+    q, p, z = q[:n], p[:n], z[:n]
+    Q = np.empty((len(times), n))
     P = np.empty_like(Q)
     Z = np.empty_like(Q)
-    Qn, Pn, Zn = Q[:, :n], P[:, :n], Z[:, :n]
     if spec.H.variables <= {"p"}:
-        _straight_lines(spec, times, q, p, z, Qn, Pn, Zn)
+        _straight_lines(spec, times, q, p, z, Q, P, Z)
     else:
         if step is None:
             step = _choose_step(spec, times[-1] if times else 0.0, q, p, z)
@@ -332,9 +331,7 @@ def evolve_states(spec: ProblemSpec, times: Sequence[float], seeds,
         for k, t in enumerate(times):
             q, p, z = _rk4_span(spec, t_prev, t, q, p, z, step)
             t_prev = t
-            Qn[k], Pn[k], Zn[k] = q, p, z
-    if n < len(seeds):
-        _tile(spec.domain.period, n, Q, P, Z)
+            Q[k], P[k], Z[k] = q, p, z
     return Q, P, Z
 
 
@@ -342,7 +339,8 @@ def evolve(spec: ProblemSpec, t: float, seeds: Sequence[float],
            step: float | None = None):
     """Integrate each seed from 0 to t.
 
-    Returns the seed-sorted arrays (q0, q, p, z) of the states at t."""
+    Returns the seed-sorted arrays (q0, q, p, z) of the states at t, one
+    per seed: the flowed period expanded by `tile_row`."""
     q0 = np.sort(np.asarray(seeds, dtype=float))
     Q, P, Z = evolve_states(spec, [t], q0, step)
-    return q0, Q[0], P[0], Z[0]
+    return q0, *tile_row(spec, len(q0), Q[0], P[0], Z[0])

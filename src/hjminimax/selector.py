@@ -459,7 +459,7 @@ def default_seeds(spec: chars.ProblemSpec, n: int, t: float | None = None):
     j < n, from the last point at or below the lower end of t's seed window
     to the first at or above its upper end. Slices and grids so share one
     lattice; on a periodic domain `evolve_states` flows one period of it
-    and copies the rest."""
+    and each row is expanded to the whole lattice when it is read."""
     base_lo, base_hi, margin = _seed_window(spec, t)
     lo, hi = base_lo - margin, base_hi + margin
     W = base_hi - base_lo
@@ -507,13 +507,13 @@ def minimax_grid(spec: chars.ProblemSpec, t_grid, q_grid,
                  step: float | None = None, n_seeds: int = 4096) -> GridSolution:
     """Minimax solution values on the (t,q) grid via pointwise selection.
     The seeds are `default_seeds(spec, n_seeds)`: on a periodic domain a
-    lattice of n_seeds per period, of which `evolve_states` flows one period
-    and copies the rest. Each row is the front at exactly its grid time,
-    from that time's `evolve_states` row, and each fiber is at exactly its
-    grid q; neither is shifted. Each row's crossings come from one
-    `fiber_crossings` pass over the sorted q_grid; the fibers of all rows
-    are coupled in one `couple_fibers` call, after the flow and the fronts
-    are released, and scattered back to grid order.
+    lattice of n_seeds per period, of which `evolve_states` flows one
+    period. Each row is the front at exactly its grid time, built by
+    `_row_analysis` from that time's `evolve_states` row, and each fiber is
+    at exactly its grid q; neither is shifted. Each row's crossings come
+    from one `fiber_crossings` pass over the sorted q_grid; the fibers of
+    all rows are coupled in one `couple_fibers` call, after the flow and
+    the fronts are released, and scattered back to grid order.
 
     A fiber that cannot be coupled raises: the first such fiber in grid
     order. A row with a crossing failure is coupled with the rows before
@@ -538,7 +538,9 @@ def minimax_grid(spec: chars.ProblemSpec, t_grid, q_grid,
             u[i] = u0q
             continue
         rows.append(i)
-        fibers.append(_row_crossings(t, seeds, Q[i], P[i], Z[i], q_sorted))
+        # the row's front dies with its crossings
+        fibers.append(fiber_crossings(_row_analysis(spec, t, seeds, Q[i], P[i], Z[i]),
+                                      q_sorted))
         if fibers[-1].failed:
             break
     del Q, P, Z  # release the flow before the grid's crossings are coupled
@@ -554,15 +556,14 @@ def minimax_grid(spec: chars.ProblemSpec, t_grid, q_grid,
                         branch_count=count)
 
 
-def _row_crossings(t: float, q0, q, p, z, q_sorted) -> Fibers:
-    """The crossings of the grid row at time t, from its seed-sorted states,
-    with the sorted abscissae q_sorted; the row's front dies with the call."""
-    f = _long_front(t, q0, q, p, z)
+def _row_analysis(spec: chars.ProblemSpec, t: float, seeds, q, p, z) -> FrontAnalysis:
+    """The cusps and sections of the grid row at time t, from the sorted
+    seeds and the row's `evolve_states` states, expanded by `tile_row`."""
+    f = _long_front(t, seeds, *chars.tile_row(spec, len(seeds), q, p, z))
     cusps = frontmod.detect_cusps(f)
-    analysis = FrontAnalysis(front=f, cusps=tuple(cusps),
-                             sections=tuple(frontmod.split_sections(f, cusps)),
-                             doubles=(), triangles=())
-    return fiber_crossings(analysis, q_sorted)
+    return FrontAnalysis(front=f, cusps=tuple(cusps),
+                         sections=tuple(frontmod.split_sections(f, cusps)),
+                         doubles=(), triangles=())
 
 
 def _stack_fibers(parts, n: int) -> Fibers:

@@ -75,24 +75,41 @@ def _bits(x):
 
 @pytest.mark.parametrize("h", [QFLOW_H, "p^2/2"])
 def test_period_lattice_is_one_period_tiled(h):
-    # on the grid's lattice the flow of every period is the first period's,
-    # moved by k*L bit for bit, and within rounding of flowing every seed
+    # on the grid's lattice only the first period is flowed; `tile_row`
+    # expands a row to every period, moved by k*L bit for bit, within
+    # rounding of flowing every seed
     L, n = 2 * np.pi, 64
     spec = hj.ProblemSpec(H=hj.parse(h), u0=hj.parse("cos(q)"),
                           domain=hj.Periodic(L), t_max=2.0)
     seeds = selector.default_seeds(spec, n)
-    assert len(seeds) > 2 * n
+    N = len(seeds)
+    assert N > 2 * n
     Q, P, Z = chars.evolve_states(spec, TIMES, seeds, 0.01)
+    assert Q.shape == P.shape == Z.shape == (len(TIMES), n)
     Q1, P1, Z1 = chars.evolve_states(spec, TIMES, seeds[:n], 0.01)
-    for k, lo in enumerate(range(0, len(seeds), n)):
-        w = min(n, len(seeds) - lo)
-        assert np.array_equal(_bits(Q[:, lo:lo + w]), _bits(Q1[:, :w] + k * L))
-        assert np.array_equal(_bits(P[:, lo:lo + w]), _bits(P1[:, :w]))
-        assert np.array_equal(_bits(Z[:, lo:lo + w]), _bits(Z1[:, :w]))
+    for a, b in ((Q, Q1), (P, P1), (Z, Z1)):
+        assert np.array_equal(_bits(a), _bits(b))
     # reversed seeds are not sorted, so every strand is flowed
     Qd, Pd, Zd = (x[:, ::-1] for x in chars.evolve_states(spec, TIMES, seeds[::-1], 0.01))
-    for a, b in ((Q, Qd), (P, Pd), (Z, Zd)):
-        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+    assert Qd.shape == (len(TIMES), N)
+    for r in range(len(TIMES)):
+        row = chars.tile_row(spec, N, Q[r], P[r], Z[r])
+        for k, lo in enumerate(range(0, N, n)):
+            w = min(n, N - lo)
+            assert np.array_equal(_bits(row[0][lo:lo + w]), _bits(Q1[r, :w] + k * L))
+            assert np.array_equal(_bits(row[1][lo:lo + w]), _bits(P1[r, :w]))
+            assert np.array_equal(_bits(row[2][lo:lo + w]), _bits(Z1[r, :w]))
+        for a, b in zip(row, (Qd[r], Pd[r], Zd[r])):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+    # `evolve` hands back every seed: the flow of seeds[:n] moved by k*L
+    q0, q, p, z = chars.evolve(spec, TIMES[-1], seeds, 0.01)
+    qn, pn, zn = (x[0] for x in chars.evolve_states(spec, TIMES[-1:], seeds[:n], 0.01))
+    assert np.array_equal(q0, seeds) and len(q) == len(p) == len(z) == N
+    for k, lo in enumerate(range(0, N, n)):
+        w = min(n, N - lo)
+        assert np.array_equal(_bits(q[lo:lo + w]), _bits(qn[:w] + k * L))
+        assert np.array_equal(_bits(p[lo:lo + w]), _bits(pn[:w]))
+        assert np.array_equal(_bits(z[lo:lo + w]), _bits(zn[:w]))
 
 
 @pytest.mark.parametrize("h, u0, unsorted", [
@@ -112,6 +129,7 @@ def test_lattice_falls_back_to_every_seed(h, u0, unsorted):
     spec = hj.ProblemSpec(H=hj.parse(h), u0=hj.parse(u0),
                           domain=hj.Periodic(2 * np.pi), t_max=2.0)
     got = chars.evolve_states(spec, TIMES, seeds, 0.01)
+    assert got[0].shape[1] == len(seeds)
     want = _rk4_every_seed(spec, TIMES, seeds, 0.01)
     for a, b in zip(got, want):
         assert np.array_equal(_bits(a), _bits(b))

@@ -26,16 +26,8 @@ def _grid_rows(spec, t_grid, n_seeds):
     seeds = selector.default_seeds(spec, n_seeds)
     times = [float(t) for t in t_grid]
     Q, P, Z = chars.evolve_states(spec, times, seeds, None)
-    rows = {}
-    for i, t in enumerate(times):
-        if t == 0.0:
-            continue
-        f = selector._long_front(t, seeds, Q[i], P[i], Z[i])
-        cusps = frontmod.detect_cusps(f)
-        rows[i] = FrontAnalysis(front=f, cusps=tuple(cusps),
-                                sections=tuple(frontmod.split_sections(f, cusps)),
-                                doubles=(), triangles=())
-    return rows
+    return {i: selector._row_analysis(spec, t, seeds, Q[i], P[i], Z[i])
+            for i, t in enumerate(times) if t != 0.0}
 
 
 @pytest.mark.parametrize("H, u0, t_max, nt, nq, n_seeds, most", [
@@ -172,11 +164,12 @@ def test_grid_failures_in_grid_order(monkeypatch, burgers_spec):
     crossing = ([0.5], [0], DegenerateFiber("crossing"))
 
     def solve(rows):
-        def crossings(t, *_):
+        def analysis(_spec, t, *_):
             if rows[t] is None:
                 raise NonGeneric(f"front at t={t}")
-            return _fibers(*rows[t])
-        monkeypatch.setattr(selector, "_row_crossings", crossings)
+            return t
+        monkeypatch.setattr(selector, "_row_analysis", analysis)
+        monkeypatch.setattr(selector, "fiber_crossings", lambda t, _q: _fibers(*rows[t]))
         selector.minimax_grid(burgers_spec, [0.0, 1.0, 2.0], [2.0, 1.0], n_seeds=64)
 
     # within a row, grid order; a crossing failure couples the rows before it

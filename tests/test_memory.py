@@ -1,6 +1,7 @@
 """Peak traced memory of the grid passes that batch their rows. Each bound
 sits between the peak of the pass as it is and the peak it had with the
-batching unbounded or the flow kept alive, measured on the same grids."""
+batching unbounded or every row of the flow tiled at once, measured on the
+same grids."""
 
 import tracemalloc
 
@@ -33,9 +34,21 @@ def test_lax_oleinik_grid_peak(burgers_spec):
 
 
 def test_minimax_grid_peak(two_hump_spec):
-    # 21.8 MB with the flow released before the grid is coupled; 28.2 MB
-    # with it kept alive through the coupling
+    # 9.1 MB with one period flowed and each row tiled when its front is
+    # built; 21.8 MB with every row tiled up front; 28.2 MB with the tiled
+    # flow also kept alive through the coupling
     t_grid = np.linspace(0.0, 3.0, 96)
     q_grid = np.linspace(0.0, TWO_PI, 192, endpoint=False)
     assert _peak_mb(lambda: selector.minimax_grid(two_hump_spec, t_grid, q_grid,
-                                                  n_seeds=2048)) < 25.0
+                                                  n_seeds=2048)) < 15.0
+
+
+def test_minimax_grid_peak_qflow():
+    # 7.1 MB with each row tiled when its front is built; 13.5 MB with
+    # every row tiled up front
+    spec = hj.ProblemSpec(H=hj.parse("p^2/2 + 0.5*sin(q)*cos(t)"), u0=hj.parse("cos(q)"),
+                          domain=hj.Periodic(TWO_PI), t_max=2.0)
+    t_grid = np.linspace(0.0, 2.0, 64)
+    q_grid = np.linspace(0.0, TWO_PI, 64, endpoint=False)
+    assert _peak_mb(lambda: selector.minimax_grid(spec, t_grid, q_grid,
+                                                  n_seeds=4096)) < 10.0
