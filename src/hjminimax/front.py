@@ -322,8 +322,9 @@ def find_triangles(f: FrontCurve, cusps: Sequence[Cusp],
             continue
         if sum(d.seg_a < c.vertex <= d.seg_b for c in cusps) != 2:
             continue
-        loop_secs = sorted({sections[k].id for k in np.unique(
-            _section_of_vertex(sections, np.arange(d.seg_a + 1, d.seg_b + 2)))})
+        # the set deduplicates; np.unique would also import numpy.ma
+        loop_secs = sorted({sections[k].id for k in _section_of_vertex(
+            sections, np.arange(d.seg_a + 1, d.seg_b + 2)).tolist()})
         branch_index = _section_of_segment(sections, d.seg_a).index
         triangles.append(Triangle(vertex=d, start_seg=d.seg_a, end_seg=d.seg_b,
                                   loop_sections=tuple(loop_secs),
@@ -347,15 +348,29 @@ def _row_chunks(n_rows: int, width: int):
 def _point_in_polygon(qx, zx, q, z):
     """Even-odd test of the points (q[k], z[k]) against the closed polygon
     (qx, zx), whose last vertex repeats the first: a point is inside when a
-    ray to +q crosses an odd number of edges. Returns a boolean array."""
+    ray to +q crosses an odd number of edges. Returns a boolean array.
+
+    Only points in the polygon's box, widened in q, get the even-odd pass:
+    every other point crosses an even number of edges, so the pass would
+    call it outside too. A point with z outside [zmin, zmax] crosses no
+    edge, an exact comparison. A point's level z meets an even number of
+    edges, since the polygon closes, and each computed `q_at` lies within
+    2 eps*M of its edge's q-span, M the polygon's largest |q|. So a point
+    left of qmin - 4 eps*M counts every crossing, and one right of
+    qmax + 4 eps*M counts none."""
     q1, z1, q2, z2 = qx[:-1], zx[:-1], qx[1:], zx[1:]
     inside = np.zeros(len(q), dtype=bool)
-    for rows in _row_chunks(len(q), len(q1)):
-        qv, zv = q[rows, None], z[rows, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
+    widen = 4 * np.finfo(float).eps * np.abs(qx).max()
+    box = np.flatnonzero((zx.min() <= z) & (z <= zx.max())
+                         & (qx.min() - widen <= q) & (q <= qx.max() + widen))
+    for rows in _row_chunks(len(box), len(q1)):
+        at = box[rows]
+        qv, zv = q[at, None], z[at, None]
+        # the edges these flags fire on are not crossed, and are masked out
+        with np.errstate(all="ignore"):
             q_at = q1 + (zv - z1) / (z2 - z1) * (q2 - q1)
         crossed = ((z1 > zv) != (z2 > zv)) & (q_at > qv)
-        inside[rows] = np.count_nonzero(crossed, axis=1) % 2 == 1
+        inside[at] = np.count_nonzero(crossed, axis=1) % 2 == 1
     return inside
 
 
@@ -375,8 +390,9 @@ def is_vanishing(f: FrontCurve, T: Triangle, sections: Sequence[Section],
     T is vanishing iff (i) no vertex of an outside section lies strictly
     inside T's bounded region, (ii) no homogeneous double point involving an
     outside section sits on T's arcs, and (iii) no outside section of index
-    equal to T's branch index crosses the arcs. Rule (i) tests every outside
-    vertex against the loop polygon in one array pass.
+    equal to T's branch index crosses the arcs. Rule (i) gives the outside
+    vertices to `_point_in_polygon`, which runs its even-odd pass only on
+    those in the loop polygon's box.
     """
     qx, zx = _loop_polygon(f, T)
     wq, wz = f.bbox_scale()

@@ -33,7 +33,7 @@ FIBER_TOL = 1e-9     # bbox-scaled distance of a fiber from a cusp or double poi
 # width, as a fraction of a cell. Not 0: an aligned lattice puts seeds on
 # q = 0 and q = pi, the symmetry points of u0 = cos(q), and then the Burgers
 # grid of criteria 3 and 4 shows 2 ShockBirths and a ForbiddenA (ROADMAP
-# items 3, 6).
+# item 6).
 SEED_OFFSET = 0.381966
 # where `triangle_is_coupled` probes a loop's q-span, in the order it tries them
 _PROBE_FRACS = (0.37, 0.61, 0.23, 0.79, 0.5)
@@ -212,7 +212,8 @@ def couple_fibers(fibers: Fibers) -> Coupling:
     ok[list(failed)] = False
     free = np.where(ok & (counts == 1), fb.bounds[:-1], -1)
     pairs = {}
-    for c in np.unique(counts[ok & (counts >= 3)]).tolist():
+    # a set, not np.unique: numpy's unique imports numpy.ma on first call
+    for c in sorted(set(counts[ok & (counts >= 3)].tolist())):
         ks = np.flatnonzero(ok & (counts == c))
         lo = fb.bounds[ks]
         at = lo[:, None] + np.arange(c)

@@ -50,7 +50,7 @@ def singular_set(g: GridSolution, periodic: bool = False) -> np.ndarray:
         # periodic seam, so differing ids there carry no shock information
         s = np.diff(g.u[i]) / dq
         jump = np.abs(np.diff(s))
-        med = float(np.median(jump))
+        med = _median(jump)
         srange = float(s.max() - s.min())
         thr = max(5.0 * med, 0.45 * srange, 1e-12)
         big = jump > thr
@@ -60,6 +60,16 @@ def singular_set(g: GridSolution, periodic: bool = False) -> np.ndarray:
             if abs(s_wrap - s[-1]) > thr or abs(s[0] - s_wrap) > thr:
                 mask[i, -1] = mask[i, 0] = True
     return mask
+
+
+def _median(x: np.ndarray) -> float:
+    """np.median of x, bit for bit, NaN included: the mean of its one or two
+    middle values. np.median itself imports numpy.ma on its first call."""
+    srt = np.sort(x)
+    n = len(srt)
+    if np.isnan(srt[-1]):  # np.sort puts NaN last, and np.median returns it
+        return float(srt[-1])
+    return float(np.mean(srt[(n - 1) // 2: n // 2 + 1]))
 
 
 def _clusters(row_mask: np.ndarray, q: np.ndarray, periodic: bool) -> list[float]:

@@ -11,7 +11,7 @@ import front_oracle as oracle
 from hjminimax import front as frontmod
 from hjminimax import selector
 from hjminimax.errors import NonGeneric
-from hjminimax.front import Cusp, FrontCurve, Section
+from hjminimax.front import Cusp, DoublePoint, FrontCurve, Section, Triangle
 
 # half-integer coordinates: ties between vertices, edges and test points are exact
 coord = st.integers(-6, 6).map(lambda k: 0.5 * k)
@@ -56,6 +56,63 @@ def test_point_in_polygon_matches_scalar_loop(case, elements):
         bool(np.any((np.abs(qx - qv) / wq < 10 * frontmod.TIE_TOL)
                     & (np.abs(zx - zv) / wz < 10 * frontmod.TIE_TOL)))
         for qv, zv in zip(q, z)]
+
+
+@st.composite
+def float_polygon_and_box_points(draw):
+    """A polygon of arbitrary floats, far from q = 0 next to its size, and
+    points at and a few ulps around each edge of its box."""
+    unit = st.floats(-1.0, 1.0, allow_nan=False)
+    verts = draw(st.lists(st.tuples(unit, unit), min_size=3, max_size=10))
+    scale = draw(st.sampled_from([1e-6, 1e-3, 1.0]))
+    shift = draw(st.floats(-1e3, 1e3, allow_nan=False))
+    qx = np.array([shift + scale * v[0] for v in verts] + [shift + scale * verts[0][0]])
+    zx = np.array([v[1] for v in verts] + [verts[0][1]])
+    ulp = np.spacing(np.abs(qx).max())
+    near = st.integers(-12, 12)
+    step = st.sampled_from([-np.inf, np.inf])
+    pts = []
+    for k in (int(np.argmin(qx)), int(np.argmax(qx))):
+        for _ in range(draw(st.integers(1, 4))):
+            # beside the q-extreme vertex, just above, at or below its level
+            z = draw(st.sampled_from([zx[k], np.nextafter(zx[k], -np.inf),
+                                      np.nextafter(zx[k], np.inf)]))
+            pts.append((qx[k] + draw(near) * ulp, z))
+            pts.append((np.nextafter(qx[k], draw(step)), z))
+    for k in (int(np.argmin(zx)), int(np.argmax(zx))):
+        for _ in range(draw(st.integers(1, 3))):
+            q = draw(st.just(qx[k]) | st.floats(qx.min(), qx.max()))
+            pts.append((q, np.nextafter(zx[k], draw(step))))
+            pts.append((q, zx[k]))
+    for _ in range(draw(st.integers(0, 6))):
+        pts.append((draw(st.floats(qx.min(), qx.max())),
+                    draw(st.floats(zx.min(), zx.max()))))
+    return qx, zx, np.array([p[0] for p in pts]), np.array([p[1] for p in pts])
+
+
+def _loop_front(qx, zx, qv, zv):
+    """A front whose one outside vertex (qv, zv) precedes a triangle's loop
+    around the polygon (qx, zx), its vertex at the polygon's first corner."""
+    n = len(qx) - 1
+    f = FrontCurve(time=1.0, q=np.r_[qv, qx[1:-1]], z=np.r_[zv, zx[1:-1]],
+                   p=np.zeros(n), q0=np.arange(n, dtype=float))
+    d = DoublePoint(q=qx[0], z=zx[0], sections=(0, 0), homogeneous=True,
+                    seg_a=0, frac_a=0.5, seg_b=n - 1)
+    return f, Triangle(vertex=d, start_seg=0, end_seg=n - 1, loop_sections=(0,),
+                       branch_index=0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(float_polygon_and_box_points(), chunk)
+def test_box_filter_matches_scalar_loop(case, elements):
+    qx, zx, q, z = case
+    got = _with_chunk(elements, frontmod._point_in_polygon, qx, zx, q, z)
+    assert got.tolist() == [oracle.point_in_polygon(qx, zx, qv, zv) for qv, zv in zip(q, z)]
+    for qv, zv in zip(q, z):
+        f, T = _loop_front(qx, zx, qv, zv)
+        # a front narrower than a normal float overflows both tie tests alike
+        with np.errstate(over="ignore"):
+            assert frontmod.is_vanishing(f, T, (), []) == oracle.is_vanishing(f, T, (), [])
 
 
 def _outcome(fn, *args):

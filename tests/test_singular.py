@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hjminimax as hj
 from hjminimax import selector, singular
@@ -148,3 +150,19 @@ def test_forbidden_report_counts():
     rep = singular.forbidden_report(events)
     assert rep["ok"]
     assert rep["counts"]["Shock"] == 1 and rep["counts"]["ShockBirth"] == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 1000), st.integers(0, 2**32 - 1), st.sampled_from([0, 1, 3, None]),
+       st.booleans())
+def test_median_matches_numpy_bit_for_bit(n, seed, decimals, with_nan):
+    # `singular_set`'s median stands in for np.median, which imports numpy.ma.
+    # Rounding makes ties and signed zeros; a NaN anywhere makes it NaN.
+    rng = np.random.default_rng(seed)
+    x = rng.exponential(size=n) * rng.choice([-1.0, 1.0], size=n) * 10.0 ** rng.integers(-3, 4)
+    if decimals is not None:
+        x = np.round(x, decimals)
+    if with_nan:
+        x[rng.integers(n)] = np.nan
+    got, expected = singular._median(x), np.median(x)
+    assert np.float64(got).tobytes() == np.float64(expected).tobytes()
