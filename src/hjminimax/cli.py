@@ -121,6 +121,11 @@ def load_config(path, grid_override=None):
         raise ConfigError(f"snapshot_times must be numbers, got {out.get('snapshot_times')!r}")
     if not all(0 <= t <= t_max for t in snapshot_times):
         raise ConfigError(f"snapshot_times must lie in [0, t_max={t_max}], got {snapshot_times}")
+    tags = [_snapshot_tag(t) for t in snapshot_times]
+    for k, tag in enumerate(tags):
+        if tag in tags[:k]:
+            raise ConfigError(f"snapshot_times {snapshot_times} write front_t{tag} twice: "
+                              "times must differ in their first 6 significant digits")
     cfg = {
         "spec": spec,
         "nt": nt,
@@ -161,9 +166,12 @@ def _slice(cfg, t):
     return selector.slice_analysis(spec, t, seeds, step=cfg["step"])
 
 
+def _snapshot_tag(t):
+    return f"{t:.6g}".replace(".", "_")
+
+
 def _snapshot_path(cfg, t, ext):
-    tag = f"{t:.6g}".replace(".", "_")
-    return os.path.join(cfg["out_dir"], f"front_t{tag}.{ext}")
+    return os.path.join(cfg["out_dir"], f"front_t{_snapshot_tag(t)}.{ext}")
 
 
 def _write_svg(cfg, t, analysis):

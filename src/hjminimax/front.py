@@ -489,11 +489,14 @@ def analyze(f: FrontCurve) -> FrontAnalysis:
 
 
 def front_to_json(analysis: FrontAnalysis) -> str:
+    """The analysis as indented JSON with sorted keys. The vertex list,
+    the last key and the bulk of the text, is spliced into the dump of the
+    rest from one template per vertex, its floats spelled by `json` itself
+    (`repr`, `NaN`, `Infinity`) in one C-encoder call per column."""
     f = analysis.front
     payload = {
         "time": f.time,
-        "vertices": [{"q0": a, "q": b, "z": c, "p": d}
-                     for a, b, c, d in zip(f.q0, f.q, f.z, f.p)],
+        "vertices": [],
         "cusps": [{"q": c.q, "z": c.z, "sign": c.sign, "vertex": c.vertex}
                   for c in analysis.cusps],
         "sections": [{"id": s.id, "start": s.start, "end": s.end,
@@ -504,5 +507,10 @@ def front_to_json(analysis: FrontAnalysis) -> str:
                        "loop_sections": list(t.loop_sections),
                        "branch_index": t.branch_index} for t in analysis.triangles],
     }
-    return json.dumps(payload, indent=2, sort_keys=True)
-
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    if not len(f):
+        return text
+    columns = [json.dumps(x.tolist())[1:-1].split(", ") for x in (f.p, f.q, f.q0, f.z)]
+    vertex = '    {\n      "p": %s,\n      "q": %s,\n      "q0": %s,\n      "z": %s\n    }'
+    vertices = ",\n".join(map(vertex.__mod__, zip(*columns)))
+    return text[:-len("[]\n}")] + "[\n" + vertices + "\n  ]\n}"

@@ -35,7 +35,7 @@ FIBER_TOL = 1e-9     # bbox-scaled distance of a fiber from a cusp or double poi
 # grid of criteria 3 and 4 shows 2 ShockBirths and a ForbiddenA (ROADMAP
 # item 6).
 SEED_OFFSET = 0.381966
-# where `triangle_is_coupled` probes a loop's q-span, in the order it tries them
+# where `coupled_triangles` probes a loop's q-span, in the order it tries them
 _PROBE_FRACS = (0.37, 0.61, 0.23, 0.79, 0.5)
 
 
@@ -65,11 +65,16 @@ class GridSolution:
     branch_count: np.ndarray   # (nt, nq) fiber crossing counts
 
     def to_csv(self) -> str:
-        qs = [f"{qv:.17g}" for qv in self.q.tolist()]
+        """One `t,q,u,branch_id` line per grid point, floats as `%.17g`.
+        Each row is one %-format of "t," joined with the per-q cells, whose
+        q text is formatted once for the whole grid."""
+        cells = [f"{qv:.17g},%.17g,%d\n" for qv in self.q.tolist()]
+        vals = [None] * (2 * len(cells))
         lines = ["t,q,u,branch_id\n"]
         for tv, us, bs in zip(self.t.tolist(), self.u.tolist(), self.branch.tolist()):
-            ts = f"{tv:.17g}"
-            lines += [f"{ts},{qv},{uv:.17g},{b}\n" for qv, uv, b in zip(qs, us, bs)]
+            ts = f"{tv:.17g},"
+            vals[0::2], vals[1::2] = us, bs
+            lines.append((ts + ts.join(cells)) % tuple(vals))
         return "".join(lines)
 
 
@@ -367,27 +372,47 @@ class Surgery:
     q_hi: float      # the q-extent of the replaced subcurve
 
 
-def triangle_is_coupled(analysis: FrontAnalysis, T) -> bool:
-    """True when the triangle's loop is one of the coupled X_i: at the first
-    fiber inside its span (of five, in a fixed order) that can be coupled and
-    crosses the loop twice, the loop's two crossings are coupled with each
-    other."""
+def coupled_triangles(analysis: FrontAnalysis, triangles) -> list[bool]:
+    """Per triangle: True when its loop is one of the coupled X_i. At the
+    first of five fibers inside the loop's q-span, in the fixed
+    `_PROBE_FRACS` order, that can be coupled and crosses the loop twice,
+    the loop's two crossings are coupled with each other. The probes of all
+    triangles go through one `select_fibers` pass on their sorted union:
+    each fiber's crossings and coupling do not depend on the others."""
+    if not triangles:
+        return []
     f = analysis.front
-    qx, _ = frontmod._loop_polygon(f, T)
-    q_lo, q_hi = float(qx.min()), float(qx.max())
-    qs = q_lo + np.array(_PROBE_FRACS) * (q_hi - q_lo)
+    spans = np.array([_loop_q_span(f, T) for T in triangles])
+    qs = (spans[:, :1] + np.array(_PROBE_FRACS) * (spans[:, 1:] - spans[:, :1])).ravel()
     order = np.argsort(qs, kind="stable")
     cp = select_fibers(analysis, qs[order])
-    seg = cp.fibers.seg
-    for k in np.argsort(order).tolist():
-        lo, hi = cp.fibers.bounds[k], cp.fibers.bounds[k + 1]
+    at = np.argsort(order).reshape(len(triangles), len(_PROBE_FRACS)).tolist()
+    return [_loop_coupled(cp, T, probes) for T, probes in zip(triangles, at)]
+
+
+def _loop_q_span(f: FrontCurve, T):
+    qx, _ = frontmod._loop_polygon(f, T)
+    return float(qx.min()), float(qx.max())
+
+
+def _loop_coupled(cp: Coupling, T, probes) -> bool:
+    """The verdict of `coupled_triangles` on T from its fibers `probes`, in
+    probe order."""
+    for k in probes:
+        lo, hi = int(cp.fibers.bounds[k]), int(cp.fibers.bounds[k + 1])
         if k in cp.failed or hi - lo == 1:
             continue
+        seg = cp.fibers.seg[lo:hi]
         in_loop = (T.start_seg <= seg) & (seg <= T.end_seg)
-        if np.count_nonzero(in_loop[lo:hi]) < 2:
+        if np.count_nonzero(in_loop) < 2:
             continue
-        return any(in_loop[u] and in_loop[l] for u, l in cp.pairs[k])
+        return any(in_loop[u - lo] and in_loop[l - lo] for u, l in cp.pairs[k])
     return False
+
+
+def triangle_is_coupled(analysis: FrontAnalysis, T) -> bool:
+    """`coupled_triangles` of the one triangle T."""
+    return coupled_triangles(analysis, [T])[0]
 
 
 def _loop_area(f: FrontCurve, T) -> float:
@@ -412,20 +437,20 @@ def eliminate(f: FrontCurve):
         analysis = frontmod.analyze(current)
         if not analysis.cusps:
             return current, log
-        coupled = [T for T in analysis.triangles if triangle_is_coupled(analysis, T)]
-        candidates = [T for T in coupled
-                      if frontmod.is_vanishing(current, T, analysis.sections,
-                                               analysis.doubles)]
-        strict = bool(candidates)
-        if not candidates:
+        coupled = [T for T, ok in zip(analysis.triangles,
+                                      coupled_triangles(analysis, analysis.triangles)) if ok]
+        # the first vanishing one in (q, z) order of the double point
+        T = next((T for T in sorted(coupled, key=lambda T: (T.vertex.q, T.vertex.z))
+                  if frontmod.is_vanishing(current, T, analysis.sections,
+                                           analysis.doubles)), None)
+        strict = T is not None
+        if not strict:
             if not coupled:
                 raise NoVanishingTriangle(
                     "front is not smooth but no triangle loop is coupled "
                     f"(cusps={len(analysis.cusps)}, doubles={len(analysis.doubles)}, "
                     f"triangles={len(analysis.triangles)}, t={current.time})")
-            candidates = [min(coupled, key=lambda T: _loop_area(current, T))]
-        candidates.sort(key=lambda T: (T.vertex.q, T.vertex.z))
-        T = candidates[0]
+            T = min(coupled, key=lambda T: _loop_area(current, T))
         radius = frontmod.default_ball_radius(current, T)
         current, (q_lo, q_hi) = frontmod.remove_triangle(current, T)
         log.append(Surgery(vertex_q=T.vertex.q, vertex_z=T.vertex.z,

@@ -18,18 +18,21 @@ def _fmt(x):
     return f"{x:.4f}"
 
 
-def _mapper(q, z):
-    """(q, z) -> (x, y) pixel coordinates fitting the front's bounding box."""
-    qmin, zmin = float(np.min(q)), float(np.min(z))
-    wq = (float(np.max(q)) - qmin) or 1.0
-    wz = (float(np.max(z)) - zmin) or 1.0
-    return lambda qv, zv: (PAD + (qv - qmin) / wq * (WIDTH - 2 * PAD),
-                           HEIGHT - PAD - (zv - zmin) / wz * (HEIGHT - 2 * PAD))
+def _pixels(q, z, box):
+    """(x, y) pixel arrays of the points (q, z), fitting the bounding box
+    (qmin, zmin, wq, wz)."""
+    qmin, zmin, wq, wz = box
+    return (PAD + (np.asarray(q, dtype=float) - qmin) / wq * (WIDTH - 2 * PAD),
+            HEIGHT - PAD - (np.asarray(z, dtype=float) - zmin) / wz * (HEIGHT - 2 * PAD))
 
 
 def render_front(analysis, minimax_pieces) -> str:
     f = analysis.front
-    m = _mapper(f.q, f.z)
+    qmin, zmin = float(np.min(f.q)), float(np.min(f.z))
+    box = (qmin, zmin, (float(np.max(f.q)) - qmin) or 1.0, (float(np.max(f.z)) - zmin) or 1.0)
+    x, y = _pixels(f.q, f.z, box)
+    # every vertex is formatted once; sections and pieces join slices of it
+    pts = [f"{xv:.4f},{yv:.4f}" for xv, yv in zip(x.tolist(), y.tolist())]
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
@@ -38,29 +41,28 @@ def render_front(analysis, minimax_pieces) -> str:
         f'<!-- front at t={f.time:.6g} -->',
     ]
     for s in analysis.sections:
-        pts = " ".join(f"{_fmt(x)},{_fmt(y)}"
-                       for x, y in (m(f.q[v], f.z[v]) for v in range(s.start, s.end + 1)))
+        line = " ".join(pts[s.start:s.end + 1])
         dash = ' stroke-dasharray="6,4"' if s.index % 2 else ""
         color = _COLORS[s.index % len(_COLORS)]
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
+        parts.append(f'<polyline points="{line}" fill="none" stroke="{color}" '
                      f'stroke-width="1.5"{dash}/>')
+    qs = f.q.tolist()
     for sec_id, qlo, qhi in minimax_pieces:
         s = next(s for s in analysis.sections if s.id == sec_id)
-        vs = [v for v in range(s.start, s.end + 1) if qlo - 1e-12 <= f.q[v] <= qhi + 1e-12]
+        vs = [v for v in range(s.start, s.end + 1) if qlo - 1e-12 <= qs[v] <= qhi + 1e-12]
         if len(vs) < 2:
             continue
-        pts = " ".join(f"{_fmt(x)},{_fmt(y)}"
-                       for x, y in (m(f.q[v], f.z[v]) for v in vs))
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="#d62728" '
+        line = " ".join([pts[v] for v in vs])
+        parts.append(f'<polyline points="{line}" fill="none" stroke="#d62728" '
                      f'stroke-width="3" stroke-opacity="0.7"/>')
-    for c in analysis.cusps:
-        x, y = m(c.q, c.z)
+    cx, cy = _pixels([c.q for c in analysis.cusps], [c.z for c in analysis.cusps], box)
+    for c, xv, yv in zip(analysis.cusps, cx.tolist(), cy.tolist()):
         fill = "#d62728" if c.sign > 0 else "#1f77b4"
-        parts.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="4" fill="{fill}"/>')
-    for d in analysis.doubles:
-        x, y = m(d.q, d.z)
+        parts.append(f'<circle cx="{_fmt(xv)}" cy="{_fmt(yv)}" r="4" fill="{fill}"/>')
+    dx, dy = _pixels([d.q for d in analysis.doubles], [d.z for d in analysis.doubles], box)
+    for d, xv, yv in zip(analysis.doubles, dx.tolist(), dy.tolist()):
         stroke = "#000000" if d.homogeneous else "#888888"
-        parts.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="5" fill="none" '
+        parts.append(f'<circle cx="{_fmt(xv)}" cy="{_fmt(yv)}" r="5" fill="none" '
                      f'stroke="{stroke}" stroke-width="1.5"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -48,6 +48,22 @@ def two_hump_spec():
 
 
 @pytest.fixture(scope="session")
+def slice_suite(burgers_spec, two_hump_spec):
+    """Analyzed generic slices of both convex benchmarks, spanning the
+    pre-caustic, open-swallowtail and overlapping-swallowtail regimes,
+    Burgers at its shock birth (t=1.0, a vertical inflection without cusps)
+    and just after it (t=1.00003, two cusp pairs), where elimination must
+    run on fronts its own surgeries made."""
+    cases = [("burgers", burgers_spec, t) for t in (0.5, 1.0, 1.00003, 1.5, 2.5)]
+    cases += [("two_hump", two_hump_spec, t) for t in (0.8, 1.2, 2.0, 2.8)]
+    out = {}
+    for name, spec, t in cases:
+        seeds = selector.default_seeds(spec, 1600, t=t)
+        out[(name, t)] = selector.slice_analysis(spec, t, seeds, step=0.005)
+    return out
+
+
+@pytest.fixture(scope="session")
 def burgers_front_t15(burgers_spec):
     """Analyzed Burgers front at t=1.5: the swallowtail is fully open."""
     seeds = selector.default_seeds(burgers_spec, 2048, t=1.5)

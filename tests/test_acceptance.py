@@ -40,22 +40,6 @@ def convex_benchmark(burgers_spec):
     return {"minimax": mm, "variational": vs, "elapsed": elapsed}
 
 
-@pytest.fixture(scope="module")
-def slice_suite(burgers_spec, two_hump_spec):
-    """Analyzed generic slices of both convex benchmarks, spanning the
-    pre-caustic, open-swallowtail and overlapping-swallowtail regimes,
-    Burgers at its shock birth (t=1.0, a vertical inflection without cusps)
-    and just after it (t=1.00003, two cusp pairs), where elimination must
-    run on fronts its own surgeries made."""
-    cases = [("burgers", burgers_spec, t) for t in (0.5, 1.0, 1.00003, 1.5, 2.5)]
-    cases += [("two_hump", two_hump_spec, t) for t in (0.8, 1.2, 2.0, 2.8)]
-    out = {}
-    for name, spec, t in cases:
-        seeds = selector.default_seeds(spec, 1600, t=t)
-        out[(name, t)] = selector.slice_analysis(spec, t, seeds, step=0.005)
-    return out
-
-
 def _random_fiber(seed, n_modes=4, window=4.0):
     rng = np.random.default_rng(seed)
     # Python floats: numpy scalars would make every values(x) call slow

@@ -346,3 +346,20 @@ def test_time_outside_range_exit_2(tmp_path, monkeypatch, capsys, argv, snapshot
     assert cli.main([argv[0], "--config", str(path), "--out", str(tmp_path / "out"),
                      *argv[1:]]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("times", ["1.5 1.5000001", "0.5, 1.5, 0.5"])
+def test_snapshot_times_with_one_file_name_exit_2(tmp_path, monkeypatch, capsys, times):
+    # front_t1_5.json would be written twice, the second snapshot replacing the first
+    def no_solver(*args, **kwargs):
+        raise AssertionError("solver ran on colliding snapshot times")
+
+    monkeypatch.setattr(cli.selector, "minimax_grid", no_solver)
+    path = tmp_path / "snap.ini"
+    path.write_text("[problem]\nH = p^2/2\nu0 = cos(q)\nt_max = 3.0\n"
+                    f"[output]\nsnapshot_times = {times}\n")
+    with pytest.raises(cli.ConfigError, match="front_t"):
+        cli.load_config(str(path))
+    assert cli.main(["solve", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
