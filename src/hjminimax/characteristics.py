@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, NonFinite
-from .expr import Expression
+from .expr import Expression, own
 
 # relative agreement of u0 and H at seeds one period apart that lets
 # `evolve_states` flow one period only
@@ -83,31 +83,21 @@ class ProblemSpec:
 
 def char_rhs(H: Expression, t, q, p):
     """(dq, dp, dz) = (H_p, -H_q, p*H_p - H) at the states q, p of one shape,
-    each a new array of that shape, from H's compiled program.
+    each a new array of that shape, from H's compiled program: its tangents
+    go through `expr.own` as `Expression.eval_d`'s do.
 
     Unchecked, like the program: call it under
     np.errstate(over="ignore", invalid="ignore") and check what it feeds."""
     hval, hp, hq = H.compiled(("p", "q"))(t, q, p)
-    hp = _own(hp, q, p)
-    return hp, -_own(hq, q, p), p * hp - hval
-
-
-def _own(x, q, p):
-    """The tangent x as an array of q's shape that is neither q nor p: x
-    itself when it is one, else a new array of its value (0 for a
-    structurally zero tangent, None)."""
-    if isinstance(x, np.ndarray) and x.shape == np.shape(q) and x is not q and x is not p:
-        return x
-    out = np.zeros(np.shape(q))
-    if x is not None:
-        out[...] = x
-    return out
+    shape = np.shape(q)
+    hp = own(hp, shape, (q, p))
+    return hp, -own(hq, shape, (q, p)), p * hp - hval
 
 
 def initial_state(spec: ProblemSpec, seeds):
     q0 = np.asarray(seeds, dtype=float)
     u0val, du0 = spec.u0.eval_d(q=q0, wrt="q")
-    return q0.copy(), np.asarray(du0, float) + 0.0 * q0, np.asarray(u0val, float) + 0.0 * q0
+    return q0.copy(), du0, u0val
 
 
 def _freeze_mask(spec: ProblemSpec, q):
@@ -273,7 +263,6 @@ def _period_width(spec: ProblemSpec, seeds, p0, z0):
     if "q" in spec.H.variables:
         for t in (k * spec.t_max / 8 for k in range(9)):
             for h in spec.H.eval_d(t=t, q=seeds, p=p0, wrt=("p", "q")):
-                h = np.broadcast_to(h, seeds.shape)
                 if not _agree(h[n:], h[:-n]):
                     return N
     return n

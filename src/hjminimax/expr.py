@@ -9,7 +9,8 @@ settles up front which tangents are structurally zero (a constant's, or a
 variable's other than the one differentiated by: skipped by every op and
 returned as +0.0) and which are a variable's unit tangent (never multiplied
 out). Checks that depend on the data run in tree order, so the first
-failure is the walk's. Returned arrays never alias the inputs.
+failure is the walk's. The value and every tangent come back at the
+inputs' broadcast shape, in arrays of their own.
 The function whitelist is smooth-only; see docs/expr-grammar.md.
 """
 
@@ -225,27 +226,21 @@ class Expression:
 
     def _run(self, wrt, t, q, p):
         """The value and one tangent per name in wrt, each checked to be
-        finite. Every tangent has the inputs' broadcast shape, and no
-        returned array is an input or another of the returned arrays."""
-        shape = np.broadcast(t, q, p).shape if wrt else ()
+        finite. Each has the inputs' broadcast shape, a plain scalar only
+        when every input is one (a constant evaluated at an array is an
+        array), and no returned array is an input or another of them."""
+        shape = np.broadcast(t, q, p).shape
         program = self.compiled(wrt)
         with np.errstate(over="ignore", invalid="ignore"):
             try:
                 value, *dots = program(t, q, p)
             except OverflowError:  # a Python float ** overflows by raising
                 raise NonFinite(f"non-finite value in eval of {self.source!r}") from None
-        _check_finite(value, f"eval of {self.source!r}")
-        out = [value]
+        out = [own(value, shape, (t, q, p))]
+        _check_finite(out[0], f"eval of {self.source!r}")
         for dot in dots:
-            if dot is None:  # structurally zero
-                out.append(np.zeros(shape) if shape else 0.0)
-            else:
-                dot = _spread(dot, shape)
-                _check_finite(dot, f"derivative of {self.source!r}")
-                out.append(dot)
-        for i, x in enumerate(out):
-            if isinstance(x, np.ndarray) and any(x is y for y in (t, q, p, *out[:i])):
-                out[i] = x.copy()
+            out.append(own(dot, shape, (t, q, p, *out)))
+            _check_finite(out[-1], f"derivative of {self.source!r}")
         return tuple(out)
 
     def canonical(self):
@@ -294,12 +289,16 @@ def _const_int_exponent(ast):
     return int(v) if v is not None and v.is_integer() else None
 
 
-def _spread(x, shape):
-    """x broadcast to shape, in an array of its own where it had to grow;
-    a scalar when shape is ()."""
+def own(x, shape, taken):
+    """An output x of a compiled program at shape, in an array none of
+    `taken` is: x itself when it is such an array, else a new array of its
+    value (0 for a structurally zero x, None); a plain scalar when shape
+    is ()."""
+    if x is None:
+        x = 0.0
     if not shape:
         return x[()] if isinstance(x, np.ndarray) else x
-    if np.shape(x) == shape:
+    if isinstance(x, np.ndarray) and x.shape == shape and id(x) not in map(id, taken):
         return x
     out = np.empty(shape)
     out[...] = x

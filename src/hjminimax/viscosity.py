@@ -239,12 +239,11 @@ def _lax_oleinik(table: _LegendreTable, u0: Expression, t_grid, q_grid):
     return u
 
 
-def lax_oleinik(Hc: ConvexHamiltonian, u0: Expression, t: float, q_grid,
-                table: _LegendreTable | None = None):
+def lax_oleinik(Hc: ConvexHamiltonian, u0: Expression, t: float, q_grid):
     """u(t,q) = min_{q0} [u0(q0) + t L((q-q0)/t)] over a seed grid, with
     3-point parabolic refinement of the argmin. Returns values on q_grid."""
-    table = _LegendreTable(Hc) if table is None else table
-    return _lax_oleinik(table, u0, np.array([float(t)]), np.asarray(q_grid, dtype=float))[0]
+    q_grid = np.asarray(q_grid, dtype=float)
+    return _lax_oleinik(_LegendreTable(Hc), u0, np.array([float(t)]), q_grid)[0]
 
 
 def lax_oleinik_grid(Hc: ConvexHamiltonian, u0: Expression, t_grid, q_grid) -> GridSolution:
@@ -269,13 +268,16 @@ def lax_friedrichs(spec: ProblemSpec, t_grid, q_grid) -> GridSolution:
     dq = float(q_grid[1] - q_grid[0])
     periodic = isinstance(spec.domain, Periodic)
 
-    u = np.asarray(spec.u0.eval(q=q_grid), dtype=float) + 0.0 * q_grid
+    u = spec.u0.eval(q=q_grid)
     _, du0 = spec.u0.eval_d(q=q_grid, wrt="q")
     pmax = 1.5 * float(np.max(np.abs(du0))) + 1.0
     ps = np.linspace(-pmax, pmax, 513)
+    # an H that does not read q is sampled at one q: the same speeds, and
+    # no (grid x slopes) array
+    qs = q_grid[:, None] if "q" in spec.H.variables else 0.0
     theta = 0.0
     for tt in np.linspace(float(t_grid[0]), float(t_grid[-1]), 5):
-        _, hp = spec.H.eval_d(t=tt, q=q_grid[:, None], p=ps[None, :], wrt="p")
+        _, hp = spec.H.eval_d(t=tt, q=qs, p=ps, wrt="p")
         theta = max(theta, float(np.max(np.abs(hp))))
     theta *= 1.05
     theta = max(theta, 1e-8)

@@ -3,6 +3,7 @@ import os
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hjminimax import cli, selector
@@ -124,6 +125,38 @@ def test_compare_nonconvex_report_only(tmp_path):
     report = (tmp_path / "nc" / "report.txt").read_text()
     assert "not convex" in report
     assert "PASS" not in report and "FAIL" not in report
+
+
+def _small_cfg(tmp_path, name, H, u0, n_seeds, domain="domain = periodic\n"):
+    """A 16x16 grid to t_max = 1, written to tmp_path/name."""
+    path = tmp_path / f"{name}.ini"
+    path.write_text(f"[problem]\nH = {H}\nu0 = {u0}\n{domain}t_max = 1\n"
+                    f"[grid]\nnt = 16\nnq = 16\n[solver]\nn_seeds = {n_seeds}\n"
+                    f"[output]\ndir = {tmp_path / name}\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("H, u0, line", [
+    ("p^2/2", "1", "convex pair PASS"),
+    ("0.5", "cos(q)", "H is not convex in p"),
+], ids=["u0", "H"])
+def test_compare_constant_expression(tmp_path, H, u0, line):
+    # a constant evaluates to one value at each of its points, like any
+    # other expression; H = 0.5 has zero second differences, so no verdict
+    assert cli.main(["compare", "--config", _small_cfg(tmp_path, "flat", H, u0, 256)]) == 0
+    assert line in (tmp_path / "flat" / "report.txt").read_text()
+    assert (tmp_path / "flat" / "lax_oleinik.csv").exists() == (H != "0.5")
+
+
+def test_window_domain_grid(tmp_path):
+    window = "domain = window\nqmin = -3\nqmax = 3\n"
+    path = _small_cfg(tmp_path, "win", "p^2/2", "cos(q)", 512, window)
+    assert cli.main(["solve", "--config", path]) == 0
+    rows = (tmp_path / "win" / "solution.csv").read_text().strip().split("\n")[1:]
+    q = [float(row.split(",")[1]) for row in rows[:16]]
+    assert q == list(np.linspace(-3.0, 3.0, 16))
+    assert cli.main(["compare", "--config", path]) == 0
+    assert "convex pair PASS" in (tmp_path / "win" / "report.txt").read_text()
 
 
 def _quartic_compare(tmp_path, H, u0):
@@ -309,6 +342,32 @@ def test_misspelled_setting_exit_2(tmp_path, monkeypatch, capsys, typo, message)
     with pytest.raises(cli.ConfigError, match=re.escape(message)):
         cli.load_config(str(path))
     assert cli.main(["solve", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+
+
+_PROBLEM = "[problem]\nH = p^2/2\nu0 = cos(q)\nt_max = 1.0\n"
+
+
+@pytest.mark.parametrize("text, grid, message", [
+    ("[grid]\nnt = 16\n", None, "config is missing the [problem] section"),
+    ("[problem]\nH = p^2/2\nt_max = 1.0\n", None, "[problem] is missing key 'u0'"),
+    (_PROBLEM.replace("cos(q)", "cos(p)"), None, "u0 may only use q, got ['p']"),
+    (_PROBLEM + "domain = torus\n", None,
+     "domain must be 'periodic' or 'window', got 'torus'"),
+    ("[problem]\nH = p^2/2\nu0 = cos(q)\n", None, "[problem] t_max is required"),
+    (_PROBLEM, "64by128", "--grid must look like 64x128, got '64by128'"),
+], ids=["no_problem", "no_u0", "u0_reads_p", "torus", "no_t_max", "grid"])
+def test_rejected_config_exit_2(tmp_path, monkeypatch, capsys, text, grid, message):
+    def no_solver(*args, **kwargs):
+        raise AssertionError("solver ran on a rejected config")
+
+    monkeypatch.setattr(cli.selector, "minimax_grid", no_solver)
+    path = tmp_path / "rejected.ini"
+    path.write_text(text)
+    with pytest.raises(cli.ConfigError, match=re.escape(message)):
+        cli.load_config(str(path), grid_override=grid)
+    argv = ["solve", "--config", str(path), "--out", str(tmp_path / "out")]
+    assert cli.main(argv + (["--grid", grid] if grid else [])) == 2
     assert message in capsys.readouterr().err
 
 

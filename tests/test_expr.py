@@ -171,9 +171,10 @@ def test_each_zero_tangent_is_its_own_array():
 
 
 @pytest.mark.parametrize("wrt", [None, "q", "p", ("p", "q")])
-@pytest.mark.parametrize("src", ["q", "p", "q*p", "p + q", "2*q"])
+@pytest.mark.parametrize("src", ["q", "p", "q*p", "p + q", "2*q", "2", "t"])
 def test_outputs_are_arrays_of_their_own(src, wrt):
-    # no returned array is an input, another output, or an earlier call's
+    # every output has the points' shape, a constant's value too, and no
+    # returned array is an input, another output, or an earlier call's
     q, p = np.linspace(-1.0, 1.0, 5), np.linspace(0.5, 2.0, 5)
     e = expr.parse(src)
     seen = [q, p]
@@ -181,6 +182,7 @@ def test_outputs_are_arrays_of_their_own(src, wrt):
         out = (e.eval(q=q, p=p),) if wrt is None else e.eval_d(q=q, p=p, wrt=wrt)
         for x in out:
             assert isinstance(x, np.ndarray)
+            assert x.shape == (5,)
             assert not any(np.shares_memory(x, y) for y in seen)
             seen.append(x)
 

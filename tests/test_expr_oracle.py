@@ -44,10 +44,10 @@ def test_sparse_walk_matches_dense_oracle(src, pts):
         want = _result(oracle.eval_d, e, wrt=wrt, **args)
         if _ok(got) and _ok(want):
             assert len(got) == len(want) == 1 + len(wrt)
-            assert _bits(got[0]) == _bits(want[0])
+            # the value and every tangent have the shape of the point set;
+            # the dense walk gave a constant's value and derivative as scalars
+            assert _bits(got[0]) == _bits(np.broadcast_to(want[0], shape))
             for g, w in zip(got[1:], want[1:]):
-                # every tangent has the shape of the point set; the dense
-                # walk gave a constant's derivative as the scalar 0.0
                 assert np.shape(g) == shape
                 assert np.all(g == w)  # by value: -0.0 == 0.0
         elif not _ok(got) and got != want:

@@ -29,6 +29,9 @@ def test_fiber_points_multivalued(fish):
     zs = fb.z.tolist()
     # middle branch (the max) sits between the outer values... actually above
     assert zs[1] > min(zs[0], zs[2])
+    # the fibers of several abscissae are asked for in sorted order
+    with pytest.raises(ValueError, match="fiber abscissae must be sorted"):
+        selector.fiber_crossings(fish, [0.1, -0.1])
 
 
 def test_fiber_points_single_branch(fish):
@@ -41,6 +44,8 @@ def test_degenerate_fiber_at_double_point(fish):
     d = fish.doubles[0]
     with pytest.raises(DegenerateFiber):
         selector.fiber_points(fish, d.q)
+    with pytest.raises(DegenerateFiber):
+        selector.select_pointwise(fish, d.q)
 
 
 def test_select_pointwise_is_lower_branch_inside_fish(fish):
