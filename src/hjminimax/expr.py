@@ -478,7 +478,8 @@ class _Compiler:
             v = self.let(f"{b} ** {c}")
             if n == 0 or all(d is None for d in dbs):
                 return v, zero
-            slope = self.let(f"_int_pow_slope({b}, {c})")
+            # b ** 1 is b exactly and cannot overflow: the square's slope skips it
+            slope = self.let(f"{c} * {b}" if n == 2 else f"_int_pow_slope({b}, {c})")
             return v, tuple(None if d is None else self.mul(slope, d) for d in dbs)
         e, des = self.node(exp_ast)
         self.check(b, "<= 0", "non-integer power of a non-positive base")

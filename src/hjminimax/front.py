@@ -9,7 +9,11 @@ front is analysed at exactly its time: the vertical inflection of a
 perestroika stands, and only a fold hidden between two seeds is
 non-generic. Per-vertex and per-pair tests run as numpy array passes; a
 pass of points against edges works in chunks of at most CHUNK_ELEMENTS
-point-edge elements.
+point-edge elements. Cusps, the branch-index walk over the sections and
+the long-end test run over several fronts on one seed lattice at once,
+the rows of a grid batch (`row_cusps`, `row_sections`, `long_rows`);
+`detect_cusps`, `split_sections` and `build_front` are their one-front
+calls.
 """
 
 from __future__ import annotations
@@ -108,12 +112,37 @@ class FrontAnalysis:
 
 
 def build_front(q0, q, p, z, time: float) -> FrontCurve:
-    """Assemble the isochrone front from seed-sorted final states."""
+    """Assemble the isochrone front from seed-sorted final states; NotLong
+    when `long_rows` finds it is not graph-like at an end."""
     f = FrontCurve(time=time, q=q, z=z, p=p, q0=q0)
-    dq = np.diff(q)
-    if len(dq) and (dq[0] <= 0 or dq[-1] <= 0):
-        raise NotLong("front endpoints are not graph-like (dq/dq0 <= 0 at an end)")
+    if len(f) > 1 and not long_rows(np.diff(f.q)[None], *_whole(f))[0]:
+        raise front_error(False, 0)
     return f
+
+
+def _whole(f: FrontCurve):
+    """(lo, hi) of the front f as the one row of a `row_cusps` call."""
+    return np.array([0]), np.array([len(f) - 1])
+
+
+def long_rows(dq, lo, hi):
+    """Per front r, the vertices lo[r]..hi[r] (two or more) of a row whose
+    q steps are row r of dq: False when a step at either end is <= 0, where
+    dq/dq0 <= 0 and the front is not graph-like."""
+    r = np.arange(len(lo))
+    return ~((dq[r, lo] <= 0) | (dq[r, hi - 1] <= 0))
+
+
+def front_error(long: bool, walk: int):
+    """The error of a front that is not long (`build_front` raises it) or
+    whose branch-index walk ends at walk, not 0 (`split_sections` raises
+    it), or None. A front that is not long is never cut into sections."""
+    if not long:
+        return NotLong("front endpoints are not graph-like (dq/dq0 <= 0 at an end)")
+    if walk:
+        return IndexInconsistency(
+            f"index walk ends at {walk}, not 0: a cusp was missed or missigned")
+    return None
 
 
 def _check_tangency(f: FrontCurve):
@@ -155,63 +184,108 @@ def _check_tangency(f: FrontCurve):
 
 
 def detect_cusps(f: FrontCurve) -> list[Cusp]:
-    """Cusps sit where dq/dq0 changes sign between consecutive cells.
-
-    All reversal vertices v are refined in one array pass. Each is interior,
-    and the quadratics through its three vertices v-1, v, v+1 for q(q0) and
-    z(q0) come in closed form from divided differences in x = q0 - q0[v].
-    The cusp is at the turning point x* = -b/(2a) of q's quadratic, clipped
-    to the nearer of the two neighbours' |x|; on coincident q0 or a == 0 it
-    is the vertex v itself. The sign follows the coorientation rule: positive when
-    the traversal passes onto the branch lying above (in +z) the branch it
-    leaves. In the Legendrian normal form near a cusp, q = a s^2 and
-    p = p_c + b s, so dz = p dq gives the branches z(s) - z(-s) =
-    (4/3) a b s^3: the sign is that of a b, read off the vertices around
-    the cusp. Only cusps are found here and nothing is raised: the tangency
-    check is `analyze`'s.
-    """
-    dq = np.diff(f.q)
-    v = np.flatnonzero(dq[:-1] * dq[1:] < 0) + 1  # vertices where the direction reverses
-    x_lo = f.q0[v - 1] - f.q0[v]
-    x_hi = f.q0[v + 1] - f.q0[v]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        aq, bq = _quadratic(f.q, v, x_lo, x_hi)
-        az, bz = _quadratic(f.z, v, x_lo, x_hi)
-        flat = (x_lo == 0) | (x_hi == 0) | (x_lo == x_hi) | (aq == 0)
-        reach = np.minimum(np.abs(x_lo), np.abs(x_hi))
-        x = np.where(flat, 0.0, np.clip(-bq / (2.0 * aq), -reach, reach))
-        qc = np.where(flat, f.q[v], (aq * x + bq) * x + f.q[v])
-        zc = np.where(flat, f.z[v], (az * x + bz) * x + f.z[v])
-    sign = np.where((f.q[v + 1] - f.q[v]) * (f.p[v + 1] - f.p[v - 1]) >= 0, 1, -1)
+    """The cusps of the front f: `row_cusps` of the one front."""
+    _, v, qc, zc, sign = row_cusps(f.q[None], np.diff(f.q)[None], f.z[None], f.p[None],
+                                   f.q0, *_whole(f))
     return [Cusp(q=a, z=b, sign=c, vertex=d) for a, b, c, d in
             zip(qc.tolist(), zc.tolist(), sign.tolist(), v.tolist())]
 
 
-def _quadratic(y, v, x_lo, x_hi):
-    """(a, b) of the quadratics a x^2 + b x + y[v] through (x_lo, y[v-1]),
-    (0, y[v]) and (x_hi, y[v+1]), from divided differences."""
-    d_lo = (y[v] - y[v - 1]) / -x_lo
-    d_hi = (y[v + 1] - y[v]) / x_hi
+def row_cusps(q, dq, z, p, q0, lo, hi):
+    """The cusps of fronts on one seed lattice q0: front r is the vertices
+    lo[r]..hi[r] of row r of q, whose steps are row r of dq. Vertex c of
+    row r carries z[r, c % m] and p[r, c % m], m = z.shape[1]: a front's own
+    z and p, or a grid row's flowed period, which `tile_row` repeats along
+    the row. Returns the (row, vertex, q, z, sign) arrays of the cusps, by
+    row and then along the front. A cusp sits where dq/dq0 changes sign
+    between consecutive cells of one front.
+
+    All reversal vertices v are refined in one array pass. Each is interior
+    to its front, and the quadratics through its three vertices v-1, v, v+1
+    for q(q0) and z(q0) come in closed form from divided differences in
+    x = q0 - q0[v]. The cusp is at the turning point x* = -b/(2a) of q's
+    quadratic, clipped to the nearer of the two neighbours' |x|; on
+    coincident q0 or a == 0 it is the vertex v itself. The sign follows the
+    coorientation rule: positive when the traversal passes onto the branch
+    lying above (in +z) the branch it leaves. In the Legendrian normal form
+    near a cusp, q = a s^2 and p = p_c + b s, so dz = p dq gives the
+    branches z(s) - z(-s) = (4/3) a b s^3: the sign is that of a b, read
+    off the vertices around the cusp. Only cusps are found here and nothing
+    is raised: the tangency check is `analyze`'s.
+    """
+    dq = dq.ravel()  # a pair of steps across two rows is no front's: dropped below
+    r, v = np.divmod(np.flatnonzero(dq[:-1] * dq[1:] < 0), q.shape[1] - 1)
+    v += 1  # where the direction reverses
+    inner = (lo[r] < v) & (v < hi[r])
+    r, v = r[inner], v[inner]
+
+    def around(y):
+        """y at the vertices v-1, v and v+1 of rows r."""
+        m = y.shape[1]
+        return tuple(y.ravel()[r * m + (v + d) % m] for d in (-1, 0, 1))
+
+    (q_lo, qv, q_hi), (z_lo, zv, z_hi), (p_lo, _, p_hi) = around(q), around(z), around(p)
+    x_lo = q0[v - 1] - q0[v]
+    x_hi = q0[v + 1] - q0[v]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        aq, bq = _quadratic(q_lo, qv, q_hi, x_lo, x_hi)
+        az, bz = _quadratic(z_lo, zv, z_hi, x_lo, x_hi)
+        flat = (x_lo == 0) | (x_hi == 0) | (x_lo == x_hi) | (aq == 0)
+        reach = np.minimum(np.abs(x_lo), np.abs(x_hi))
+        x = np.where(flat, 0.0, np.clip(-bq / (2.0 * aq), -reach, reach))
+        qc = np.where(flat, qv, (aq * x + bq) * x + qv)
+        zc = np.where(flat, zv, (az * x + bz) * x + zv)
+    sign = np.where((q_hi - qv) * (p_hi - p_lo) >= 0, 1, -1)
+    return r, v, qc, zc, sign
+
+
+def _quadratic(y_lo, y, y_hi, x_lo, x_hi):
+    """(a, b) of the quadratics a x^2 + b x + y through (x_lo, y_lo), (0, y)
+    and (x_hi, y_hi), from divided differences."""
+    d_lo = (y - y_lo) / -x_lo
+    d_hi = (y_hi - y) / x_hi
     width = x_hi - x_lo
     return (d_hi - d_lo) / width, (d_lo * x_hi - d_hi * x_lo) / width
 
 
 def split_sections(f: FrontCurve, cusps: Sequence[Cusp]) -> list[Section]:
     """Cut at cusps and propagate the branch index from the left noncompact
-    branch (index 0) using the +-1 cusp-sign rule; both ends must close at 0."""
-    bounds = [0] + [c.vertex for c in cusps] + [len(f) - 1]
-    sections = []
-    index = 0
-    for i in range(len(bounds) - 1):
-        kind = "noncompact" if i == 0 or i == len(bounds) - 2 else "compact"
-        sections.append(Section(id=i, start=bounds[i], end=bounds[i + 1],
-                                index=index, kind=kind))
-        if i < len(cusps):
-            index += cusps[i].sign
-    if index != 0:
-        raise IndexInconsistency(
-            f"index walk ends at {index}, not 0: a cusp was missed or missigned")
-    return sections
+    branch (index 0) using the +-1 cusp-sign rule; both ends must close at
+    0: `row_sections` of the one front."""
+    v = np.array([c.vertex for c in cusps], dtype=int)
+    sign = np.array([c.sign for c in cusps], dtype=int)
+    (_, end, ids, index), walk = row_sections(_whole(f)[1], np.zeros(len(v), dtype=int),
+                                              v, sign)
+    exc = front_error(True, int(walk[0]))
+    if exc is not None:
+        raise exc
+    start = [0] + end[:-1].tolist()
+    last = len(start) - 1
+    return [Section(id=i, start=a, end=b, index=k,
+                    kind="noncompact" if i in (0, last) else "compact")
+            for i, a, b, k in zip(ids.tolist(), start, end.tolist(), index.tolist())]
+
+
+def row_sections(hi, row, vertex, sign):
+    """The sections of fronts cut at their cusps, given as the (row,
+    vertex, sign) arrays of `row_cusps`, by row and then along the front;
+    front r ends at vertex hi[r]. Returns the (row, end, id, index) arrays
+    of the sections in the same order, id counting in the front, and per
+    front the index its walk ends at, 0 when it closes. The branch index is
+    0 on each front's left noncompact branch and steps by each cusp's
+    sign."""
+    fronts = np.arange(len(hi))
+    n = np.bincount(row, minlength=len(hi))
+    last = np.cumsum(n) + fronts  # each front's last section follows its cusps
+    cut = np.arange(len(row)) + row
+    end = np.empty(len(row) + len(hi), dtype=int)
+    step = np.zeros(len(end), dtype=int)
+    end[cut], end[last], step[cut] = vertex, hi, sign
+    walk = np.cumsum(step) - step  # over all fronts, before each section
+    first = last - n
+    rows = np.repeat(fronts, n + 1)
+    index = walk - walk[first][rows]
+    return (rows, end, np.arange(len(end)) - first[rows], index), index[last]
 
 
 def double_points(f: FrontCurve, sections: Sequence[Section],

@@ -2,20 +2,26 @@
 
 The production path selects pointwise: the fiber critical points over each
 abscissa are coupled greedily and the free point is the minimax. All fibers
-of one front go through one array pass, `fiber_crossings`, whether they are
-a grid row, a sweep or a single abscissa, and one coupling pass,
-`couple_fibers`, takes the fibers of a front or of a whole grid. The
-geometric validator cuts vanishing triangles out at their double points
-until the front is the minimax graph, with a corner at each shock; both
-must agree outside the logged surgery regions. Every front, a grid row or
-a lone slice, is built by `_long_front` at exactly its time, and
-`default_seeds` gives both their seeds from one lattice.
+go through one array pass, `fiber_rows`, over the fronts of a batch of grid
+rows or over one front (`fiber_crossings`: a sweep, triangle probes or a
+single abscissa), and one coupling pass, `couple_fibers`, takes the fibers
+of a front or of a whole grid. The geometric validator cuts vanishing
+triangles out at their double points until the front is the minimax graph,
+with a corner at each shock; both must agree outside the logged surgery
+regions. Every front, a grid row or a lone slice, is the long front at
+exactly its time, and `default_seeds` gives both their seeds from one
+lattice. A slice is built by `_long_front`; `minimax_grid` builds, cuts and
+crosses its rows in batches of about BATCH_VERTICES front vertices, each
+stage in one pass over the batch, with the same code: `trim_long`,
+`front.detect_cusps` and `front.split_sections` are the one-front calls of
+the batch passes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -29,6 +35,12 @@ SWEEP_FIBERS = 512   # fibers `_sweep` lays across a front
 MAX_SURGERIES = 64   # rounds `eliminate` may take before giving up
 TRIM_FRAC = 0.25     # share of the vertices `trim_long` may drop per end
 FIBER_TOL = 1e-9     # bbox-scaled distance of a fiber from a cusp or double point
+# front vertices of a `minimax_grid` batch, before trimming: a batch is
+# BATCH_VERTICES // len(seeds) rows. At its peak a batch holds about 24
+# bytes a vertex beside the flow. On the qflow 64x64 grid, 8,662 vertices a
+# row, that loop is the peak of the run: 2 rows a batch stay below the
+# one-row pass it replaced, and 3 rows raised the run's peak RSS by 0.25 MB
+BATCH_VERTICES = 3 * 2 ** 13
 # where `default_seeds` puts its lattice in each of the n cells of a base
 # width, as a fraction of a cell. Not 0: an aligned lattice puts seeds on
 # q = 0 and q = pi, the symmetry points of u0 = cos(q), and then the Burgers
@@ -80,11 +92,12 @@ class GridSolution:
 
 @dataclass(frozen=True)
 class Fibers:
-    """The crossings of a front with the vertical lines at sorted abscissae
+    """The crossings of fronts with the vertical lines at sorted abscissae
     q, grouped by fiber in curve order: fiber k holds crossings
-    bounds[k]:bounds[k+1]. `failed` maps each fiber that passes within
-    FIBER_TOL of a cusp or double point, or has an even crossing count, to
-    the DegenerateFiber it raises."""
+    bounds[k]:bounds[k+1], and `seg` each crossing's segment (None in the
+    fibers `minimax_grid` stacks, which never read it). `failed` maps each
+    fiber that passes within FIBER_TOL of a cusp or double point, or has an
+    even crossing count, to the DegenerateFiber it raises."""
     bounds: np.ndarray
     z: np.ndarray
     seg: np.ndarray
@@ -96,86 +109,167 @@ class Fibers:
         return np.diff(self.bounds)
 
 
+@dataclass(frozen=True)
+class FrontRows:
+    """Fronts on one seed lattice, with what the fiber pass reads of their
+    analysis: the rows of a grid batch, or one front. Front r is the
+    vertices lo[r]..hi[r] of row r of q, and wq[r] its q-extent
+    (`FrontCurve.bbox_scale`). Vertex c of row r carries z[r, c % m] and
+    p[r, c % m], m = z.shape[1], as in `front.row_cusps`. `sections` holds
+    the (row, end, id, index) arrays of the sections, by row and then along
+    the front; `cusps` and `doubles` the (row, q) arrays of the points no
+    fiber over their front may pass within FIBER_TOL of."""
+    q: np.ndarray
+    z: np.ndarray
+    p: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    wq: np.ndarray
+    sections: tuple
+    cusps: tuple
+    doubles: tuple
+
+    def __len__(self):
+        return len(self.lo)
+
+    @classmethod
+    def of(cls, analysis: FrontAnalysis):
+        """The one front of analysis."""
+        f = analysis.front
+
+        def column(items, attr, dtype):
+            return np.array([getattr(x, attr) for x in items], dtype=dtype)
+
+        def events(points):
+            return np.zeros(len(points), dtype=int), column(points, "q", float)
+
+        secs = analysis.sections
+        return cls(q=f.q[None], z=f.z[None], p=f.p[None], lo=np.array([0]),
+                   hi=np.array([len(f) - 1]), wq=np.array([f.bbox_scale()[0]]),
+                   sections=(np.zeros(len(secs), dtype=int),
+                             *(column(secs, a, int) for a in ("end", "id", "index"))),
+                   cusps=events(analysis.cusps), doubles=events(analysis.doubles))
+
+
 def fiber_crossings(analysis: FrontAnalysis, q) -> Fibers:
     """Every crossing of the front with the vertical lines at the sorted
-    abscissae q, in one array pass over the segments. A segment is crossed
-    at the grid points strictly inside its q-interval and at those equal to
-    its first vertex's q; the last vertex adds a crossing of the last
-    segment. z is a cubic Hermite using the carried momenta."""
-    f = analysis.front
+    abscissae q: `fiber_rows` of the one front."""
+    return fiber_rows(FrontRows.of(analysis), q)
+
+
+def fiber_rows(rows: FrontRows, q) -> Fibers:
+    """Every crossing of each front of rows with the vertical lines at the
+    sorted abscissae q, in one array pass over the segments of all the
+    fronts: fiber r*len(q) + k is the line at q[k] over front r, and `seg`
+    counts in its row. A segment is crossed at the grid points strictly
+    inside its q-interval and at those equal to its first vertex's q; a
+    front's last vertex adds a crossing of its last segment. z is a cubic
+    Hermite using the carried momenta."""
     q = np.asarray(q, dtype=float)
     if np.any(q[1:] < q[:-1]):
         raise ValueError("fiber abscissae must be sorted")
-    wq, _ = f.bbox_scale()
-    seg, first, n = _crossing_runs(q, f.q)
-    seg = np.repeat(seg, n)
-    fiber = np.repeat(first, n) + frontmod._counting(n)
+    nq = len(q)
+    row, seg, first, count, last = _crossing_runs(q, rows.q, rows.lo, rows.hi)
+    row, seg, last = np.repeat(row, count), np.repeat(seg, count), np.repeat(last, count)
+    k = np.repeat(first, count) + frontmod._counting(count)  # grid index
+    fiber = row * nq + k
     # stable: a last-vertex crossing follows a first-vertex one on its segment
     order = np.lexsort((seg, fiber))
-    seg, fiber = seg[order], fiber[order]
-    last = order >= len(order) - np.count_nonzero(q == f.q[-1])
+    row, seg, k, fiber, last = row[order], seg[order], k[order], fiber[order], last[order]
 
-    z = np.full(len(seg), f.z[-1])
-    z[~last] = _crossing_z(f, seg[~last], q[fiber[~last]])
-    pos = frontmod._section_of_vertex(analysis.sections, seg + 1)
-    section = np.array([s.id for s in analysis.sections], dtype=int)[pos]
-    index = np.array([s.index for s in analysis.sections], dtype=int)[pos]
-    bounds = np.searchsorted(fiber, np.arange(len(q) + 1), side="left")
+    m = rows.z.shape[1]
+    z = np.empty(len(seg))
+    z[last] = rows.z.ravel()[row[last] * m + (seg[last] + 1) % m]
+    z[~last] = _crossing_z(rows, row[~last], seg[~last], q[k[~last]])
+    s_row, s_end, s_id, s_index = rows.sections
+    pos = np.searchsorted(s_row * rows.q.shape[1] + s_end,
+                          row * rows.q.shape[1] + seg + 1, side="left")
+    bounds = np.searchsorted(fiber, np.arange(len(rows) * nq + 1), side="left")
 
     failed = {}
-    near_cusp = _near(q, [c.q for c in analysis.cusps], wq)
-    near_double = _near(q, [d.q for d in analysis.doubles], wq)
+    near_cusp = _near(q, rows.cusps, rows.wq, len(rows))
+    near_double = _near(q, rows.doubles, rows.wq, len(rows))
     counts = np.diff(bounds)
-    for k in np.flatnonzero(near_cusp | near_double | (counts % 2 == 0)).tolist():
-        qk = float(q[k])
-        if near_cusp[k]:
-            failed[k] = DegenerateFiber(f"fiber at q={qk} passes through a cusp projection")
-        elif near_double[k]:
-            failed[k] = DegenerateFiber(f"fiber at q={qk} passes through a double point")
+    for j in np.flatnonzero(near_cusp | near_double | (counts % 2 == 0)).tolist():
+        qk = float(q[j % nq])
+        if near_cusp[j]:
+            failed[j] = DegenerateFiber(f"fiber at q={qk} passes through a cusp projection")
+        elif near_double[j]:
+            failed[j] = DegenerateFiber(f"fiber at q={qk} passes through a double point")
         else:
-            failed[k] = DegenerateFiber(f"even crossing count ({counts[k]}) at q={qk}")
-    return Fibers(bounds=bounds, z=z, seg=seg, section=section, index=index,
+            failed[j] = DegenerateFiber(f"even crossing count ({counts[j]}) at q={qk}")
+    return Fibers(bounds=bounds, z=z, seg=seg, section=s_id[pos], index=s_index[pos],
                   failed=failed)
 
 
-def _crossing_runs(q, fq):
-    """(segment, first grid index, count) of each non-empty run of the
-    sorted grid q that crosses the polyline with vertex abscissae fq: per
-    segment the grid points strictly inside its q-interval, then per vertex
-    those equal to its q, on the segment it starts (the last vertex: the
-    segment it ends).
+def _crossing_runs(q, fq, lo, hi):
+    """(row, segment, first grid index, count, last) of each non-empty run
+    of the sorted grid q that crosses a front: front r is the polyline
+    through vertices lo[r]..hi[r] of row r of fq. Per segment the grid
+    points strictly inside its q-interval, then per vertex those equal to
+    its q, on the segment it starts (a front's last vertex: the segment it
+    ends, and `last` marks those runs); each part by row, then along it.
 
-    One search per vertex and side: `searchsorted` is monotone in its key,
-    so the search of min(qa, qb) is the smaller of the searches of qa and
-    qb. The abscissae fq must not be NaN."""
-    lo = np.searchsorted(q, fq, side="left")
-    hi = np.searchsorted(q, fq, side="right")
-    first = np.minimum(hi[:-1], hi[1:])
-    count = np.maximum(lo[:-1], lo[1:]) - first
-    inside = np.flatnonzero(count > 0)
-    at = np.flatnonzero(hi > lo)  # vertices on grid points
-    return (np.concatenate([inside, np.minimum(at, len(fq) - 2)]),
-            np.concatenate([first[inside], lo[at]]),
-            np.concatenate([count[inside], (hi - lo)[at]]))
+    One search per vertex: `cell`, the grid points at or below it. A
+    segment whose two ends share a cell and lie on no grid point crosses
+    none, so only the others are searched again from the left. The
+    abscissae fq must not be NaN."""
+    n = fq.shape[1]
+    fq = fq.ravel()
+    cell = np.searchsorted(q, fq, side="right")
+    on_grid = np.concatenate([[-np.inf], q])[cell] == fq
+    maybe = cell[:-1] != cell[1:]
+    maybe |= on_grid[:-1]
+    maybe |= on_grid[1:]
+
+    def in_front(at, past_hi):
+        """The flat vertex or segment ids at that lie in their row's front."""
+        row, col = np.divmod(at, n)
+        keep = (lo[row] <= col) & (col + past_hi <= hi[row])
+        return at[keep], row[keep], col[keep]
+
+    seg, r_in, s_in = in_front(np.flatnonzero(maybe), 1)
+    first = np.minimum(cell[seg], cell[seg + 1])
+    count = np.maximum(np.searchsorted(q, fq[seg], side="left"),
+                       np.searchsorted(q, fq[seg + 1], side="left")) - first
+    inside = count > 0
+    v, r_at, v_at = in_front(np.flatnonzero(on_grid), 0)
+    first_at = np.searchsorted(q, fq[v], side="left")
+    last = v_at == hi[r_at]
+    return (np.concatenate([r_in[inside], r_at]), np.concatenate([s_in[inside], v_at - last]),
+            np.concatenate([first[inside], first_at]),
+            np.concatenate([count[inside], cell[v] - first_at]),
+            np.concatenate([np.zeros(np.count_nonzero(inside), dtype=bool), last]))
 
 
-def _near(q, event_qs, wq):
-    """Per fiber: within FIBER_TOL (q-bbox-scaled) of one of event_qs."""
-    if not event_qs:
-        return np.zeros(len(q), dtype=bool)
-    return np.any(np.abs(np.array(event_qs)[None, :] - q[:, None]) / wq < FIBER_TOL, axis=1)
+def _near(q, events, wq, n_rows):
+    """Per fiber of n_rows fronts (fiber r*len(q) + k at q[k] over front r):
+    within FIBER_TOL, scaled by its front's wq, of one of the (row, q)
+    events of its front."""
+    row, event_q = events
+    near = np.zeros((n_rows, len(q)), dtype=bool)
+    if not len(row):
+        return near.ravel()
+    e, k = np.nonzero(np.abs(event_q[:, None] - q[None, :]) / wq[row][:, None] < FIBER_TOL)
+    near[row[e], k] = True
+    return near.ravel()
 
 
-def _crossing_z(f: FrontCurve, seg, q):
-    """z at abscissae q on segments seg: the midpoint on a segment shorter
-    than 1e-13 in q, linear where a carried slope is wild (right at a fold),
-    the cubic Hermite elsewhere. s ** 2 and s ** 3 are rounded as Python
-    floats: numpy's power rounds some elements differently."""
-    z0, z1 = f.z[seg], f.z[seg + 1]
-    m0, m1 = f.p[seg], f.p[seg + 1]
-    h = f.q[seg + 1] - f.q[seg]
+def _crossing_z(rows: FrontRows, row, seg, q):
+    """z at abscissae q on segments seg of rows row: the midpoint on a
+    segment shorter than 1e-13 in q, linear where a carried slope is wild
+    (right at a fold), the cubic Hermite elsewhere. s ** 2 and s ** 3 are
+    libm's pow, as Python floats round them: `np.float_power` calls it,
+    while numpy's power rounds some elements differently."""
+    n, m = rows.q.shape[1], rows.z.shape[1]
+    qf, zf, pf = rows.q.ravel(), rows.z.ravel(), rows.p.ravel()
+    a, b = row * m + seg % m, row * m + (seg + 1) % m
+    z0, z1 = zf[a], zf[b]
+    m0, m1 = pf[a], pf[b]
+    qa = qf[row * n + seg]
+    h = qf[row * n + seg + 1] - qa
     with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.where(h == 0, 0.0, (q - f.q[seg]) / h)
+        s = np.where(h == 0, 0.0, (q - qa) / h)
         lin = (z1 - z0) / h
     dev0, dev1 = np.abs(m0 - lin), np.abs(m1 - lin)
     wild = ~(np.isfinite(m0) & np.isfinite(m1)) \
@@ -183,9 +277,9 @@ def _crossing_z(f: FrontCurve, seg, q):
     mid = np.abs(h) < 1e-13
     z = np.where(mid, 0.5 * (z0 + z1), z0 + s * (z1 - z0))
     cubic = ~mid & ~wild
-    sc = s[cubic].tolist()
+    sc = s[cubic]
     z[cubic] = frontmod.hermite_powers(
-        s[cubic], np.array([x ** 2 for x in sc]), np.array([x ** 3 for x in sc]),
+        sc, np.float_power(sc, 2.0), np.float_power(sc, 3.0),
         h[cubic], z0[cubic], m0[cubic], z1[cubic], m1[cubic])
     return z
 
@@ -196,11 +290,20 @@ class Coupling:
     number of fiber k's free point, -1 on a fiber in `failed`, which maps
     each fiber that cannot be coupled to the error it raises. `pairs[k]`
     holds the [upper, lower] crossing numbers of fiber k's coupled pairs, in
-    greedy order, for each coupled fiber of three or more crossings."""
+    greedy order, for each coupled fiber of three or more crossings; it is
+    built from `coupled`, the (fibers, pairs) arrays of each crossing
+    count, when first read, and a grid never reads it."""
     fibers: Fibers
     free: np.ndarray
     failed: dict
-    pairs: dict
+    coupled: list
+
+    @cached_property
+    def pairs(self) -> dict:
+        pairs = {}
+        for ks, prs in self.coupled:
+            pairs.update(zip(ks.tolist(), prs.tolist()))
+        return pairs
 
 
 def couple_fibers(fibers: Fibers) -> Coupling:
@@ -216,7 +319,7 @@ def couple_fibers(fibers: Fibers) -> Coupling:
     ok = np.ones(len(counts), dtype=bool)
     ok[list(failed)] = False
     free = np.where(ok & (counts == 1), fb.bounds[:-1], -1)
-    pairs = {}
+    coupled = []
     # a set, not np.unique: numpy's unique imports numpy.ma on first call
     for c in sorted(set(counts[ok & (counts >= 3)].tolist())):
         ks = np.flatnonzero(ok & (counts == c))
@@ -227,9 +330,8 @@ def couple_fibers(fibers: Fibers) -> Coupling:
             failed[int(ks[r])] = exc
         good = j >= 0
         free[ks[good]] = lo[good] + j[good]
-        pairs.update(zip(ks[good].tolist(),
-                         (prs[good] + lo[good, None, None]).tolist()))
-    return Coupling(fibers=fb, free=free, failed=failed, pairs=pairs)
+        coupled.append((ks[good], prs[good] + lo[good, None, None]))
+    return Coupling(fibers=fb, free=free, failed=failed, coupled=coupled)
 
 
 def select_fibers(analysis: FrontAnalysis, q) -> Coupling:
@@ -501,19 +603,21 @@ def default_seeds(spec: chars.ProblemSpec, n: int, t: float | None = None):
 def trim_long(q0, q, p, z):
     """Drop end vertices sitting inside a fold so the front is graph-like at
     both ends. Takes and returns seed-sorted arrays (q0, q, p, z); at most
-    TRIM_FRAC of the vertices may go per end."""
-    limit = int(len(q) * TRIM_FRAC)
-    lo, hi = 0, len(q) - 1
-    for _ in range(limit):
-        if q[hi] - q[hi - 1] > 0:
-            break
-        hi -= 1
-    for _ in range(limit):
-        if q[lo + 1] - q[lo] > 0:
-            break
-        lo += 1
-    keep = slice(lo, hi + 1)
+    TRIM_FRAC of the vertices may go per end: `_trim_rows` of one row."""
+    lo, hi = _trim_rows(np.diff(q)[None])
+    keep = slice(int(lo[0]), int(hi[0]) + 1)
     return q0[keep], q[keep], p[keep], z[keep]
+
+
+def _trim_rows(dq):
+    """(lo, hi) per row whose q steps are that row of dq: the first and
+    last vertex kept once the steps that do not rise at each end, at most
+    TRIM_FRAC of the row's vertices per end, are dropped."""
+    n = dq.shape[1] + 1
+    limit = int(n * TRIM_FRAC)
+    stop = np.ones((len(dq), 1), dtype=bool)  # no more than limit steps go
+    return (np.argmax(np.hstack([dq[:, :limit] > 0, stop]), axis=1),
+            n - 1 - np.argmax(np.hstack([dq[:, ::-1][:, :limit] > 0, stop]), axis=1))
 
 
 def _long_front(t: float, q0, q, p, z) -> FrontCurve:
@@ -534,16 +638,24 @@ def minimax_grid(spec: chars.ProblemSpec, t_grid, q_grid,
     """Minimax solution values on the (t,q) grid via pointwise selection.
     The seeds are `default_seeds(spec, n_seeds)`: on a periodic domain a
     lattice of n_seeds per period, of which `evolve_states` flows one
-    period. Each row is the front at exactly its grid time, built by
-    `_row_analysis` from that time's `evolve_states` row, and each fiber is
-    at exactly its grid q; neither is shifted. Each row's crossings come
-    from one `fiber_crossings` pass over the sorted q_grid; the fibers of
-    all rows are coupled in one `couple_fibers` call, after the flow and
-    the fronts are released, and scattered back to grid order.
+    period. Each row is the front at exactly its grid time, from that
+    time's `evolve_states` row, and each fiber is at exactly its grid q;
+    neither is shifted.
+
+    The rows after t = 0 go in batches of BATCH_VERTICES // len(seeds)
+    consecutive rows. `_grid_rows` tiles, trims and cuts a batch's fronts
+    and `fiber_rows` crosses them with the sorted q_grid, each in one pass
+    over the batch; the batch's fronts are released before the next is
+    built. The fibers of all rows are coupled in one `couple_fibers` call,
+    after the flow is released, and scattered back to grid order.
 
     A fiber that cannot be coupled raises: the first such fiber in grid
-    order. A row with a crossing failure is coupled with the rows before
-    it, at once, so its error is raised before any later row is built."""
+    order. A front that cannot be built raises its NotLong or
+    IndexInconsistency unless a row before it has a fiber that passes a
+    cusp or has an even crossing count: no batch after that row's is
+    built, and the rows built are coupled at once. So a crossing failure
+    beats a build failure in a later row, a build failure beats a coupling
+    failure in an earlier row, and within a row grid order decides."""
     t_grid = np.asarray(t_grid, dtype=float)
     q_grid = np.asarray(q_grid, dtype=float)
     seeds = default_seeds(spec, n_seeds)
@@ -554,53 +666,80 @@ def minimax_grid(spec: chars.ProblemSpec, t_grid, q_grid,
     u = np.empty((nt, nq))
     branch = np.zeros((nt, nq), dtype=int)
     count = np.ones((nt, nq), dtype=int)
+    u[[i for i, t in enumerate(times) if t == 0.0]] = spec.u0.eval(q=q_grid)
 
-    u0q = spec.u0.eval(q=q_grid)
     order = np.argsort(q_grid, kind="stable")
     q_sorted = q_grid[order]
-    rows, fibers = [], []
-    for i, t in enumerate(times):
-        if t == 0.0:
-            u[i] = u0q
-            continue
-        rows.append(i)
-        # the row's front dies with its crossings
-        fibers.append(fiber_crossings(_row_analysis(spec, t, seeds, Q[i], P[i], Z[i]),
-                                      q_sorted))
-        if fibers[-1].failed:
+    rows = [i for i, t in enumerate(times) if t != 0.0]
+    size = max(1, BATCH_VERTICES // len(seeds))
+    done, parts = [], []
+    for b in range(0, len(rows), size):
+        batch = rows[b:b + size]
+        # a view of the flow when the batch's rows are consecutive
+        at = slice(batch[0], batch[-1] + 1) if batch[-1] - batch[0] < len(batch) else batch
+        built, error = _grid_rows(spec, seeds, Q[at], P[at], Z[at])
+        done += batch[:len(built)]
+        fibers = fiber_rows(built, q_sorted)
+        del built  # the batch's fronts go before the next batch is built
+        parts.append(replace(fibers, seg=None))  # the grid never reads seg
+        if fibers.failed:
             break
+        if error is not None:
+            raise error
     del Q, P, Z  # release the flow before the grid's crossings are coupled
-    cp = couple_fibers(_stack_fibers(fibers, nq))
+    cp = couple_fibers(_stack_fibers(parts))
     if cp.failed:
         raise cp.failed[min(cp.failed, key=lambda k: (k // nq, order[k % nq]))]
-    at = (np.array(rows, dtype=int)[:, None], order)
-    free = cp.free.reshape(len(rows), nq)
+    at = (np.array(done, dtype=int)[:, None], order)
+    free = cp.free.reshape(len(done), nq)
     u[at] = cp.fibers.z[free]
     branch[at] = cp.fibers.section[free]
-    count[at] = cp.fibers.counts().reshape(len(rows), nq)
+    count[at] = cp.fibers.counts().reshape(len(done), nq)
     return GridSolution(t=t_grid, q=q_grid, u=u, branch=branch,
                         branch_count=count)
 
 
-def _row_analysis(spec: chars.ProblemSpec, t: float, seeds, q, p, z) -> FrontAnalysis:
-    """The cusps and sections of the grid row at time t, from the sorted
-    seeds and the row's `evolve_states` states, expanded by `tile_row`."""
-    f = _long_front(t, seeds, *chars.tile_row(spec, len(seeds), q, p, z))
-    cusps = frontmod.detect_cusps(f)
-    return FrontAnalysis(front=f, cusps=tuple(cusps),
-                         sections=tuple(frontmod.split_sections(f, cusps)),
-                         doubles=(), triangles=())
+def _grid_rows(spec: chars.ProblemSpec, seeds, q, p, z):
+    """The fronts of the `evolve_states` rows q, p, z over the sorted seeds,
+    each row expanded by `tile_row` and trimmed as `trim_long` trims, with
+    their cusps and sections: each stage one pass over the rows. Returns
+    the FrontRows of the rows before the first front that cannot be built,
+    and that front's error (None when every front is built)."""
+    N = len(seeds)
+    Q = np.empty((len(q), N))
+    for r in range(len(q)):
+        Q[r] = chars.tile_row(spec, N, q[r], p[r], z[r])[0]
+    dq = np.diff(Q, axis=1)
+    lo, hi = _trim_rows(dq)
+    long = frontmod.long_rows(dq, lo, hi)
+    c_row, c_vertex, c_q, _, c_sign = frontmod.row_cusps(Q, dq, z, p, seeds, lo, hi)
+    del dq
+    sections, walk = frontmod.row_sections(hi, c_row, c_vertex, c_sign)
+    broken = np.flatnonzero(~long | (walk != 0)).tolist()
+    n = broken[0] if broken else len(q)
+    error = frontmod.front_error(long[n], int(walk[n])) if broken else None
+
+    Q, lo, hi = Q[:n], lo[:n], hi[:n]
+    wq = np.array([frontmod._width(Q[r, a:b + 1])  # as `bbox_scale`
+                   for r, (a, b) in enumerate(zip(lo.tolist(), hi.tolist()))])
+    c_n = np.searchsorted(c_row, n)
+    s_n = np.searchsorted(sections[0], n)
+    return FrontRows(q=Q, z=z[:n], p=p[:n], lo=lo, hi=hi, wq=wq,
+                     sections=tuple(x[:s_n] for x in sections),
+                     cusps=(c_row[:c_n], c_q[:c_n]),
+                     doubles=(np.empty(0, dtype=int), np.empty(0))), error
 
 
-def _stack_fibers(parts, n: int) -> Fibers:
-    """The fibers of parts, each with n fibers, as one Fibers: fiber r*n + k
-    is fiber k of parts[r]. `seg` keeps each part's own segment numbers."""
+def _stack_fibers(parts) -> Fibers:
+    """The fibers of parts as one Fibers, in order: each part's fibers
+    follow those of the parts before it. `seg` is not kept."""
     start = np.cumsum([0] + [len(fb.z) for fb in parts])
+    first = np.cumsum([0] + [len(fb.bounds) - 1 for fb in parts])
     return Fibers(
         bounds=np.concatenate([fb.bounds[:-1] + s for fb, s in zip(parts, start)]
                               + [start[-1:]]),
         z=np.concatenate([fb.z for fb in parts] + [np.empty(0)]),
-        seg=np.concatenate([fb.seg for fb in parts] + [np.empty(0, dtype=int)]),
+        seg=None,
         section=np.concatenate([fb.section for fb in parts] + [np.empty(0, dtype=int)]),
         index=np.concatenate([fb.index for fb in parts] + [np.empty(0, dtype=int)]),
-        failed={r * n + k: exc for r, fb in enumerate(parts) for k, exc in fb.failed.items()})
+        failed={f + k: exc for fb, f in zip(parts, first) for k, exc in fb.failed.items()})

@@ -10,6 +10,9 @@ the same errors.
 Its crossing test, `(qa - q) * (qb - q) < 0`, is the batched pass's
 "strictly between qa and qb" unless that product underflows to zero, which
 takes both differences below about 1e-154.
+
+`row_analysis` builds one grid row's front, cusps and sections on its
+own, as `minimax_grid` did before it built its rows in batches.
 """
 
 from dataclasses import dataclass
@@ -17,8 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 import morse_oracle
+from hjminimax import characteristics as chars
 from hjminimax import front as frontmod
+from hjminimax import selector
 from hjminimax.errors import DegenerateFiber
+from hjminimax.front import FrontAnalysis
 from hjminimax.selector import FIBER_TOL
 
 
@@ -28,6 +34,17 @@ class FiberPoint:
     section: int
     index: int       # branch index of the section
     seg: int
+
+
+def row_analysis(spec, t, seeds, q, p, z):
+    """The cusps and sections of the grid row at time t, from the sorted
+    seeds and the row's `evolve_states` states, expanded by `tile_row`:
+    the row's long front built alone, as a slice is."""
+    f = selector._long_front(t, seeds, *chars.tile_row(spec, len(seeds), q, p, z))
+    cusps = frontmod.detect_cusps(f)
+    return FrontAnalysis(front=f, cusps=tuple(cusps),
+                         sections=tuple(frontmod.split_sections(f, cusps)),
+                         doubles=(), triangles=())
 
 
 def crossing_runs(q, fq):

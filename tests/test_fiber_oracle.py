@@ -22,34 +22,78 @@ def _bits(x):
 
 
 def _grid_rows(spec, t_grid, n_seeds):
-    """The analyses `minimax_grid` builds, one per row after t = 0."""
+    """The analyses of the rows after t = 0, each row built on its own."""
     seeds = selector.default_seeds(spec, n_seeds)
     times = [float(t) for t in t_grid]
     Q, P, Z = chars.evolve_states(spec, times, seeds, None)
-    return {i: selector._row_analysis(spec, t, seeds, Q[i], P[i], Z[i])
+    return {i: oracle.row_analysis(spec, t, seeds, Q[i], P[i], Z[i])
             for i, t in enumerate(times) if t != 0.0}
 
 
-@pytest.mark.parametrize("H, u0, t_max, nt, nq, n_seeds, most", [
-    ("p^2/2", "cos(q)", 3.0, 12, 64, 512, 3),
-    ("p^2/2", "cos(q) + 0.7*cos(2*q)", 3.0, 12, 96, 1024, 7),
-    ("p^2/2 + 0.5*sin(q)*cos(t)", "cos(q)", 2.0, 8, 32, 1024, 3),
+def _grid(name, H, u0, t_max, nt, nq, n_seeds, most, per_batch=None, shuffle=False):
+    """A grid case: per_batch rows in each batch (the default budget when
+    None), and q_grid shuffled when shuffle."""
+    return pytest.param(H, u0, t_max, nt, nq, n_seeds, most, per_batch, shuffle, id=name)
+
+
+BURGERS, TWO_HUMP = "cos(q)", "cos(q) + 0.7*cos(2*q)"
+QFLOW = "p^2/2 + 0.5*sin(q)*cos(t)"
+
+
+@pytest.mark.parametrize("H, u0, t_max, nt, nq, n_seeds, most, per_batch, shuffle", [
+    _grid("p^2/2-cos(q)-3.0-12-64-512-3", "p^2/2", BURGERS, 3.0, 12, 64, 512, 3),
+    _grid("p^2/2-cos(q) + 0.7*cos(2*q)-3.0-12-96-1024-7", "p^2/2", TWO_HUMP, 3.0, 12, 96, 1024, 7),
+    _grid("p^2/2 + 0.5*sin(q)*cos(t)-cos(q)-2.0-8-32-1024-3", QFLOW, BURGERS, 2.0, 8, 32, 1024, 3),
     # the Burgers and two-hump grids of perfbench/configs
-    ("p^2/2", "cos(q)", 3.0, 128, 256, 2048, 3),
-    ("p^2/2", "cos(q) + 0.7*cos(2*q)", 3.0, 96, 192, 2048, 7),
+    _grid("p^2/2-cos(q)-3.0-128-256-2048-3", "p^2/2", BURGERS, 3.0, 128, 256, 2048, 3),
+    _grid("p^2/2-cos(q) + 0.7*cos(2*q)-3.0-96-192-2048-7",
+          "p^2/2", TWO_HUMP, 3.0, 96, 192, 2048, 7),
+    # batches of one row, a split that leaves a short last batch, the whole grid
+    _grid("burgers-one-row-a-batch", "p^2/2", BURGERS, 3.0, 12, 64, 512, 3, 1),
+    _grid("burgers-split-mid-grid", "p^2/2", BURGERS, 3.0, 12, 64, 512, 3, 4),
+    _grid("two-hump-one-batch", "p^2/2", TWO_HUMP, 3.0, 12, 96, 1024, 7, 11),
+    _grid("two-hump-unsorted-q", "p^2/2", TWO_HUMP, 3.0, 12, 96, 1024, 7, 5, True),
+    # the folded-end grids of test_selector: rows trimmed to different lengths
+    _grid("folded-qflow-1.91", QFLOW, "cos(q + 1.91)", 2.0, 16, 32, 1024, 3, 6),
+    _grid("folded-cos-p", "cos(p) - 1 + 0.5*sin(q)*cos(t)", BURGERS, 2.0, 16, 32, 1024, 3, 6),
+    _grid("folded-qflow-4.2", QFLOW, "cos(q + 4.2)", 2.0, 64, 64, 4096, 3, None, True),
+    _grid("folded-sin-tp", QFLOW + " + 0.2*sin(t*p)", "cos(q) + 0.3*sin(2*q)",
+          2.0, 32, 64, 1024, 5, 7),
 ])
-def test_grid_rows_match_oracle_bit_for_bit(monkeypatch, H, u0, t_max, nt, nq, n_seeds, most):
+def test_grid_rows_match_oracle_bit_for_bit(monkeypatch, H, u0, t_max, nt, nq, n_seeds, most,
+                                            per_batch, shuffle):
     spec = hj.ProblemSpec(H=hj.parse(H), u0=hj.parse(u0),
                           domain=hj.Periodic(TWO_PI), t_max=t_max)
     t_grid = np.linspace(0.0, t_max, nt)
     q_grid = np.linspace(0.0, TWO_PI, nq, endpoint=False)
-    couple_rows, batches = selector.morse1d.couple_rows, []
+    if shuffle:
+        q_grid = q_grid[np.random.default_rng(nq).permutation(nq)]
+    n_vertices = len(selector.default_seeds(spec, n_seeds))
+    if per_batch is not None:
+        monkeypatch.setattr(selector, "BATCH_VERTICES", per_batch * n_vertices)
+    # one coupling call per crossing count of three or more, for the whole
+    # grid, and one cusp and one crossing pass per batch
+    calls = {"couple_rows": [], "row_cusps": 0, "fiber_rows": 0}
+    couple_rows, row_cusps, fiber_rows = (selector.morse1d.couple_rows, frontmod.row_cusps,
+                                          selector.fiber_rows)
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
     monkeypatch.setattr(selector.morse1d, "couple_rows",
-                        lambda values, index: batches.append(values.shape[1])
+                        lambda values, index: calls["couple_rows"].append(values.shape[1])
                         or couple_rows(values, index))
+    monkeypatch.setattr(frontmod, "row_cusps", counting("row_cusps", row_cusps))
+    monkeypatch.setattr(selector, "fiber_rows", counting("fiber_rows", fiber_rows))
     g = selector.minimax_grid(spec, t_grid, q_grid, n_seeds=n_seeds)
-    # one coupling call per crossing count of three or more, for the whole grid
-    assert batches == np.unique(g.branch_count[g.branch_count >= 3]).tolist()
+    batches = -(-(nt - 1) // max(1, selector.BATCH_VERTICES // n_vertices))
+    assert calls["couple_rows"] == np.unique(g.branch_count[g.branch_count >= 3]).tolist()
+    assert calls["row_cusps"] == calls["fiber_rows"] == batches
+    if per_batch is not None:
+        assert batches == -(-(nt - 1) // per_batch)
     for i, analysis in _grid_rows(spec, t_grid, n_seeds).items():
         u, branch, count = oracle.select_row(analysis, q_grid)
         assert np.array_equal(_bits(g.u[i]), _bits(u)), f"row {i}"
@@ -149,11 +193,13 @@ def test_fiber_near_a_cusp_raises_in_grid_order(burgers_spec):
 
 
 def _fibers(*fibers):
-    """Fibers of the (values, indices, crossing error or None) of each fiber."""
+    """Fibers of the (values, indices, crossing error or None) of each fiber;
+    none for a batch whose first row cannot be built."""
     n = [len(z) for z, _, _ in fibers]
-    return selector.Fibers(bounds=np.cumsum([0] + n), z=np.concatenate([z for z, _, _ in fibers]),
+    return selector.Fibers(bounds=np.cumsum([0] + n),
+                           z=np.array([v for z, _, _ in fibers for v in z], dtype=float),
                            seg=np.zeros(sum(n), dtype=int), section=np.arange(sum(n)),
-                           index=np.concatenate([i for _, i, _ in fibers]),
+                           index=np.array([k for _, i, _ in fibers for k in i], dtype=int),
                            failed={k: exc for k, (_, _, exc) in enumerate(fibers) if exc})
 
 
@@ -162,24 +208,35 @@ def test_grid_failures_in_grid_order(monkeypatch, burgers_spec):
     ok = ([0.5], [0], None)
     unmatched = ([0.0, 1.0, 0.5], [0, 0, 1], None)    # coupling: indices do not alternate
     crossing = ([0.5], [0], DegenerateFiber("crossing"))
+    n_vertices = len(selector.default_seeds(burgers_spec, 64))
+    # each row's states carry its time, so the batch build knows its rows
+    monkeypatch.setattr(selector.chars, "evolve_states",
+                        lambda spec, times, seeds, step: (np.array(times)[:, None],) * 3)
 
-    def solve(rows):
-        def analysis(_spec, t, *_):
-            if rows[t] is None:
-                raise NonGeneric(f"front at t={t}")
-            return t
-        monkeypatch.setattr(selector, "_row_analysis", analysis)
-        monkeypatch.setattr(selector, "fiber_crossings", lambda t, _q: _fibers(*rows[t]))
+    def solve(rows, per_batch):
+        def grid_rows(_spec, _seeds, q, _p, _z):
+            times = q[:, 0].tolist()
+            n = next((r for r, t in enumerate(times) if rows[t] is None), len(times))
+            return times[:n], NonGeneric(f"front at t={times[n]}") if n < len(times) else None
+        monkeypatch.setattr(selector, "_grid_rows", grid_rows)
+        monkeypatch.setattr(selector, "fiber_rows",
+                            lambda times, _q: _fibers(*[f for t in times for f in rows[t]]))
+        monkeypatch.setattr(selector, "BATCH_VERTICES", per_batch * n_vertices)
         selector.minimax_grid(burgers_spec, [0.0, 1.0, 2.0], [2.0, 1.0], n_seeds=64)
 
-    # within a row, grid order; a crossing failure couples the rows before it
-    with pytest.raises(DegenerateFiber, match="crossing"):
-        solve({1.0: [unmatched, crossing], 2.0: None})
-    with pytest.raises(MalformedInput, match="alternate"):
-        solve({1.0: [unmatched, ok], 2.0: [ok, crossing]})
-    # the rows are coupled after every front is built
-    with pytest.raises(NonGeneric, match="front at t=2.0"):
-        solve({1.0: [unmatched, ok], 2.0: None})
+    # rows 1 and 2 in one batch, and each in its own
+    for per_batch in (2, 1):
+        # within a row, grid order; a crossing failure couples the rows before it
+        with pytest.raises(DegenerateFiber, match="crossing"):
+            solve({1.0: [unmatched, crossing], 2.0: None}, per_batch)
+        with pytest.raises(MalformedInput, match="alternate"):
+            solve({1.0: [unmatched, ok], 2.0: [ok, crossing]}, per_batch)
+        # a crossing failure beats a later row that cannot be built
+        with pytest.raises(DegenerateFiber, match="crossing"):
+            solve({1.0: [ok, crossing], 2.0: None}, per_batch)
+        # the rows are coupled after every front is built
+        with pytest.raises(NonGeneric, match="front at t=2.0"):
+            solve({1.0: [unmatched, ok], 2.0: None}, per_batch)
 
 
 # --- random polylines against the oracle ---
@@ -230,13 +287,25 @@ eighth = st.integers(-18, 18).map(lambda k: 0.125 * k)
 @given(st.data())
 def test_crossing_runs_match_six_searches_per_segment(data):
     # vertices on grid points, off them, and repeated, consecutively (a
-    # segment of zero length) or not; grids with repeated points
+    # segment of zero length) or not; grids with repeated points; one row
+    # or several, each front a window lo..hi of its row
     grid = np.array(sorted(data.draw(st.lists(eighth, min_size=1, max_size=12))))
     vertex = st.one_of(st.sampled_from(grid.tolist()), eighth, st.floats(-3.0, 3.0))
-    fq = np.array(data.draw(st.lists(vertex, min_size=2, max_size=14)))
-    fq = np.repeat(fq, data.draw(st.lists(st.integers(1, 3), min_size=len(fq),
-                                          max_size=len(fq))))
-    got = selector._crossing_runs(grid, fq)
-    want = oracle.crossing_runs(grid, fq)
-    for g, w in zip(got, want):
-        assert g.tolist() == w.tolist()
+    n = data.draw(st.integers(2, 24))
+    fq = np.array([data.draw(st.lists(vertex, min_size=n, max_size=n))
+                   for _ in range(data.draw(st.integers(1, 3)))])
+    for row in fq:
+        for i in data.draw(st.lists(st.integers(1, n - 1), max_size=4)):
+            row[i] = row[i - 1]
+    spans = [sorted(data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                                       unique=True))) for _ in fq]
+    lo, hi = np.array(spans).T
+    row, seg, first, count, last = selector._crossing_runs(grid, fq, lo, hi)
+    for r, (a, b) in enumerate(spans):
+        mine = row == r
+        want = oracle.crossing_runs(grid, fq[r, a:b + 1])
+        assert (seg[mine] - a).tolist() == want[0].tolist()
+        assert first[mine].tolist() == want[1].tolist()
+        assert count[mine].tolist() == want[2].tolist()
+        n_last = int(np.any(grid == fq[r, b]))  # the run at the front's last vertex
+        assert last[mine].tolist() == [False] * (len(want[0]) - n_last) + [True] * n_last

@@ -1,7 +1,6 @@
 """Peak traced memory of the grid passes that batch their rows. Each bound
-sits between the peak of the pass as it is and the peak it had with the
-batching unbounded or every row of the flow tiled at once, measured on the
-same grids."""
+sits between the peak of the pass as it is and the peak it has with the
+batching unbounded, measured on the same grids."""
 
 import tracemalloc
 
@@ -34,9 +33,10 @@ def test_lax_oleinik_grid_peak(burgers_spec):
 
 
 def test_minimax_grid_peak(two_hump_spec):
-    # 9.1 MB with one period flowed and each row tiled when its front is
-    # built; 21.8 MB with every row tiled up front; 28.2 MB with the tiled
-    # flow also kept alive through the coupling
+    # 7.2 MB with one period flowed and the rows built in batches of
+    # BATCH_VERTICES (2 rows), in the batch loop; 6.5 MB in the coupling,
+    # which lists no coupled pairs. 29.0 MB with every row in one batch;
+    # 9.1 MB one row at a time with the pairs listed
     t_grid = np.linspace(0.0, 3.0, 96)
     q_grid = np.linspace(0.0, TWO_PI, 192, endpoint=False)
     assert _peak_mb(lambda: selector.minimax_grid(two_hump_spec, t_grid, q_grid,
@@ -44,8 +44,8 @@ def test_minimax_grid_peak(two_hump_spec):
 
 
 def test_minimax_grid_peak_qflow():
-    # 7.1 MB with each row tiled when its front is built; 13.5 MB with
-    # every row tiled up front
+    # 6.8 MB with the rows built in batches of BATCH_VERTICES (2 rows);
+    # 7.1 MB one row at a time; 19.2 MB with every row in one batch
     spec = hj.ProblemSpec(H=hj.parse("p^2/2 + 0.5*sin(q)*cos(t)"), u0=hj.parse("cos(q)"),
                           domain=hj.Periodic(TWO_PI), t_max=2.0)
     t_grid = np.linspace(0.0, 2.0, 64)
