@@ -175,8 +175,9 @@ def _snapshot_path(cfg, t, ext):
 
 
 def _write_svg(cfg, t, analysis):
-    """front_t<t>.svg: the slice at t with its minimax section highlighted.
-    The sweep skips the fibers it cannot couple."""
+    """front_t<t>.svg: the slice at t with its minimax section highlighted,
+    in pieces that end at cusps and double points. A slice whose event
+    fiber cannot be coupled raises."""
     _write(_snapshot_path(cfg, t, "svg"),
            svg.render_front(analysis, selector.minimax_pieces(analysis)))
 

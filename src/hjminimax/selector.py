@@ -3,7 +3,7 @@
 The production path selects pointwise: the fiber critical points over each
 abscissa are coupled greedily and the free point is the minimax. All fibers
 go through one array pass, `fiber_rows`, over the fronts of a batch of grid
-rows or over one front (`fiber_crossings`: a sweep, triangle probes or a
+rows or over one front (`fiber_crossings`: event fibers, triangle probes or a
 single abscissa), and one coupling pass, `couple_fibers`, takes the fibers
 of a front or of a whole grid. The geometric validator cuts vanishing
 triangles out at their double points until the front is the minimax graph,
@@ -31,7 +31,6 @@ from . import morse1d
 from .errors import DegenerateFiber, InconsistentSweep, NoVanishingTriangle
 from .front import FrontAnalysis, FrontCurve
 
-SWEEP_FIBERS = 512   # fibers `_sweep` lays across a front
 MAX_SURGERIES = 64   # rounds `eliminate` may take before giving up
 TRIM_FRAC = 0.25     # share of the vertices `trim_long` may drop per end
 FIBER_TOL = 1e-9     # bbox-scaled distance of a fiber from a cusp or double point
@@ -359,109 +358,98 @@ def select_pointwise(analysis: FrontAnalysis, q: float):
     return float(cp.fibers.z[free]), int(cp.fibers.section[free])
 
 
-def _sweep(analysis: FrontAnalysis):
-    """The fiber spacing, and (q, free section, [(upper, lower) section
-    pairs]) for each of SWEEP_FIBERS fibers across the front. A fiber that
-    cannot be coupled is skipped."""
+def _event_fibers(analysis: FrontAnalysis):
+    """The sorted event abscissae of the front, and (i, free section,
+    [(upper, lower) section pairs]) of the fiber at the midpoint of each
+    interval events[i]..events[i+1]. The events are the front's end
+    abscissae and every cusp and double point between them: the fiber's
+    critical points, their order and their coupling change only there. An
+    interval no wider than 4*FIBER_TOL*wq (wq the front's q-extent) gets no
+    fiber, so every midpoint lies at least twice FIBER_TOL*wq from its ends;
+    the others go through one `select_fibers` call, and a fiber that cannot
+    be coupled raises."""
     f = analysis.front
-    # sweep between the end vertices: a fold can dip past them in q, where
-    # the fiber loses the noncompact branch and its crossing count is even
     q_lo, q_hi = float(f.q[0]), float(f.q[-1])
-    pad = (q_hi - q_lo) * 1e-6
-    qs = np.linspace(q_lo + pad, q_hi - pad, SWEEP_FIBERS)
-    cp = select_fibers(analysis, qs)
+    events = np.array(sorted({q_lo, q_hi, *(e.q for e in analysis.cusps + analysis.doubles
+                                             if q_lo < e.q < q_hi)}))
+    wide = np.flatnonzero(np.diff(events) > 4 * FIBER_TOL * f.bbox_scale()[0])
+    cp = select_fibers(analysis, 0.5 * (events[wide] + events[wide + 1]))
+    if cp.failed:
+        raise cp.failed[min(cp.failed)]
     section = cp.fibers.section.tolist()
-    fibers = [(qs[k], section[cp.free[k]],
-               [(section[u], section[l]) for u, l in cp.pairs.get(k, ())])
-              for k in range(len(qs)) if k not in cp.failed]
-    return qs[1] - qs[0], fibers
+    return events.tolist(), [
+        (i, section[cp.free[k]], [(section[u], section[l]) for u, l in cp.pairs.get(k, ())])
+        for k, i in enumerate(wide.tolist())]
 
 
 def minimax_pieces(analysis: FrontAnalysis):
     """(section_id, q_lo, q_hi) runs of the minimax section across the
-    front, from the same sweep as `decompose`."""
-    return _stitch_mu(_sweep(analysis)[1])
+    front, from the same event fibers as `decompose`: each piece ends at an
+    event, and an interval too narrow to probe between two pieces of
+    different sections is left uncovered."""
+    return _stitch_mu(*_event_fibers(analysis))
 
 
 def decompose(analysis: FrontAnalysis) -> SectionDecomposition:
-    """Sweep fibers across the front, record couplings, and stitch the
-    minimax section and the closed coupled curves X_i. A coupled pair that
-    appears, vanishes or swaps a partner away from a front event raises
+    """The minimax section and the closed coupled curves X_i, stitched from
+    the event fibers. A coupled pair that appears or vanishes away from a
+    cusp, or swaps a partner away from a homogeneous double point, raises
     InconsistentSweep."""
-    dq_sweep, fibers = _sweep(analysis)
-    cusp_qs = np.array([c.q for c in analysis.cusps])
-    homog = [d for d in analysis.doubles if d.homogeneous]
-    return SectionDecomposition(
-        minimax_pieces=_stitch_mu(fibers),
-        coupled_curves=_stitch_pairs(fibers, cusp_qs, homog, dq_sweep))
+    events, fibers = _event_fibers(analysis)
+    cusps = {c.q for c in analysis.cusps}
+    homog = {d.q for d in analysis.doubles if d.homogeneous}
+    return SectionDecomposition(minimax_pieces=_stitch_mu(events, fibers),
+                                coupled_curves=_stitch_pairs(events, fibers, cusps, homog))
 
 
-def _stitch_mu(fibers):
+def _stitch_mu(events, fibers):
     pieces = []
-    for q, sec, _ in fibers:
+    for i, sec, _ in fibers:
         if pieces and pieces[-1][0] == sec:
-            pieces[-1][2] = q
+            pieces[-1][2] = events[i + 1]
         else:
-            pieces.append([sec, q, q])
+            pieces.append([sec, events[i], events[i + 1]])
     return [(sec, lo, hi) for sec, lo, hi in pieces]
 
 
-def _stitch_pairs(fibers, cusp_qs, homog, dq_sweep):
-    slack = 1.5 * dq_sweep
-    active = {}   # key: frozenset of sections -> XCurve
+def _stitch_pairs(events, fibers, cusps, homog):
+    """The coupled curves, by q-span. Between the fibers of intervals j < i
+    lie the events events[j+1..i]: a pair may appear or vanish there only
+    if one is a cusp, and swap a partner only if one is a homogeneous
+    double point. Greedy coupling re-links neighbours after each removal,
+    so the double point need not be one of the swapped sections'."""
+    active = {}   # frozenset of the pair's sections -> its intervals
     done = []
-    next_id = 0
-    started = False
-    for q, _, prs in fibers:
+    prev = None
+    for i, _, prs in fibers:
+        between = set(events[prev + 1:i + 1]) if prev is not None else set()
+        lo, hi = events[i], events[i + 1]
         cur = {}
         for upper, lower in prs:
             key = frozenset((upper, lower))
             if key in active:
                 x = active.pop(key)
-                x.intervals[-1] = (x.intervals[-1][0], q, upper, lower)
+                x[-1] = (x[-1][0], hi, upper, lower)
             else:
-                x = _match_swap(active, key, q, slack, homog)
-                if x is not None:
-                    x.intervals.append((q, q, upper, lower))
+                old = next((k for k in active if k & key), None) if between & homog else None
+                if old is not None:
+                    x = active.pop(old)
+                    x.append((lo, hi, upper, lower))
+                # a pair at the first fiber starts at the front's end
+                elif prev is None or between & cusps:
+                    x = [(lo, hi, upper, lower)]
                 else:
-                    # pairs present at the first fiber did not "appear"
-                    if started and not _near_event(q, cusp_qs, slack):
-                        raise InconsistentSweep(
-                            f"pair {sorted(key)} appeared at q={q} away from any cusp")
-                    x = XCurve(id=next_id, intervals=[(q, q, upper, lower)])
-                    next_id += 1
+                    raise InconsistentSweep(
+                        f"pair {sorted(key)} appeared at q={lo} away from any cusp")
             cur[key] = x
-        started = True
-        for key, x in active.items():
-            if not _near_event(x.intervals[-1][1], cusp_qs, 2 * slack) \
-                    and not _near_event(x.intervals[-1][1] + dq_sweep, cusp_qs, 2 * slack):
-                raise InconsistentSweep(
-                    f"pair {sorted(key)} vanished at q={x.intervals[-1][1]} away from any cusp")
-            done.append(x)
-        active = cur
+        if active and not between & cusps:
+            raise InconsistentSweep(f"pair {sorted(next(iter(active)))} vanished "
+                                    f"at q={events[prev + 1]} away from any cusp")
+        done.extend(active.values())
+        active, prev = cur, i
     done.extend(active.values())
-    done.sort(key=lambda x: x.q_span())
-    for i, x in enumerate(done):
-        x.id = i
-    return done
-
-
-def _match_swap(active, key, q, slack, homog):
-    """A pair whose identity changed must have swapped a partner at a
-    homogeneous double point between the swapped sections."""
-    for old_key in list(active):
-        shared = old_key & key
-        if not shared or old_key == key:
-            continue
-        swapped = (old_key | key) - shared
-        if any(frozenset(d.sections) == swapped and abs(d.q - q) <= 2 * slack
-               for d in homog):
-            return active.pop(old_key)
-    return None
-
-
-def _near_event(q, event_qs, slack):
-    return len(event_qs) > 0 and np.any(np.abs(event_qs - q) <= slack)
+    done.sort(key=lambda x: (x[0][0], x[-1][1]))
+    return [XCurve(id=k, intervals=x) for k, x in enumerate(done)]
 
 
 @dataclass

@@ -76,3 +76,22 @@ def burgers_grid(burgers_spec):
     t_grid = np.linspace(0.0, 3.0, 96)
     q_grid = np.linspace(0.0, TWO_PI, 192, endpoint=False)
     return selector.minimax_grid(burgers_spec, t_grid, q_grid, n_seeds=2048)
+
+
+@pytest.fixture(scope="session")
+def event_slices(burgers_spec, two_hump_spec):
+    """Analyzed slices on which the event fibers of `minimax_pieces` are
+    checked, by name: two-hump at t=2 (with 2,048 seeds two double points
+    lie 2.4e-8 apart near pi) and t=2.8, Burgers at t=1.5 and t=2.5, and the
+    q- and t-dependent H of the qflow benchmark at t=1."""
+    qflow = hj.ProblemSpec(H=hj.parse("p^2/2 + 0.5*sin(q)*cos(t)"), u0=hj.parse("cos(q)"),
+                           domain=hj.Periodic(TWO_PI), t_max=2.0)
+    cases = {"two_hump-t2-600": (two_hump_spec, 2.0, 600),
+             "two_hump-t2-1600": (two_hump_spec, 2.0, 1600),
+             "two_hump-t2-2048": (two_hump_spec, 2.0, 2048),
+             "two_hump-t2.8-1600": (two_hump_spec, 2.8, 1600),
+             "burgers-t1.5-600": (burgers_spec, 1.5, 600),
+             "burgers-t2.5-2048": (burgers_spec, 2.5, 2048),
+             "qflow-t1-4096": (qflow, 1.0, 4096)}
+    return {name: selector.slice_analysis(spec, t, selector.default_seeds(spec, n, t=t))
+            for name, (spec, t, n) in cases.items()}

@@ -1,4 +1,4 @@
-"""The names the package exports and the README's library example uses exist."""
+"""The names the package exports exist, and the README's library example runs."""
 
 import re
 from pathlib import Path
@@ -6,7 +6,6 @@ from pathlib import Path
 import pytest
 
 import hjminimax as hj
-from hjminimax import selector
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -22,13 +21,13 @@ def test_exported_name_resolves(name):
     assert getattr(hj, name) is not None
 
 
-def test_readme_library_names_resolve():
+def test_readme_library_snippet_runs():
     snippet = _library_snippet()
-    used = {"hj": set(re.findall(r"\bhj\.(\w+)", snippet)),
-            "selector": set(re.findall(r"\bselector\.(\w+)", snippet))}
-    assert {"default_seeds", "slice_analysis", "eliminate",
-            "minimax_grid"} <= used["selector"]
-    for name in used["hj"]:
-        assert hasattr(hj, name), f"hj.{name}"
-    for name in used["selector"]:
-        assert hasattr(selector, name), f"selector.{name}"
+    used = set(re.findall(r"\bselector\.(\w+)", snippet))
+    assert {"default_seeds", "slice_analysis", "eliminate", "minimax_grid",
+            "minimax_pieces"} <= used
+    names = {}
+    exec(compile(snippet, str(README), "exec"), names)
+    assert names["g"].u.shape == (96, 192)
+    assert len(names["surgeries"]) == 2
+    assert [sec for sec, _, _ in names["pieces"]] == [0, 2, 4]

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ import hjminimax as hj
 from hjminimax import characteristics as chars
 from hjminimax import front as frontmod
 from hjminimax import selector, viscosity
-from hjminimax.errors import DegenerateFiber, NoVanishingTriangle
+from hjminimax.errors import DegenerateFiber, InconsistentSweep, NoVanishingTriangle
 from hjminimax.front import FrontCurve
 
 
@@ -75,13 +77,90 @@ def test_decompose_fish(fish):
     dec = selector.decompose(fish)
     assert len(dec.coupled_curves) == 1
     x = dec.coupled_curves[0]
-    lo, hi = x.q_span()
-    cusp_qs = sorted(c.q for c in fish.cusps)
-    assert lo == pytest.approx(cusp_qs[0], abs=0.01)
-    assert hi == pytest.approx(cusp_qs[1], abs=0.01)
-    # minimax pieces tile the swept range with one section switch at q=0
-    secs = [sec for sec, _, _ in dec.minimax_pieces]
-    assert secs == [0, 2]
+    # the curve spans exactly the two cusps
+    assert x.q_span() == tuple(sorted(c.q for c in fish.cusps))
+    # minimax pieces tile the front with one section switch, at the double point
+    (s0, lo0, hi0), (s1, lo1, hi1) = dec.minimax_pieces
+    assert (s0, s1) == (0, 2)
+    assert lo0 == fish.front.q[0] and hi1 == fish.front.q[-1]
+    assert hi0 == lo1 == fish.doubles[0].q
+
+
+def _events(ana):
+    """The front's end abscissae and the cusps and double points between them."""
+    f = ana.front
+    return sorted({float(f.q[0]), float(f.q[-1]),
+                   *(e.q for e in ana.cusps + ana.doubles if f.q[0] < e.q < f.q[-1])})
+
+
+# (pieces, coupled curves) of each of the `event_slices`
+EVENT_SLICES = {"two_hump-t2-600": (6, 5), "two_hump-t2-1600": (6, 5),
+                "two_hump-t2-2048": (6, 5), "two_hump-t2.8-1600": (8, 7),
+                "burgers-t1.5-600": (3, 2), "burgers-t2.5-2048": (3, 2),
+                "qflow-t1-4096": (3, 2)}
+
+
+@pytest.mark.parametrize("name", EVENT_SLICES)
+def test_pieces_end_at_events(event_slices, name):
+    # the free section is constant between two consecutive front events:
+    # every piece and coupled interval ends at one, a switch between pieces
+    # at a double point, and a coupled curve at a cusp or a front end
+    ana = event_slices[name]
+    dec = selector.decompose(ana)
+    pieces = dec.minimax_pieces
+    assert (len(pieces), len(dec.coupled_curves)) == EVENT_SLICES[name]
+    assert pieces == selector.minimax_pieces(ana)
+    events = set(_events(ana))
+    doubles = {d.q for d in ana.doubles}
+    assert pieces[0][1] == ana.front.q[0] and pieces[-1][2] == ana.front.q[-1]
+    for _, lo, hi in pieces:
+        assert lo in events and hi in events
+    for (_, _, hi), (_, lo, _) in zip(pieces, pieces[1:]):
+        assert hi in doubles and lo in doubles
+    ends = {ana.front.q[0], ana.front.q[-1], *(c.q for c in ana.cusps)}
+    for x in dec.coupled_curves:
+        assert x.q_span()[0] in ends and x.q_span()[1] in ends
+        for lo, hi, _, _ in x.intervals:
+            assert lo in events and hi in events
+
+
+def test_narrow_event_interval_gets_no_fiber(event_slices, monkeypatch):
+    # with 2,048 seeds three double points of the two-hump t=2 slice lie
+    # within 3.4e-7 above pi, two of them 2.4e-8 apart; the fiber at the
+    # midpoint between those two passes within FIBER_TOL of a double point,
+    # so that interval gets none
+    ana = event_slices["two_hump-t2-2048"]
+    events = _events(ana)
+    width = 4 * selector.FIBER_TOL * ana.front.bbox_scale()[0]
+    narrow = [(a, b) for a, b in zip(events, events[1:]) if b - a <= width]
+    assert len(narrow) == 1
+    a, b = narrow[0]
+    assert {a, b} <= {d.q for d in ana.doubles}
+    assert np.pi < a < b < np.pi + 3.4e-7 and b - a < 2.5e-8
+    with pytest.raises(DegenerateFiber):
+        selector.select_pointwise(ana, 0.5 * (a + b))
+    probed = []
+    select = selector.select_fibers
+    monkeypatch.setattr(selector, "select_fibers",
+                        lambda analysis, q: probed.append(q) or select(analysis, q))
+    assert len(selector.minimax_pieces(ana)) == 6
+    (qs,) = probed
+    assert len(qs) == len(events) - 2
+    assert not np.any((a <= qs) & (qs <= b))
+
+
+@pytest.mark.parametrize("name", ["two_hump-t2-600", "two_hump-t2-1600"])
+@pytest.mark.parametrize("drop", ["cusps", "homogeneous_doubles"])
+def test_pair_change_away_from_its_event_raises(event_slices, name, drop):
+    # without the cusps a pair appears where no cusp lies, and without the
+    # homogeneous double points a pair swaps a partner where none lies
+    ana = event_slices[name]
+    if drop == "cusps":
+        ana = replace(ana, cusps=())
+    else:
+        ana = replace(ana, doubles=tuple(d for d in ana.doubles if not d.homogeneous))
+    with pytest.raises(InconsistentSweep):
+        selector.decompose(ana)
 
 
 def test_triangle_is_coupled(fish):
