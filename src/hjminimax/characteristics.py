@@ -2,9 +2,13 @@
 
 Flows dq/dt = H_p, dp/dt = -H_q, dz/dt = p*H_p - H from the initial
 1-jet data (q0, du0(q0), u0(q0)), building isochrone slices of the
-geometric solution. When H depends on p alone the strands are straight
-lines, q = q0 + t*H_p(p0), z = z0 + t*(p0*H_p - H), written in closed form;
-any other H is integrated by classical RK4. The RK4 stages are summed in
+geometric solution. The flow is handed out one output time at a time:
+`evolve_states` returns an iterator of rows, each computed when it is
+drawn, so a caller holds only the rows it is working on and no array of
+every output time exists; `evolve` is its one-row call. When H depends on p
+alone the strands are straight lines, q = q0 + t*H_p(p0),
+z = z0 + t*(p0*H_p - H), written in closed form row by row; any other H is
+integrated by classical RK4, one span per row. The RK4 stages are summed in
 place, in buffers the flow owns, with the rounding of the textbook
 out-of-place update; the slopes come straight from H's compiled program,
 unchecked, and the strands are checked for finiteness once per output
@@ -16,7 +20,7 @@ depend only on the spec, the times and the seeds.
 On a periodic domain the strand from q0 + k*L is the strand from q0 moved
 by k*L, with the same p and z, when u0 and H repeat with period L. So when
 the sorted seeds repeat one period on and u0 and H agree at the repeats,
-only the first period is flowed and returned, and `tile_row` expands one
+only the first period is flowed and handed out, and `tile_row` expands one
 row to every seed when the row is read; any other seed set is flowed
 strand by strand.
 """
@@ -209,29 +213,35 @@ def _window_stops(domain: Windowed, q0, hp):
     return edge, t_exit
 
 
-def _straight_lines(spec, times, q0, p0, z0, Q, P, Z):
-    """Write the exact flow of a p-only H into the rows of Q, P, Z in place;
-    NonFinite names the first strand, in time then seed order, that is not
-    finite."""
-    hval, hp = spec.H.eval_d(p=p0, wrt="p")
-    dz = p0 * hp - hval
-    windowed = isinstance(spec.domain, Windowed)
-    if windowed:
-        edge, t_exit = _window_stops(spec.domain, q0, hp)
-    with np.errstate(over="ignore"):
-        for k, t in enumerate(times):
-            tau = np.minimum(t, t_exit) if windowed else t
-            np.multiply(tau, hp, out=Q[k])
-            Q[k] += q0
-            P[k] = p0
-            np.multiply(tau, dz, out=Z[k])
-            Z[k] += z0
-            if windowed:
-                np.copyto(Q[k], edge, where=t >= t_exit)
-    bad = ~(np.isfinite(Q) & np.isfinite(P) & np.isfinite(Z))
-    if bad.any():
-        k, s = np.argwhere(bad)[0]
-        raise NonFinite(f"strand with seed q0={q0[s]} diverged by t={times[k]}")
+def _straight_lines(times, q0, p0, z0, hp, dz, stops):
+    """The rows of the exact flow of a p-only H at the times, each written
+    when it is drawn, from H_p = hp and the z slope dz at p0, and a Windowed
+    domain's `_window_stops` (None on a periodic one). p stays p0, which
+    `eval_d` checked; NonFinite names the first strand, in time then seed
+    order, whose q or z is not finite."""
+    for t in times:
+        tau = t if stops is None else np.minimum(t, stops[1])
+        with np.errstate(over="ignore"):
+            q = np.multiply(tau, hp)
+            q += q0
+            z = np.multiply(tau, dz)
+            z += z0
+        if stops is not None:
+            np.copyto(q, stops[0], where=t >= stops[1])
+        bad = ~(np.isfinite(q) & np.isfinite(z))
+        if bad.any():
+            raise NonFinite(f"strand with seed q0={q0[np.argmax(bad)]} diverged by t={t}")
+        yield q, p0.copy(), z
+
+
+def _rk4_rows(spec, times, q, p, z, step):
+    """The RK4 rows at the times from the start state q, p, z: one
+    `_rk4_span` per row, run when the row is drawn."""
+    t_prev = 0.0
+    for t in times:
+        q, p, z = _rk4_span(spec, t_prev, t, q, p, z, step)
+        t_prev = t
+        yield q, p, z
 
 
 def _agree(a, b):
@@ -284,17 +294,21 @@ def tile_row(spec: ProblemSpec, N: int, q, p, z):
 
 def evolve_states(spec: ProblemSpec, times: Sequence[float], seeds,
                   step: float | None = None):
-    """Flow the seeds through the sorted output times.
+    """Flow the seeds through the sorted output times, a row at a time.
 
-    Returns (Q, P, Z), each of shape (len(times), n), n the number of
-    strands flowed. When H depends on p alone every row is the closed form
-    and step goes unused; otherwise each inter-time span is subdivided into
-    uniform RK4 substeps of size <= step. Without a step, `_choose_step`
-    picks the first of about t_max/50, t_max/100, ... whose step-doubling
-    error estimate at times[-1] meets RK4_TOL, and never one finer than
-    `spec.default_step()`. When the seeds and the data repeat with the
-    period (see `_period_width`), only the first period seeds[:n] is flowed
-    and `tile_row` expands a row to every seed; otherwise n = len(seeds).
+    Checks times and step, builds the start state and, for RK4, the step,
+    and returns an iterator of the flow's (q, p, z) rows, one per time in
+    order, each of n strands and each computed when it is drawn: no array
+    of every time is built. When H depends on p alone every row is the
+    closed form and step goes unused; otherwise each inter-time span is
+    subdivided into uniform RK4 substeps of size <= step. Without a step,
+    `_choose_step` picks the first of about t_max/50, t_max/100, ... whose
+    step-doubling error estimate at times[-1] meets RK4_TOL, and never one
+    finer than `spec.default_step()`. When the seeds and the data repeat
+    with the period (see `_period_width`), only the first period seeds[:n]
+    is flowed and `tile_row` expands a row to every seed; otherwise
+    n = len(seeds). A NonFinite or DomainError of the flow is raised when
+    the row that meets it is drawn.
     """
     times = list(times)
     if any(b < a for a, b in zip(times, times[1:])):
@@ -308,28 +322,21 @@ def evolve_states(spec: ProblemSpec, times: Sequence[float], seeds,
     q, p, z = initial_state(spec, seeds)
     n = _period_width(spec, seeds, p, z)
     q, p, z = q[:n], p[:n], z[:n]
-    Q = np.empty((len(times), n))
-    P = np.empty_like(Q)
-    Z = np.empty_like(Q)
     if spec.H.variables <= {"p"}:
-        _straight_lines(spec, times, q, p, z, Q, P, Z)
-    else:
-        if step is None:
-            step = _choose_step(spec, times[-1] if times else 0.0, q, p, z)
-        t_prev = 0.0
-        for k, t in enumerate(times):
-            q, p, z = _rk4_span(spec, t_prev, t, q, p, z, step)
-            t_prev = t
-            Q[k], P[k], Z[k] = q, p, z
-    return Q, P, Z
+        hval, hp = spec.H.eval_d(p=p, wrt="p")
+        stops = _window_stops(spec.domain, q, hp) if isinstance(spec.domain, Windowed) else None
+        return _straight_lines(times, q, p, z, hp, p * hp - hval, stops)
+    if step is None:
+        step = _choose_step(spec, times[-1] if times else 0.0, q, p, z)
+    return _rk4_rows(spec, times, q, p, z, step)
 
 
 def evolve(spec: ProblemSpec, t: float, seeds: Sequence[float],
            step: float | None = None):
-    """Integrate each seed from 0 to t.
+    """Integrate each seed from 0 to t: the one row of `evolve_states`.
 
     Returns the seed-sorted arrays (q0, q, p, z) of the states at t, one
     per seed: the flowed period expanded by `tile_row`."""
     q0 = np.sort(np.asarray(seeds, dtype=float))
-    Q, P, Z = evolve_states(spec, [t], q0, step)
-    return q0, *tile_row(spec, len(q0), Q[0], P[0], Z[0])
+    (row,) = evolve_states(spec, [t], q0, step)
+    return q0, *tile_row(spec, len(q0), *row)

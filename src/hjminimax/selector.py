@@ -35,10 +35,9 @@ MAX_SURGERIES = 64   # rounds `eliminate` may take before giving up
 TRIM_FRAC = 0.25     # share of the vertices `trim_long` may drop per end
 FIBER_TOL = 1e-9     # bbox-scaled distance of a fiber from a cusp or double point
 # front vertices of a `minimax_grid` batch, before trimming: a batch is
-# BATCH_VERTICES // len(seeds) rows. At its peak a batch holds about 24
-# bytes a vertex beside the flow. On the qflow 64x64 grid, 8,662 vertices a
-# row, that loop is the peak of the run: 2 rows a batch stay below the
-# one-row pass it replaced, and 3 rows raised the run's peak RSS by 0.25 MB
+# BATCH_VERTICES // len(seeds) rows. With the flow streamed, on the qflow
+# 64x64 grid (8,662 vertices a row), 3 or 11 rows a batch took the time of
+# 2, and 11 raised the peak RSS by 2.4 MB
 BATCH_VERTICES = 3 * 2 ** 13
 # where `default_seeds` puts its lattice in each of the n cells of a base
 # width, as a fraction of a cell. Not 0: an aligned lattice puts seeds on
@@ -631,14 +630,16 @@ def minimax_grid(spec: chars.ProblemSpec, t_grid, q_grid,
     neither is shifted.
 
     The rows after t = 0 go in batches of BATCH_VERTICES // len(seeds)
-    consecutive rows. `_grid_rows` tiles, trims and cuts a batch's fronts
-    and `fiber_rows` crosses them with the sorted q_grid, each in one pass
-    over the batch; the batch's fronts are released before the next is
-    built. The fibers of all rows are coupled in one `couple_fibers` call,
-    after the flow is released, and scattered back to grid order.
+    consecutive rows, each drawn from the flow when its batch is built.
+    `_grid_rows` tiles, trims and cuts a batch's fronts and `fiber_rows`
+    crosses them with the sorted q_grid, each in one pass over the batch;
+    the batch's fronts are released before the next is built. The fibers
+    of all rows are coupled in one `couple_fibers` call and scattered back
+    to grid order.
 
-    A fiber that cannot be coupled raises: the first such fiber in grid
-    order. A front that cannot be built raises its NotLong or
+    A flow error beats any other: once a batch fails, the flow is drawn
+    to its end. A fiber that cannot be coupled raises: the first such
+    fiber in grid order. A front that cannot be built raises its NotLong or
     IndexInconsistency unless a row before it has a fiber that passes a
     cusp or has an even crossing count: no batch after that row's is
     built, and the rows built are coupled at once. So a crossing failure
@@ -648,7 +649,9 @@ def minimax_grid(spec: chars.ProblemSpec, t_grid, q_grid,
     q_grid = np.asarray(q_grid, dtype=float)
     seeds = default_seeds(spec, n_seeds)
     times = [float(t) for t in t_grid]
-    Q, P, Z = chars.evolve_states(spec, times, seeds, step)
+    rows = [i for i, t in enumerate(times) if t != 0.0]
+    flow = (row for t, row in zip(times, chars.evolve_states(spec, times, seeds, step))
+            if t != 0.0)
 
     nt, nq = len(t_grid), len(q_grid)
     u = np.empty((nt, nq))
@@ -658,23 +661,23 @@ def minimax_grid(spec: chars.ProblemSpec, t_grid, q_grid,
 
     order = np.argsort(q_grid, kind="stable")
     q_sorted = q_grid[order]
-    rows = [i for i, t in enumerate(times) if t != 0.0]
     size = max(1, BATCH_VERTICES // len(seeds))
     done, parts = [], []
     for b in range(0, len(rows), size):
         batch = rows[b:b + size]
-        # a view of the flow when the batch's rows are consecutive
-        at = slice(batch[0], batch[-1] + 1) if batch[-1] - batch[0] < len(batch) else batch
-        built, error = _grid_rows(spec, seeds, Q[at], P[at], Z[at])
+        block = (next(flow) for _ in batch)
+        built, error = _grid_rows(spec, seeds, *map(np.array, zip(*block)))
         done += batch[:len(built)]
         fibers = fiber_rows(built, q_sorted)
         del built  # the batch's fronts go before the next batch is built
         parts.append(replace(fibers, seg=None))  # the grid never reads seg
+        if fibers.failed or error is not None:
+            for _ in flow:  # a flow error beats the batch's
+                pass
         if fibers.failed:
             break
         if error is not None:
             raise error
-    del Q, P, Z  # release the flow before the grid's crossings are coupled
     cp = couple_fibers(_stack_fibers(parts))
     if cp.failed:
         raise cp.failed[min(cp.failed, key=lambda k: (k // nq, order[k % nq]))]

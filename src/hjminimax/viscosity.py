@@ -187,12 +187,19 @@ def _lax_oleinik_rows(table: _LegendreTable, u0: Expression, ts, qs, windows):
     q_of = np.tile(qs, len(ts))
 
     def phi(rows, cols):
+        # in place, on the gathers' own copies; a NaN v is not ok, so inf
         t = t_of[rows]
-        at = first_seed[rows] + cols
-        v = (q_of[rows] - q0s[at]) / t
-        return np.where((v >= vmin) & (v <= vmax),
-                        u0s[at] + t * table(np.clip(v, vmin, vmax)),
-                        np.inf)
+        at = first_seed[rows]
+        at += cols
+        v = q_of[rows]
+        v -= q0s[at]
+        v /= t
+        ok = (v >= vmin) & (v <= vmax)
+        val = table(np.clip(v, vmin, vmax, out=v))
+        val *= t
+        val += u0s[at]
+        val[~ok] = np.inf
+        return val
 
     k, u = _monotone_argmin(phi, np.full(len(ts), nq), n_seed)
     if not np.all(np.isfinite(u)):

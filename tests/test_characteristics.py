@@ -3,6 +3,7 @@ import pytest
 
 import hjminimax as hj
 import rk4_oracle
+from flow_arrays import evolve_arrays
 from hjminimax import characteristics as chars
 from hjminimax import selector
 from hjminimax.errors import DomainError, NonFinite
@@ -43,7 +44,7 @@ def test_closed_form_matches_rk4(h):
                           domain=hj.Periodic(2 * np.pi), t_max=2.0)
     seeds = np.linspace(-1.0, 7.0, 101)
     times = [0.0, 0.5, 1.25, 2.0]
-    Q, P, Z = chars.evolve_states(spec, times, seeds)
+    Q, P, Z = evolve_arrays(spec, times, seeds)
     q, p, z = chars.initial_state(spec, seeds)
     t_prev = 0.0
     for k, t in enumerate(times):
@@ -84,13 +85,13 @@ def test_period_lattice_is_one_period_tiled(h):
     seeds = selector.default_seeds(spec, n)
     N = len(seeds)
     assert N > 2 * n
-    Q, P, Z = chars.evolve_states(spec, TIMES, seeds, 0.01)
+    Q, P, Z = evolve_arrays(spec, TIMES, seeds, 0.01)
     assert Q.shape == P.shape == Z.shape == (len(TIMES), n)
-    Q1, P1, Z1 = chars.evolve_states(spec, TIMES, seeds[:n], 0.01)
+    Q1, P1, Z1 = evolve_arrays(spec, TIMES, seeds[:n], 0.01)
     for a, b in ((Q, Q1), (P, P1), (Z, Z1)):
         assert np.array_equal(_bits(a), _bits(b))
     # reversed seeds are not sorted, so every strand is flowed
-    Qd, Pd, Zd = (x[:, ::-1] for x in chars.evolve_states(spec, TIMES, seeds[::-1], 0.01))
+    Qd, Pd, Zd = (x[:, ::-1] for x in evolve_arrays(spec, TIMES, seeds[::-1], 0.01))
     assert Qd.shape == (len(TIMES), N)
     for r in range(len(TIMES)):
         row = chars.tile_row(spec, N, Q[r], P[r], Z[r])
@@ -103,7 +104,7 @@ def test_period_lattice_is_one_period_tiled(h):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
     # `evolve` hands back every seed: the flow of seeds[:n] moved by k*L
     q0, q, p, z = chars.evolve(spec, TIMES[-1], seeds, 0.01)
-    qn, pn, zn = (x[0] for x in chars.evolve_states(spec, TIMES[-1:], seeds[:n], 0.01))
+    qn, pn, zn = (x[0] for x in evolve_arrays(spec, TIMES[-1:], seeds[:n], 0.01))
     assert np.array_equal(q0, seeds) and len(q) == len(p) == len(z) == N
     for k, lo in enumerate(range(0, N, n)):
         w = min(n, N - lo)
@@ -128,7 +129,7 @@ def test_lattice_falls_back_to_every_seed(h, u0, unsorted):
         seeds = seeds[np.random.default_rng(3).permutation(len(seeds))]
     spec = hj.ProblemSpec(H=hj.parse(h), u0=hj.parse(u0),
                           domain=hj.Periodic(2 * np.pi), t_max=2.0)
-    got = chars.evolve_states(spec, TIMES, seeds, 0.01)
+    got = evolve_arrays(spec, TIMES, seeds, 0.01)
     assert got[0].shape[1] == len(seeds)
     want = _rk4_every_seed(spec, TIMES, seeds, 0.01)
     for a, b in zip(got, want):
@@ -160,7 +161,7 @@ def test_chosen_step_meets_the_tolerance_on_the_exact_flow():
                           domain=hj.Windowed(-50.0, 50.0), t_max=2.0)
     seeds = np.linspace(-2.0, 2.0, 161)
     times = [0.5, 1.0, 2.0]
-    got = chars.evolve_states(spec, times, seeds)
+    got = evolve_arrays(spec, times, seeds)
     t = np.array(times)[:, None]
     exact = (seeds * np.exp(t), -np.sin(seeds) * np.exp(-t), np.cos(seeds) + 0 * t)
     assert _max_error(got, exact) <= chars.RK4_TOL * max(1.0, np.abs(exact[2]).max())
@@ -175,8 +176,8 @@ def test_chosen_step_meets_the_tolerance_on_qflow():
                           domain=hj.Periodic(2 * np.pi), t_max=2.0)
     seeds = selector.default_seeds(spec, 64)
     times = np.linspace(0.0, 2.0, 64)
-    got = chars.evolve_states(spec, times, seeds)
-    want = chars.evolve_states(spec, times, seeds, spec.t_max / 16000)
+    got = evolve_arrays(spec, times, seeds)
+    want = evolve_arrays(spec, times, seeds, spec.t_max / 16000)
     assert _max_error(got, want) <= chars.RK4_TOL * max(1.0, np.abs(want[2]).max())
 
 
@@ -188,12 +189,12 @@ def test_probe_leaving_the_domain_falls_back_to_the_floor():
     seeds = np.linspace(0.5, 2.0, 5)
     state = chars.initial_state(spec, seeds)
     assert chars._choose_step(spec, 1.0, *state) == spec.default_step()
-    Q, _, _ = chars.evolve_states(spec, [0.5, 1.0], seeds)
+    Q, _, _ = evolve_arrays(spec, [0.5, 1.0], seeds)
     assert np.all(Q > 0)
     # at the t_max/50 step the flow itself meets q < 0 at a substep's second
     # stage, and the error is the program's, raised there
     with pytest.raises(DomainError, match="sqrt of a negative value"):
-        chars.evolve_states(spec, [0.5, 1.0], seeds, spec.t_max / 50)
+        evolve_arrays(spec, [0.5, 1.0], seeds, spec.t_max / 50)
 
 
 def _count_rk4_spans(monkeypatch):
@@ -211,11 +212,15 @@ def _count_rk4_spans(monkeypatch):
                                      (QFLOW_H, 0.01), (QFLOW_H, 0.001)])
 def test_no_probe_for_a_p_only_h_or_an_explicit_step(monkeypatch, h, step):
     # a p-only H flows in closed form, with no RK4 span, and an explicit
-    # step takes one span per output time at that step: neither probes
+    # step takes one span per output time at that step: neither probes.
+    # Each span runs when its row is drawn
     spec = hj.ProblemSpec(H=hj.parse(h), u0=hj.parse("cos(q)"),
                           domain=hj.Periodic(2 * np.pi), t_max=2.0)
     calls = _count_rk4_spans(monkeypatch)
-    chars.evolve_states(spec, TIMES, np.linspace(-1.0, 7.0, 101), step)
+    rows = chars.evolve_states(spec, TIMES, np.linspace(-1.0, 7.0, 101), step)
+    assert calls == []
+    for k, _ in enumerate(rows, 1):
+        assert len(calls) == (0 if step is None else k)
     assert len(calls) == (0 if step is None else len(TIMES))
     assert all(c[-1] == step for c in calls)
 
@@ -229,7 +234,7 @@ def test_no_step_probes_only_a_subsample(monkeypatch, tol):
     spec = hj.ProblemSpec(H=hj.parse(QFLOW_H), u0=hj.parse("cos(q)"),
                           domain=hj.Periodic(2 * np.pi), t_max=2.0)
     calls = _count_rk4_spans(monkeypatch)
-    chars.evolve_states(spec, TIMES, np.linspace(-1.0, 7.0, 101))
+    evolve_arrays(spec, TIMES, np.linspace(-1.0, 7.0, 101))
     probes, flow = calls[:-len(TIMES)], calls[-len(TIMES):]
     assert all(c[1:3] == (0.0, 2.0) and len(c[3]) == 7 for c in probes)
     steps = [c[-1] for c in probes]
@@ -261,15 +266,15 @@ def test_evolve_sorts_seeds_and_matches_states(burgers_spec):
     seeds = np.array([3.0, -1.0, 0.5, 6.0])
     q0, q, p, z = chars.evolve(burgers_spec, 1.5, seeds, step=0.01)
     assert np.array_equal(q0, np.sort(seeds))
-    Q, P, Z = chars.evolve_states(burgers_spec, [1.5], q0, 0.01)
+    Q, P, Z = evolve_arrays(burgers_spec, [1.5], q0, 0.01)
     assert np.array_equal(q, Q[0]) and np.array_equal(p, P[0]) and np.array_equal(z, Z[0])
 
 
 def test_incremental_times_match_direct(burgers_spec):
     # integrating through intermediate outputs must not change the endpoint
     seeds = np.linspace(0.0, 6.0, 16)
-    Qa, _, Za = chars.evolve_states(burgers_spec, [3.0], seeds, 0.01)
-    Qb, _, Zb = chars.evolve_states(burgers_spec, [1.0, 2.0, 3.0], seeds, 0.01)
+    Qa, _, Za = evolve_arrays(burgers_spec, [3.0], seeds, 0.01)
+    Qb, _, Zb = evolve_arrays(burgers_spec, [1.0, 2.0, 3.0], seeds, 0.01)
     np.testing.assert_allclose(Qa[0], Qb[2], atol=1e-10)
     np.testing.assert_allclose(Za[0], Zb[2], atol=1e-10)
 
@@ -290,7 +295,7 @@ def test_windowed_strands_stop_at_the_edge(sign):
     spec = hj.ProblemSpec(H=hj.parse("p^2/2"), u0=hj.parse(f"{sign}*2*q"),
                           domain=hj.Windowed(-5.0, 5.0), t_max=1.0)
     seeds = sign * np.array([4.0, 8.0])
-    Q, P, Z = chars.evolve_states(spec, [0.25, 1.0], seeds)
+    Q, P, Z = evolve_arrays(spec, [0.25, 1.0], seeds)
     assert Q[1, 0] == sign * 5.0
     assert Z[1, 0] == 8.0 + 0.5 * 2.0
     assert Q[0, 0] == sign * 4.5
@@ -303,7 +308,7 @@ def test_windowed_rk4_strands_stop_within_a_substep():
     # and stops there within one substep's travel, at most 0.01*2*(1 + 1)
     spec = hj.ProblemSpec(H=hj.parse("(1 + t)*p^2/2"), u0=hj.parse("2*q"),
                           domain=hj.Windowed(-5.0, 5.0), t_max=1.0)
-    Q, _, _ = chars.evolve_states(spec, [0.25, 1.0], [4.0, -8.0], step=0.01)
+    Q, _, _ = evolve_arrays(spec, [0.25, 1.0], [4.0, -8.0], step=0.01)
     assert 5.0 <= Q[1, 0] <= 5.04
     assert Q[0, 0] == pytest.approx(4.0 + 2 * (0.25 + 0.25 ** 2 / 2), abs=1e-12)
     assert np.all(Q[:, 1] == -8.0)
@@ -315,7 +320,7 @@ def test_nonfinite_detected_on_the_closed_form():
                           domain=hj.Periodic(2 * np.pi), t_max=5.0)
     with pytest.raises(NonFinite, match=r"^strand with seed q0=1\.5707963267948966 "
                                         r"diverged by t=5\.0$"):
-        chars.evolve_states(spec, [1.0, 5.0], np.linspace(0.0, 2 * np.pi, 9))
+        evolve_arrays(spec, [1.0, 5.0], np.linspace(0.0, 2 * np.pi, 9))
 
 
 def test_nonfinite_detected():
@@ -352,7 +357,7 @@ def test_error_order_of_a_span(h, error, message, oracle_error, oracle_message):
     spec = hj.ProblemSpec(H=hj.parse(h), u0=hj.parse("q"),
                           domain=hj.Windowed(-1e300, 1e300), t_max=1.0)
     with pytest.raises(error, match=message):
-        chars.evolve_states(spec, [0.5, 1.0], [710.0], 0.1)
+        evolve_arrays(spec, [0.5, 1.0], [710.0], 0.1)
     with pytest.raises(oracle_error, match=oracle_message):
         rk4_oracle.evolve_states(spec, [0.5, 1.0], [710.0], 0.1)
 
@@ -364,7 +369,7 @@ def test_frozen_strands_slopes_are_not_checked():
     spec = hj.ProblemSpec(H=hj.parse("(1 + t)*p^2/2 + exp(q^2)"), u0=hj.parse("sin(q)"),
                           domain=hj.Windowed(-2.0, 2.0), t_max=1.0)
     seeds = np.array([-30.0, -1.0, 0.5, 30.0])
-    Q, P, Z = chars.evolve_states(spec, [0.5, 1.0], seeds, 0.01)
+    Q, P, Z = evolve_arrays(spec, [0.5, 1.0], seeds, 0.01)
     assert np.all(np.isfinite(Q) & np.isfinite(P) & np.isfinite(Z))
     assert np.all(Q[:, [0, 3]] == seeds[[0, 3]]) and np.all(Q[1, 1:3] != seeds[1:3])
     with pytest.raises(NonFinite, match="non-finite value in eval of"):

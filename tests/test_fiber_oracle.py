@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 import fiber_oracle as oracle
 import hjminimax as hj
-from hjminimax import characteristics as chars
+from flow_arrays import evolve_arrays
 from hjminimax import front as frontmod
 from hjminimax import selector
-from hjminimax.errors import DegenerateFiber, MalformedInput, NonGeneric
+from hjminimax.errors import DegenerateFiber, MalformedInput, NonFinite, NonGeneric
 from hjminimax.front import Cusp, DoublePoint, FrontAnalysis, FrontCurve, Section
 
 TWO_PI = 2.0 * np.pi
@@ -25,7 +25,7 @@ def _grid_rows(spec, t_grid, n_seeds):
     """The analyses of the rows after t = 0, each row built on its own."""
     seeds = selector.default_seeds(spec, n_seeds)
     times = [float(t) for t in t_grid]
-    Q, P, Z = chars.evolve_states(spec, times, seeds, None)
+    Q, P, Z = evolve_arrays(spec, times, seeds, None)
     return {i: oracle.row_analysis(spec, t, seeds, Q[i], P[i], Z[i])
             for i, t in enumerate(times) if t != 0.0}
 
@@ -209,11 +209,16 @@ def test_grid_failures_in_grid_order(monkeypatch, burgers_spec):
     unmatched = ([0.0, 1.0, 0.5], [0, 0, 1], None)    # coupling: indices do not alternate
     crossing = ([0.5], [0], DegenerateFiber("crossing"))
     n_vertices = len(selector.default_seeds(burgers_spec, 64))
-    # each row's states carry its time, so the batch build knows its rows
-    monkeypatch.setattr(selector.chars, "evolve_states",
-                        lambda spec, times, seeds, step: (np.array(times)[:, None],) * 3)
 
-    def solve(rows, per_batch):
+    def solve(rows, per_batch, diverges=False):
+        def evolve_states(_spec, times, _seeds, _step):
+            # each row's states carry its time, so the batch build knows its
+            # rows; a flow that diverges raises as its last row is drawn
+            for t in times:
+                if diverges and t == times[-1]:
+                    raise NonFinite(f"strand diverged by t={t}")
+                yield (np.array([t]),) * 3
+        monkeypatch.setattr(selector.chars, "evolve_states", evolve_states)
         def grid_rows(_spec, _seeds, q, _p, _z):
             times = q[:, 0].tolist()
             n = next((r for r, t in enumerate(times) if rows[t] is None), len(times))
@@ -237,6 +242,13 @@ def test_grid_failures_in_grid_order(monkeypatch, burgers_spec):
         # the rows are coupled after every front is built
         with pytest.raises(NonGeneric, match="front at t=2.0"):
             solve({1.0: [unmatched, ok], 2.0: None}, per_batch)
+        # the flow runs to its last row before a failure of an earlier row
+        # is raised: a flow error beats every crossing, build and coupling
+        # failure
+        for rows in ({1.0: [ok, crossing], 2.0: [ok, ok]}, {1.0: None, 2.0: [ok, ok]},
+                     {1.0: [unmatched, ok], 2.0: [ok, ok]}):
+            with pytest.raises(NonFinite, match="diverged by t=2.0"):
+                solve(rows, per_batch, diverges=True)
 
 
 # --- random polylines against the oracle ---

@@ -7,7 +7,8 @@ import hjminimax as hj
 from hjminimax import characteristics as chars
 from hjminimax import front as frontmod
 from hjminimax import selector, viscosity
-from hjminimax.errors import DegenerateFiber, InconsistentSweep, NoVanishingTriangle
+from hjminimax.errors import (DegenerateFiber, InconsistentSweep, NonFinite,
+                              NoVanishingTriangle)
 from hjminimax.front import FrontCurve
 
 
@@ -210,6 +211,34 @@ def test_minimax_grid_initial_slice(burgers_spec):
     g = selector.minimax_grid(burgers_spec, t_grid, q_grid, n_seeds=512)
     np.testing.assert_allclose(g.u[0], np.cos(q_grid), atol=1e-12)
     assert np.all(g.branch_count >= 1)
+
+
+def test_minimax_grid_raises_a_late_divergence_of_the_closed_form(monkeypatch):
+    # z = u0 + t*p^2/2 overflows where |sin(q0)| = 1, first on the t = 4
+    # row (t*5e307 > 1.8e308 from t = 3.6). At two rows a batch that row is
+    # drawn in the fourth batch, after three batches were built, and the
+    # error names the first strand in time then seed order. The closed-form
+    # seed window of so steep a u0 spans ~1e154 periods, so the grid takes
+    # nine seeds over one period; the fronts built before the error reach
+    # q ~ 1e154, where the cusp search's products of q steps overflow
+    spec = hj.ProblemSpec(H=hj.parse("p^2/2"), u0=hj.parse("1e154*cos(q)"),
+                          domain=hj.Periodic(2 * np.pi), t_max=5.0)
+    seeds = np.linspace(0.0, 2 * np.pi, 9)
+    monkeypatch.setattr(selector, "default_seeds", lambda spec, n, t=None: seeds)
+    monkeypatch.setattr(selector, "BATCH_VERTICES", 2 * len(seeds))
+    built = []
+    grid_rows = selector._grid_rows
+
+    def counted(*args):
+        built.append(len(args[2]))
+        return grid_rows(*args)
+    monkeypatch.setattr(selector, "_grid_rows", counted)
+    with np.errstate(over="ignore"), \
+            pytest.raises(NonFinite, match=r"^strand with seed q0=1\.5707963267948966 "
+                                           r"diverged by t=4\.0$"):
+        selector.minimax_grid(spec, np.linspace(0.0, 5.0, 11),
+                              np.linspace(0.0, 2 * np.pi, 8, endpoint=False))
+    assert built == [2, 2, 2]
 
 
 @pytest.fixture(scope="module")
