@@ -574,7 +574,10 @@ def default_seeds(spec: chars.ProblemSpec, n: int, t: float | None = None):
     j < n, from the last point at or below the lower end of t's seed window
     to the first at or above its upper end. Slices and grids so share one
     lattice; on a periodic domain `evolve_states` flows one period of it
-    and each row is expanded to the whole lattice when it is read."""
+    and each row is expanded to the whole lattice when it is read.
+    ValueError when n < 1."""
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     base_lo, base_hi, margin = _seed_window(spec, t)
     lo, hi = base_lo - margin, base_hi + margin
     W = base_hi - base_lo
@@ -638,13 +641,13 @@ def minimax_grid(spec: chars.ProblemSpec, t_grid, q_grid,
     to grid order.
 
     A flow error beats any other: once a batch fails, the flow is drawn
-    to its end. A fiber that cannot be coupled raises: the first such
-    fiber in grid order. A front that cannot be built raises its NotLong or
-    IndexInconsistency unless a row before it has a fiber that passes a
-    cusp or has an even crossing count: no batch after that row's is
-    built, and the rows built are coupled at once. So a crossing failure
-    beats a build failure in a later row, a build failure beats a coupling
-    failure in an earlier row, and within a row grid order decides."""
+    to its end. Otherwise the first failing row in grid order raises, with
+    its first failing fiber in grid order. No batch is built after one with
+    a front that cannot be built or a fiber that passes a cusp or has an
+    even crossing count; the rows built are coupled, and a failed fiber
+    raises before the front's NotLong or IndexInconsistency, whose row
+    follows every row built. So a crossing or a coupling failure beats a
+    build failure in a later row, and within a row grid order decides."""
     t_grid = np.asarray(t_grid, dtype=float)
     q_grid = np.asarray(q_grid, dtype=float)
     seeds = default_seeds(spec, n_seeds)
@@ -662,7 +665,7 @@ def minimax_grid(spec: chars.ProblemSpec, t_grid, q_grid,
     order = np.argsort(q_grid, kind="stable")
     q_sorted = q_grid[order]
     size = max(1, BATCH_VERTICES // len(seeds))
-    done, parts = [], []
+    done, parts, error = [], [], None
     for b in range(0, len(rows), size):
         batch = rows[b:b + size]
         block = (next(flow) for _ in batch)
@@ -674,13 +677,12 @@ def minimax_grid(spec: chars.ProblemSpec, t_grid, q_grid,
         if fibers.failed or error is not None:
             for _ in flow:  # a flow error beats the batch's
                 pass
-        if fibers.failed:
             break
-        if error is not None:
-            raise error
     cp = couple_fibers(_stack_fibers(parts))
     if cp.failed:
         raise cp.failed[min(cp.failed, key=lambda k: (k // nq, order[k % nq]))]
+    if error is not None:
+        raise error
     at = (np.array(done, dtype=int)[:, None], order)
     free = cp.free.reshape(len(done), nq)
     u[at] = cp.fibers.z[free]

@@ -267,11 +267,17 @@ def lax_friedrichs(spec: ProblemSpec, t_grid, q_grid) -> GridSolution:
     """Explicit monotone scheme
     u+ = u - dt [H(t, q, Dc u) - theta (u_{j+1} - 2 u_j + u_{j-1}) / (2 dq)],
     Dc the centered slope, theta = 1.05 x max |H_p| sampled at five times
-    over slopes up to 1.5 max|u0'| + 1, and dt <= COURANT dq / theta. Each
-    step checks its own slopes: OutOfRange when max |H_p(t, q, Dc u)|
-    exceeds theta, as the scheme is then neither monotone nor stable."""
+    over slopes up to 1.5 max|u0'| + 1, and dt <= COURANT dq / theta. Every
+    row is marched from u0 at t = 0; t_grid must be sorted and not negative
+    (ValueError). Each step checks its own slopes: OutOfRange when
+    max |H_p(t, q, Dc u)| exceeds theta, as the scheme is then neither
+    monotone nor stable."""
     t_grid = np.asarray(t_grid, dtype=float)
     q_grid = np.asarray(q_grid, dtype=float)
+    if np.any(np.diff(t_grid) < 0):
+        raise ValueError("times must be sorted")
+    if np.any(t_grid < 0):
+        raise ValueError("times must not be negative")
     dq = float(q_grid[1] - q_grid[0])
     periodic = isinstance(spec.domain, Periodic)
 
@@ -283,7 +289,7 @@ def lax_friedrichs(spec: ProblemSpec, t_grid, q_grid) -> GridSolution:
     # no (grid x slopes) array
     qs = q_grid[:, None] if "q" in spec.H.variables else 0.0
     theta = 0.0
-    for tt in np.linspace(float(t_grid[0]), float(t_grid[-1]), 5):
+    for tt in np.linspace(0.0, float(t_grid[-1]), 5):
         _, hp = spec.H.eval_d(t=tt, q=qs, p=ps, wrt="p")
         theta = max(theta, float(np.max(np.abs(hp))))
     theta *= 1.05
@@ -291,11 +297,8 @@ def lax_friedrichs(spec: ProblemSpec, t_grid, q_grid) -> GridSolution:
     dt_max = COURANT * dq / theta
 
     out = np.empty((len(t_grid), len(q_grid)))
-    t = float(t_grid[0])
-    out[0] = u
-
-    for i in range(1, len(t_grid)):
-        t_target = float(t_grid[i])
+    t = 0.0
+    for i, t_target in enumerate(t_grid.tolist()):
         while t < t_target - 1e-14:
             dt = min(dt_max, t_target - t)
             lo, hi = (u[-1:], u[:1]) if periodic else ([2 * u[0] - u[1]], [2 * u[-1] - u[-2]])

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hjminimax import cli, selector
+from hjminimax import cli, selector, viscosity
 from hjminimax import front as frontmod
 
 BURGERS_INI = """\
@@ -146,6 +146,20 @@ def test_compare_constant_expression(tmp_path, H, u0, line):
     assert cli.main(["compare", "--config", _small_cfg(tmp_path, "flat", H, u0, 256)]) == 0
     assert line in (tmp_path / "flat" / "report.txt").read_text()
     assert (tmp_path / "flat" / "lax_oleinik.csv").exists() == (H != "0.5")
+
+
+@pytest.mark.parametrize("H, line", [
+    ("p^2/2", "convex pair PASS"),
+    ("cos(p) - 1", "H is not convex in p"),
+])
+def test_compare_certifies_convexity_once(monkeypatch, tmp_path, H, line):
+    calls = []
+    certify = viscosity.is_convex_in_p
+    monkeypatch.setattr(viscosity, "is_convex_in_p",
+                        lambda *args: calls.append(args) or certify(*args))
+    assert cli.main(["compare", "--config", _small_cfg(tmp_path, "once", H, "cos(q)", 256)]) == 0
+    assert line in (tmp_path / "once" / "report.txt").read_text()
+    assert len(calls) == 1
 
 
 def test_window_domain_grid(tmp_path):

@@ -236,12 +236,16 @@ def test_grid_failures_in_grid_order(monkeypatch, burgers_spec):
             solve({1.0: [unmatched, crossing], 2.0: None}, per_batch)
         with pytest.raises(MalformedInput, match="alternate"):
             solve({1.0: [unmatched, ok], 2.0: [ok, crossing]}, per_batch)
-        # a crossing failure beats a later row that cannot be built
+        # the first failing row raises: a crossing or a coupling failure
+        # beats a later row that cannot be built, and a row that cannot be
+        # built beats a later crossing or coupling failure
         with pytest.raises(DegenerateFiber, match="crossing"):
             solve({1.0: [ok, crossing], 2.0: None}, per_batch)
-        # the rows are coupled after every front is built
-        with pytest.raises(NonGeneric, match="front at t=2.0"):
+        with pytest.raises(MalformedInput, match="alternate"):
             solve({1.0: [unmatched, ok], 2.0: None}, per_batch)
+        for rows in ({1.0: None, 2.0: [ok, crossing]}, {1.0: None, 2.0: [unmatched, ok]}):
+            with pytest.raises(NonGeneric, match="front at t=1.0"):
+                solve(rows, per_batch)
         # the flow runs to its last row before a failure of an earlier row
         # is raised: a flow error beats every crossing, build and coupling
         # failure

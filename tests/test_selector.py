@@ -337,6 +337,15 @@ def test_grid_csv_schema(burgers_grid):
     assert len(row) == 4 and float(row[0]) == 0.0
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_default_seeds_needs_a_seed(burgers_spec, n):
+    # an empty lattice made minimax_grid divide by zero sizing its batches
+    with pytest.raises(ValueError, match="at least 1"):
+        selector.default_seeds(burgers_spec, n)
+    with pytest.raises(ValueError, match="at least 1"):
+        selector.minimax_grid(burgers_spec, [0.0, 1.0], [0.0, 1.0], n_seeds=n)
+
+
 def test_default_seeds_cover_domain(burgers_spec):
     # the grid's lattice covers its seed window, repeats one period on and
     # keeps off the symmetry points 0 mod L

@@ -90,6 +90,24 @@ def test_lax_friedrichs_checks_each_steps_speed():
                                  np.linspace(0, 2 * np.pi, 128, endpoint=False))
 
 
+def test_lax_friedrichs_rows_march_from_zero(burgers_spec):
+    # a grid that starts after t = 0 is marched from u0 at t = 0; writing
+    # u0 as its first row would put every row 0.5 late, up to 0.239 off
+    q_grid = np.linspace(0, 2 * np.pi, 128, endpoint=False)
+    late = viscosity.lax_friedrichs(burgers_spec, [0.5, 1.0], q_grid)
+    full = viscosity.lax_friedrichs(burgers_spec, [0.0, 0.5, 1.0], q_grid)
+    assert np.array_equal(late.u, full.u[1:])
+
+
+@pytest.mark.parametrize("t_grid, message", [
+    ([0.0, 1.0, 0.5], "sorted"),  # its t = 0.5 row was a copy of the t = 1.0 row
+    ([-0.5, 0.0, 0.5], "negative"),
+])
+def test_lax_friedrichs_checks_its_times(burgers_spec, t_grid, message):
+    with pytest.raises(ValueError, match=message):
+        viscosity.lax_friedrichs(burgers_spec, t_grid, np.linspace(0, 2 * np.pi, 64))
+
+
 def test_lax_friedrichs_matches_lax_oleinik(quad, burgers_spec):
     t_grid = np.linspace(0, 2.0, 17)
     q_grid = np.linspace(0, 2 * np.pi, 256, endpoint=False)

@@ -105,7 +105,7 @@ def lax_friedrichs(spec: ProblemSpec, t_grid, q_grid) -> GridSolution:
     pmax = 1.5 * float(np.max(np.abs(du0))) + 1.0
     ps = np.linspace(-pmax, pmax, 513)
     theta = 0.0
-    for tt in np.linspace(float(t_grid[0]), float(t_grid[-1]), 5):
+    for tt in np.linspace(0.0, float(t_grid[-1]), 5):
         _, hp = spec.H.eval_d(t=tt, q=q_grid[:, None], p=ps[None, :], wrt="p")
         theta = max(theta, float(np.max(np.abs(hp))))
     theta *= 1.05
@@ -113,8 +113,7 @@ def lax_friedrichs(spec: ProblemSpec, t_grid, q_grid) -> GridSolution:
     dt_max = COURANT * dq / theta
 
     out = np.empty((len(t_grid), len(q_grid)))
-    t = float(t_grid[0])
-    out[0] = u
+    t = 0.0
 
     def slopes(w):
         if periodic:
@@ -123,8 +122,7 @@ def lax_friedrichs(spec: ProblemSpec, t_grid, q_grid) -> GridSolution:
         wp = np.concatenate([[2 * w[0] - w[1]], w, [2 * w[-1] - w[-2]]])
         return (wp[2:] - wp[:-2]) / (2 * dq), (wp[2:] - 2 * w + wp[:-2]) / (2 * dq)
 
-    for i in range(1, len(t_grid)):
-        t_target = float(t_grid[i])
+    for i, t_target in enumerate(t_grid.tolist()):
         while t < t_target - 1e-14:
             dt = min(dt_max, t_target - t)
             dc, diff2 = slopes(u)
