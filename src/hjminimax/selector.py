@@ -74,6 +74,26 @@ class GridSolution:
     branch: np.ndarray         # (nt, nq) per-slice section ids
     branch_count: np.ndarray   # (nt, nq) fiber crossing counts
 
+    @classmethod
+    def start(cls, u0, t_grid, q_grid) -> GridSolution:
+        """The solution on the (t, q) grid that every grid solver fills:
+        u0(q) on the rows at t = 0, the other rows of u unset, branch 0 and
+        branch_count 1. ValueError unless the times are sorted and not
+        negative and the abscissae strictly increase."""
+        t = np.asarray(t_grid, dtype=float)
+        q = np.asarray(q_grid, dtype=float)
+        if not np.all(np.diff(t) >= 0):
+            raise ValueError("times must be sorted")
+        if not np.all(t >= 0):
+            raise ValueError("times must not be negative")
+        if not np.all(np.diff(q) > 0):
+            raise ValueError("abscissae must strictly increase")
+        shape = (len(t), len(q))
+        g = cls(t=t, q=q, u=np.empty(shape), branch=np.zeros(shape, dtype=int),
+                branch_count=np.ones(shape, dtype=int))
+        g.u[t == 0] = u0.eval(q=q)
+        return g
+
     def to_csv(self) -> str:
         """One `t,q,u,branch_id` line per grid point, floats as `%.17g`.
         Each row is one %-format of "t," joined with the per-q cells, whose
@@ -635,35 +655,23 @@ def minimax_grid(spec: chars.ProblemSpec, t_grid, q_grid,
     The rows after t = 0 go in batches of BATCH_VERTICES // len(seeds)
     consecutive rows, each drawn from the flow when its batch is built.
     `_grid_rows` tiles, trims and cuts a batch's fronts and `fiber_rows`
-    crosses them with the sorted q_grid, each in one pass over the batch;
-    the batch's fronts are released before the next is built. The fibers
-    of all rows are coupled in one `couple_fibers` call and scattered back
-    to grid order.
+    crosses them with q_grid, each in one pass over the batch; the batch's
+    fronts are released before the next is built. The fibers of all rows
+    are coupled in one `couple_fibers` call. The grid is checked and its
+    t = 0 rows written by `GridSolution.start`.
 
     A flow error beats any other: once a batch fails, the flow is drawn
     to its end. Otherwise the first failing row in grid order raises, with
-    its first failing fiber in grid order. No batch is built after one with
-    a front that cannot be built or a fiber that passes a cusp or has an
-    even crossing count; the rows built are coupled, and a failed fiber
+    its first failing fiber in abscissa order. No batch is built after one
+    with a front that cannot be built or a fiber that passes a cusp or has
+    an even crossing count; the rows built are coupled, and a failed fiber
     raises before the front's NotLong or IndexInconsistency, whose row
     follows every row built. So a crossing or a coupling failure beats a
-    build failure in a later row, and within a row grid order decides."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    q_grid = np.asarray(q_grid, dtype=float)
+    build failure in a later row, and within a row abscissa order decides."""
+    g = GridSolution.start(spec.u0, t_grid, q_grid)
     seeds = default_seeds(spec, n_seeds)
-    times = [float(t) for t in t_grid]
-    rows = [i for i, t in enumerate(times) if t != 0.0]
-    flow = (row for t, row in zip(times, chars.evolve_states(spec, times, seeds, step))
-            if t != 0.0)
-
-    nt, nq = len(t_grid), len(q_grid)
-    u = np.empty((nt, nq))
-    branch = np.zeros((nt, nq), dtype=int)
-    count = np.ones((nt, nq), dtype=int)
-    u[[i for i, t in enumerate(times) if t == 0.0]] = spec.u0.eval(q=q_grid)
-
-    order = np.argsort(q_grid, kind="stable")
-    q_sorted = q_grid[order]
+    rows = np.flatnonzero(g.t > 0).tolist()
+    flow = chars.evolve_states(spec, g.t[rows].tolist(), seeds, step)
     size = max(1, BATCH_VERTICES // len(seeds))
     done, parts, error = [], [], None
     for b in range(0, len(rows), size):
@@ -671,7 +679,7 @@ def minimax_grid(spec: chars.ProblemSpec, t_grid, q_grid,
         block = (next(flow) for _ in batch)
         built, error = _grid_rows(spec, seeds, *map(np.array, zip(*block)))
         done += batch[:len(built)]
-        fibers = fiber_rows(built, q_sorted)
+        fibers = fiber_rows(built, g.q)
         del built  # the batch's fronts go before the next batch is built
         parts.append(replace(fibers, seg=None))  # the grid never reads seg
         if fibers.failed or error is not None:
@@ -680,16 +688,14 @@ def minimax_grid(spec: chars.ProblemSpec, t_grid, q_grid,
             break
     cp = couple_fibers(_stack_fibers(parts))
     if cp.failed:
-        raise cp.failed[min(cp.failed, key=lambda k: (k // nq, order[k % nq]))]
+        raise cp.failed[min(cp.failed)]
     if error is not None:
         raise error
-    at = (np.array(done, dtype=int)[:, None], order)
-    free = cp.free.reshape(len(done), nq)
-    u[at] = cp.fibers.z[free]
-    branch[at] = cp.fibers.section[free]
-    count[at] = cp.fibers.counts().reshape(len(done), nq)
-    return GridSolution(t=t_grid, q=q_grid, u=u, branch=branch,
-                        branch_count=count)
+    free = cp.free.reshape(len(done), len(g.q))
+    g.u[done] = cp.fibers.z[free]
+    g.branch[done] = cp.fibers.section[free]
+    g.branch_count[done] = cp.fibers.counts().reshape(free.shape)
+    return g
 
 
 def _grid_rows(spec: chars.ProblemSpec, seeds, q, p, z):

@@ -221,46 +221,34 @@ def _lax_oleinik_rows(table: _LegendreTable, u0: Expression, ts, qs, windows):
     return np.where(ok & (refined < u), refined, u).reshape(len(ts), nq)
 
 
-def _lax_oleinik(table: _LegendreTable, u0: Expression, t_grid, q_grid):
-    """u on the (t, q) grid: u0 on the rows at t = 0, the others solved by
-    `_lax_oleinik_rows` in blocks of consecutive rows, each as large as
-    keeps one level of its `_monotone_argmin` within ARGMIN_ENTRIES entries
-    (a level asks a row for at most its seed count plus its grid points)."""
-    u = np.empty((len(t_grid), len(q_grid)))
-    initial = t_grid == 0
-    u[initial] = u0.eval(q=q_grid)
-    order = np.argsort(q_grid, kind="stable")
-    qs = q_grid[order]
-    rows = np.flatnonzero(~initial)
-    windows = [_seed_range(table, float(t_grid[i]), qs) for i in rows]
-    cost = [w[2] + len(qs) for w in windows]
+def lax_oleinik(Hc: ConvexHamiltonian, u0: Expression, t: float, q_grid):
+    """u(t,q) = min_{q0} [u0(q0) + t L((q-q0)/t)] over a seed grid, with
+    3-point parabolic refinement of the argmin: the one row of
+    `lax_oleinik_grid`. Returns values on q_grid."""
+    return lax_oleinik_grid(Hc, u0, [t], q_grid).u[0]
+
+
+def lax_oleinik_grid(Hc: ConvexHamiltonian, u0: Expression, t_grid, q_grid) -> GridSolution:
+    """u on the (t, q) grid, one conjugate table for all rows. The grid is
+    checked and its t = 0 rows written by `GridSolution.start`; the others
+    are solved by `_lax_oleinik_rows` in blocks of consecutive rows, each
+    as large as keeps one level of its `_monotone_argmin` within
+    ARGMIN_ENTRIES entries (a level asks a row for at most its seed count
+    plus its grid points)."""
+    g = GridSolution.start(u0, t_grid, q_grid)
+    table = _LegendreTable(Hc)
+    rows = np.flatnonzero(g.t > 0)
+    windows = [_seed_range(table, float(g.t[i]), g.q) for i in rows]
+    cost = [w[2] + len(g.q) for w in windows]
     i = 0
     while i < len(rows):
         j, entries = i + 1, cost[i]
         while j < len(rows) and entries + cost[j] <= ARGMIN_ENTRIES:
             entries += cost[j]
             j += 1
-        u[rows[i:j, None], order] = _lax_oleinik_rows(table, u0, t_grid[rows[i:j]], qs,
-                                                      windows[i:j])
+        g.u[rows[i:j]] = _lax_oleinik_rows(table, u0, g.t[rows[i:j]], g.q, windows[i:j])
         i = j
-    return u
-
-
-def lax_oleinik(Hc: ConvexHamiltonian, u0: Expression, t: float, q_grid):
-    """u(t,q) = min_{q0} [u0(q0) + t L((q-q0)/t)] over a seed grid, with
-    3-point parabolic refinement of the argmin. Returns values on q_grid."""
-    q_grid = np.asarray(q_grid, dtype=float)
-    return _lax_oleinik(_LegendreTable(Hc), u0, np.array([float(t)]), q_grid)[0]
-
-
-def lax_oleinik_grid(Hc: ConvexHamiltonian, u0: Expression, t_grid, q_grid) -> GridSolution:
-    """`lax_oleinik` on every row of the grid, one conjugate table for all."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    q_grid = np.asarray(q_grid, dtype=float)
-    u = _lax_oleinik(_LegendreTable(Hc), u0, t_grid, q_grid)
-    zeros = np.zeros_like(u, dtype=int)
-    return GridSolution(t=t_grid, q=q_grid, u=u, branch=zeros,
-                        branch_count=np.ones_like(zeros))
+    return g
 
 
 def lax_friedrichs(spec: ProblemSpec, t_grid, q_grid) -> GridSolution:
@@ -268,44 +256,44 @@ def lax_friedrichs(spec: ProblemSpec, t_grid, q_grid) -> GridSolution:
     u+ = u - dt [H(t, q, Dc u) - theta (u_{j+1} - 2 u_j + u_{j-1}) / (2 dq)],
     Dc the centered slope, theta = 1.05 x max |H_p| sampled at five times
     over slopes up to 1.5 max|u0'| + 1, and dt <= COURANT dq / theta. Every
-    row is marched from u0 at t = 0; t_grid must be sorted and not negative
-    (ValueError). Each step checks its own slopes: OutOfRange when
-    max |H_p(t, q, Dc u)| exceeds theta, as the scheme is then neither
-    monotone nor stable."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    q_grid = np.asarray(q_grid, dtype=float)
-    if np.any(np.diff(t_grid) < 0):
-        raise ValueError("times must be sorted")
-    if np.any(t_grid < 0):
-        raise ValueError("times must not be negative")
-    dq = float(q_grid[1] - q_grid[0])
+    row is marched from u0 at t = 0. The grid is checked by
+    `GridSolution.start`, and the stencil needs two abscissae or more,
+    equally spaced: ValueError otherwise. Each step checks its own slopes:
+    OutOfRange when max |H_p(t, q, Dc u)| exceeds theta, as the scheme is
+    then neither monotone nor stable."""
+    g = GridSolution.start(spec.u0, t_grid, q_grid)
+    steps = np.diff(g.q)
+    if not len(steps):
+        raise ValueError("Lax-Friedrichs needs two abscissae or more")
+    dq = float(steps[0])
+    if np.any(np.abs(steps - dq) > 1e-9 * dq):
+        raise ValueError("Lax-Friedrichs needs equally spaced abscissae")
     periodic = isinstance(spec.domain, Periodic)
 
-    u = spec.u0.eval(q=q_grid)
-    _, du0 = spec.u0.eval_d(q=q_grid, wrt="q")
+    u = spec.u0.eval(q=g.q)
+    _, du0 = spec.u0.eval_d(q=g.q, wrt="q")
     pmax = 1.5 * float(np.max(np.abs(du0))) + 1.0
     ps = np.linspace(-pmax, pmax, 513)
     # an H that does not read q is sampled at one q: the same speeds, and
     # no (grid x slopes) array
-    qs = q_grid[:, None] if "q" in spec.H.variables else 0.0
+    qs = g.q[:, None] if "q" in spec.H.variables else 0.0
     theta = 0.0
-    for tt in np.linspace(0.0, float(t_grid[-1]), 5):
+    for tt in np.linspace(0.0, g.t.max(initial=0.0), 5):
         _, hp = spec.H.eval_d(t=tt, q=qs, p=ps, wrt="p")
         theta = max(theta, float(np.max(np.abs(hp))))
     theta *= 1.05
     theta = max(theta, 1e-8)
     dt_max = COURANT * dq / theta
 
-    out = np.empty((len(t_grid), len(q_grid)))
     t = 0.0
-    for i, t_target in enumerate(t_grid.tolist()):
+    for i, t_target in enumerate(g.t.tolist()):
         while t < t_target - 1e-14:
             dt = min(dt_max, t_target - t)
             lo, hi = (u[-1:], u[:1]) if periodic else ([2 * u[0] - u[1]], [2 * u[-1] - u[-2]])
             w = np.concatenate([lo, u, hi])
             dc = (w[2:] - w[:-2]) / (2 * dq)
             diff2 = (w[2:] - 2 * u + w[:-2]) / (2 * dq)
-            h, hp = spec.H.eval_d(t=t, q=q_grid, p=dc, wrt="p")
+            h, hp = spec.H.eval_d(t=t, q=g.q, p=dc, wrt="p")
             speed = float(np.max(np.abs(hp)))
             if speed > theta:
                 raise OutOfRange(f"Lax-Friedrichs step at t={t}: max|H_p| = {speed:.6g} "
@@ -315,7 +303,5 @@ def lax_friedrichs(spec: ProblemSpec, t_grid, q_grid) -> GridSolution:
             t += dt
             if not np.all(np.isfinite(u)):
                 raise NonFinite(f"Lax-Friedrichs blow-up at t={t}")
-        out[i] = u
-    zeros = np.zeros(out.shape, dtype=int)
-    return GridSolution(t=t_grid, q=q_grid, u=out, branch=zeros,
-                        branch_count=np.ones_like(zeros))
+        g.u[i] = u
+    return g

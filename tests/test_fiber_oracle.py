@@ -32,7 +32,7 @@ def _grid_rows(spec, t_grid, n_seeds):
 
 def _grid(name, H, u0, t_max, nt, nq, n_seeds, most, per_batch=None, shuffle=False):
     """A grid case: per_batch rows in each batch (the default budget when
-    None), and q_grid shuffled when shuffle."""
+    None). When shuffle, a shuffled q_grid is refused first."""
     return pytest.param(H, u0, t_max, nt, nq, n_seeds, most, per_batch, shuffle, id=name)
 
 
@@ -56,7 +56,7 @@ QFLOW = "p^2/2 + 0.5*sin(q)*cos(t)"
     # the folded-end grids of test_selector: rows trimmed to different lengths
     _grid("folded-qflow-1.91", QFLOW, "cos(q + 1.91)", 2.0, 16, 32, 1024, 3, 6),
     _grid("folded-cos-p", "cos(p) - 1 + 0.5*sin(q)*cos(t)", BURGERS, 2.0, 16, 32, 1024, 3, 6),
-    _grid("folded-qflow-4.2", QFLOW, "cos(q + 4.2)", 2.0, 64, 64, 4096, 3, None, True),
+    _grid("folded-qflow-4.2", QFLOW, "cos(q + 4.2)", 2.0, 64, 64, 4096, 3),
     _grid("folded-sin-tp", QFLOW + " + 0.2*sin(t*p)", "cos(q) + 0.3*sin(2*q)",
           2.0, 32, 64, 1024, 5, 7),
 ])
@@ -67,7 +67,9 @@ def test_grid_rows_match_oracle_bit_for_bit(monkeypatch, H, u0, t_max, nt, nq, n
     t_grid = np.linspace(0.0, t_max, nt)
     q_grid = np.linspace(0.0, TWO_PI, nq, endpoint=False)
     if shuffle:
-        q_grid = q_grid[np.random.default_rng(nq).permutation(nq)]
+        shuffled = q_grid[np.random.default_rng(nq).permutation(nq)]
+        with pytest.raises(ValueError, match="abscissae must strictly increase"):
+            selector.minimax_grid(spec, t_grid, shuffled, n_seeds=n_seeds)
     n_vertices = len(selector.default_seeds(spec, n_seeds))
     if per_batch is not None:
         monkeypatch.setattr(selector, "BATCH_VERTICES", per_batch * n_vertices)
@@ -103,16 +105,14 @@ def test_grid_rows_match_oracle_bit_for_bit(monkeypatch, H, u0, t_max, nt, nq, n
     assert g.branch_count.max() == most
 
 
-def test_unsorted_grid_matches_sorted(burgers_spec):
+def test_shuffled_grid_is_refused(burgers_spec):
     t_grid = np.linspace(0.0, 3.0, 6)
     q_grid = np.linspace(0.0, TWO_PI, 48, endpoint=False)
     perm = np.random.default_rng(7).permutation(len(q_grid))
     g = selector.minimax_grid(burgers_spec, t_grid, q_grid, n_seeds=512)
-    h = selector.minimax_grid(burgers_spec, t_grid, q_grid[perm], n_seeds=512)
-    assert np.array_equal(_bits(h.u), _bits(g.u[:, perm]))
-    assert np.array_equal(h.branch, g.branch[:, perm])
-    assert np.array_equal(h.branch_count, g.branch_count[:, perm])
     assert g.branch_count.max() == 3
+    with pytest.raises(ValueError, match="abscissae must strictly increase"):
+        selector.minimax_grid(burgers_spec, t_grid, q_grid[perm], n_seeds=512)
 
 
 def fish_analysis():
@@ -182,14 +182,17 @@ def test_fiber_near_a_cusp_raises_in_grid_order(burgers_spec):
     _assert_matches_oracle(a, [near, off])
     cp = selector.select_fibers(a, [near, off])
     assert isinstance(cp.failed[0], DegenerateFiber) and 1 not in cp.failed
-    # c0 sorts first, but c1 comes first in the grid: its fiber's error is raised
-    q_grid = np.array([1.0, c1, 2.0, c0])
+    # both cusps' fibers fail: the first in abscissa order, c0's, is raised
+    q_grid = np.array([c0, 1.0, 2.0, c1])
     with pytest.raises(DegenerateFiber) as oracle_exc:
         oracle.select_row(a, q_grid)
     with pytest.raises(DegenerateFiber) as exc:
         selector.minimax_grid(burgers_spec, t_grid, q_grid, n_seeds=512)
     assert str(exc.value) == str(oracle_exc.value)
-    assert f"q={c1}" in str(exc.value)
+    assert f"q={c0}" in str(exc.value)
+    # a grid whose abscissae do not increase is refused before any fiber
+    with pytest.raises(ValueError, match="abscissae must strictly increase"):
+        selector.minimax_grid(burgers_spec, t_grid, q_grid[[1, 3, 2, 0]], n_seeds=512)
 
 
 def _fibers(*fibers):
@@ -204,13 +207,13 @@ def _fibers(*fibers):
 
 
 def test_grid_failures_in_grid_order(monkeypatch, burgers_spec):
-    # fiber 0 of each row sits at grid column 1, fiber 1 at column 0
+    # fiber k of each row sits at grid column k
     ok = ([0.5], [0], None)
     unmatched = ([0.0, 1.0, 0.5], [0, 0, 1], None)    # coupling: indices do not alternate
     crossing = ([0.5], [0], DegenerateFiber("crossing"))
     n_vertices = len(selector.default_seeds(burgers_spec, 64))
 
-    def solve(rows, per_batch, diverges=False):
+    def solve(rows, per_batch, diverges=False, q_grid=(1.0, 2.0)):
         def evolve_states(_spec, times, _seeds, _step):
             # each row's states carry its time, so the batch build knows its
             # rows; a flow that diverges raises as its last row is drawn
@@ -227,12 +230,17 @@ def test_grid_failures_in_grid_order(monkeypatch, burgers_spec):
         monkeypatch.setattr(selector, "fiber_rows",
                             lambda times, _q: _fibers(*[f for t in times for f in rows[t]]))
         monkeypatch.setattr(selector, "BATCH_VERTICES", per_batch * n_vertices)
-        selector.minimax_grid(burgers_spec, [0.0, 1.0, 2.0], [2.0, 1.0], n_seeds=64)
+        selector.minimax_grid(burgers_spec, [0.0, 1.0, 2.0], q_grid, n_seeds=64)
 
+    # abscissae that do not increase are refused before any row is built
+    with pytest.raises(ValueError, match="abscissae must strictly increase"):
+        solve({1.0: [crossing, ok], 2.0: None}, 2, q_grid=(2.0, 1.0))
     # rows 1 and 2 in one batch, and each in its own
     for per_batch in (2, 1):
-        # within a row, grid order; a crossing failure couples the rows before it
+        # within a row, abscissa order; a crossing failure couples the rows before it
         with pytest.raises(DegenerateFiber, match="crossing"):
+            solve({1.0: [crossing, unmatched], 2.0: None}, per_batch)
+        with pytest.raises(MalformedInput, match="alternate"):
             solve({1.0: [unmatched, crossing], 2.0: None}, per_batch)
         with pytest.raises(MalformedInput, match="alternate"):
             solve({1.0: [unmatched, ok], 2.0: [ok, crossing]}, per_batch)

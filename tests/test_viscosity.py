@@ -108,6 +108,27 @@ def test_lax_friedrichs_checks_its_times(burgers_spec, t_grid, message):
         viscosity.lax_friedrichs(burgers_spec, t_grid, np.linspace(0, 2 * np.pi, 64))
 
 
+def test_lax_friedrichs_needs_two_abscissae(burgers_spec):
+    # the stencil's step is q[1] - q[0]; one abscissa used to raise IndexError
+    with pytest.raises(ValueError, match="two abscissae or more"):
+        viscosity.lax_friedrichs(burgers_spec, [0.0, 0.5], [1.0])
+
+
+def test_lax_friedrichs_needs_equal_steps(burgers_spec):
+    # q = [0, 1, 3, ...] used to march every point with dq = 1
+    with pytest.raises(ValueError, match="equally spaced"):
+        viscosity.lax_friedrichs(burgers_spec, [0.0, 0.5], [0.0, 1.0, 3.0, 4.0, 5.0])
+
+
+def test_lax_oleinik_is_a_grid_row(quad):
+    u0 = hj.parse("cos(q) + 0.7*cos(2*q)")
+    t_grid = [0.0, 0.4, 1.7, 3.0]
+    q_grid = np.linspace(0, 2 * np.pi, 96, endpoint=False)
+    g = viscosity.lax_oleinik_grid(quad, u0, t_grid, q_grid)
+    for i, t in enumerate(t_grid):
+        assert viscosity.lax_oleinik(quad, u0, t, q_grid).tobytes() == g.u[i].tobytes()
+
+
 def test_lax_friedrichs_matches_lax_oleinik(quad, burgers_spec):
     t_grid = np.linspace(0, 2.0, 17)
     q_grid = np.linspace(0, 2 * np.pi, 256, endpoint=False)
