@@ -26,12 +26,19 @@ with its own t and seeds:
   interpolates convex samples linearly), and adding u0(q0) keeps it so;
 - the admissible band of seeds moves right as q grows, so an inf entry
   never sits between two rows' argmins.
-The search takes one level of every block of a batch in one array pass,
-and each block keeps two sentinel rows of its own, so no level spans two
-blocks. A level materializes about a dozen temporaries the size of the
+The search scans each block's first row over its admissible band, then
+its last row from the first row's argmin to the end of its band, and
+divides and conquers between the two, each row's scan clipped to its
+band widened by two seeds for rounding. So it asks for no more entries
+than the rows' bands hold: 996,545 on the Burgers 128x256 grid, about 31
+a grid point, against 2,205,128 when every block started from the seed
+window's ends. It takes one level of every block of a batch in one array
+pass. A level materializes about a dozen temporaries the size of the
 entries it asks for, so a batch holds as many consecutive times as keep a
-level within ARGMIN_ENTRIES entries: the Burgers 128x256 grid in one batch
-peaked at 28 MB traced, against 6.6 MB at 2^16 entries, at the same speed.
+level within ARGMIN_ENTRIES entries: the Burgers grid peaked at 3.3 MB
+traced at 2^15 entries, 5.4 MB at 2^16 and 18 MB in one batch. 2^15 is
+about as fast as 2^16, and the `compare` process's resident peak is 0.5
+MB lower at it.
 
 Every entry the search looks at is computed elementwise by the dense
 matrix's expression, so the argmin, the minimum and the parabolic
@@ -62,7 +69,7 @@ TABLE_P = 8192              # p samples of the conjugate table, H' strictly incr
 N_SEED = 2049               # fewest seed abscissae of the Lax-Oleinik minimization
 BAND_STEPS = 6              # fewest seed spacings across the admissible band
 MAX_SEED = 16384            # most seed abscissae
-ARGMIN_ENTRIES = 1 << 16    # most entries one level of `lax_oleinik_grid`'s argmin asks for
+ARGMIN_ENTRIES = 1 << 15    # most entries one level of `lax_oleinik_grid`'s argmin asks for
 
 
 @dataclass(frozen=True)
@@ -97,45 +104,49 @@ def is_convex_in_p(H: Expression, p_window) -> bool:
     return bool(np.all(np.diff(hp) > 0))
 
 
-def _monotone_argmin(f, n_rows, n_cols):
+def _monotone_argmin(f, n_rows, lo, hi):
     """Leftmost argmin and minimum of every row of independent matrices,
-    block b of n_rows[b] x n_cols[b], each with leftmost argmins that never
+    block b of n_rows[b] >= 1 rows, each with leftmost argmins that never
     decrease down its rows. The rows of all blocks are numbered in one
-    sequence, block by block; f(rows, cols) returns the entries at paired
-    arrays of those row numbers and of columns of the row's own block, none
-    of them NaN. Rows are found level by level: each level takes the middle
-    row between every two neighbours already found (or a block's edges) and
-    scans only the columns between their argmins, so f is asked for
-    O((n_rows + n_cols) log n_rows) entries per block instead of
-    n_rows * n_cols, and every block's level in one call."""
-    n_rows, n_cols = np.asarray(n_rows), np.asarray(n_cols)
+    sequence, block by block, and row r's argmin lies in the columns
+    lo[r]..hi[r]: f(rows, cols) returns the entries at paired arrays of
+    row numbers and of columns within their rows' bounds, none of them NaN.
+    Each block's first row is scanned over its bounds, then its last row
+    from the first row's argmin on; every later level takes the middle row
+    between every two neighbours already found and scans only the columns
+    between their argmins that lie within its own bounds. So f is asked for
+    no more entries of a block than its rows' bounds hold, nor than its
+    first and last rows' bounds plus (a + n_rows) ceil(log2 n_rows), a the
+    span of those two rows' argmins; every block's level goes in one call."""
+    n_rows = np.asarray(n_rows)
     arg = np.empty(int(n_rows.sum()), dtype=np.intp)
     val = np.empty(len(arg))
-    # block b's rows take the slots between two sentinel slots of its own,
-    # so no gap in `done` spans two blocks
-    slots = n_rows + 2
-    edge = np.cumsum(slots) - slots
-    row_of = np.arange(int(slots.sum())) - np.repeat(2 * np.arange(len(slots)) + 1, slots)
-    done = np.column_stack([edge, edge + n_rows + 1]).ravel()  # slots found so far
-    # their argmins; a sentinel's is a column bound of its block
-    done_arg = np.column_stack([np.zeros_like(n_cols), n_cols - 1]).ravel()
-    past = int(n_cols.max())
+
+    def scan(rows, c0, c1):
+        width = c1 - c0 + 1
+        start = np.cumsum(width) - width
+        cols = np.arange(width.sum()) - np.repeat(start - c0, width)
+        vals = f(np.repeat(rows, width), cols)
+        m = np.minimum.reduceat(vals, start)
+        tie = np.where(vals == np.repeat(m, width), cols, np.iinfo(np.intp).max)
+        arg[rows], val[rows] = np.minimum.reduceat(tie, start), m
+
+    first = np.cumsum(n_rows) - n_rows
+    last = first + n_rows - 1
+    scan(first, lo[first], hi[first])
+    two = n_rows > 1
+    scan(last[two], np.maximum(arg[first[two]], lo[last[two]]), hi[last[two]])
+    # found rows in order; a one-row block lists its row twice, and no gap
+    # in `done` spans two blocks
+    done = np.column_stack([first, last]).ravel()
     while True:
         gap = np.flatnonzero(np.diff(done) > 1)
         if not len(gap):
             return arg, val
-        mid = (done[gap] + done[gap + 1]) // 2
-        c0 = done_arg[gap]
-        width = done_arg[gap + 1] - c0 + 1
-        start = np.cumsum(width) - width
-        cols = np.arange(width.sum()) - np.repeat(start - c0, width)
-        rows = row_of[mid]
-        vals = f(np.repeat(rows, width), cols)
-        m = np.minimum.reduceat(vals, start)
-        first = np.minimum.reduceat(np.where(vals == np.repeat(m, width), cols, past), start)
-        arg[rows], val[rows] = first, m
+        above, below = done[gap], done[gap + 1]
+        mid = (above + below) // 2
+        scan(mid, np.maximum(arg[above], lo[mid]), np.minimum(arg[below], hi[mid]))
         done = np.insert(done, gap + 1, mid)
-        done_arg = np.insert(done_arg, gap + 1, first)
 
 
 class _LegendreTable:
@@ -185,6 +196,13 @@ def _lax_oleinik_rows(table: _LegendreTable, u0: Expression, ts, qs, windows):
     first_seed = np.repeat(np.cumsum(n_seed) - n_seed, nq)
     t_of = np.repeat(np.asarray(ts, dtype=float), nq)
     q_of = np.tile(qs, len(ts))
+    dq0 = np.repeat([s[1] - s[0] for s in seeds], nq)
+    last = np.repeat(n_seed - 1, nq)
+    # each row's admissible band of seeds, q - vmax t <= q0 <= q - vmin t,
+    # in columns and widened by two for rounding; phi is inf outside it
+    q0_first = q0s[first_seed]
+    lo = np.clip(np.floor((q_of - vmax * t_of - q0_first) / dq0) - 2, 0, last).astype(np.intp)
+    hi = np.clip(np.ceil((q_of - vmin * t_of - q0_first) / dq0) + 2, 0, last).astype(np.intp)
 
     def phi(rows, cols):
         # in place, on the gathers' own copies; a NaN v is not ok, so inf
@@ -201,16 +219,15 @@ def _lax_oleinik_rows(table: _LegendreTable, u0: Expression, ts, qs, windows):
         val[~ok] = np.inf
         return val
 
-    k, u = _monotone_argmin(phi, np.full(len(ts), nq), n_seed)
+    k, u = _monotone_argmin(phi, np.full(len(ts), nq), lo, hi)
     if not np.all(np.isfinite(u)):
         raise OutOfRange("no admissible seed for some grid point; widen the p-window")
 
     # parabolic refinement of the minimizing seed
-    kk = np.clip(k, 1, np.repeat(n_seed, nq) - 2)
+    kk = np.clip(k, 1, last - 1)
     rows = np.arange(len(u))
     f0, fm, fp = phi(rows, kk), phi(rows, kk - 1), phi(rows, kk + 1)
     good = np.isfinite(fm) & np.isfinite(fp) & (fm - 2 * f0 + fp > 0)
-    dq0 = np.repeat([s[1] - s[0] for s in seeds], nq)
     off = np.zeros(len(u))
     off[good] = 0.5 * (fm[good] - fp[good]) / (fm[good] - 2 * f0[good] + fp[good])
     off = np.clip(off, -1.0, 1.0)
@@ -230,12 +247,14 @@ def lax_oleinik(Hc: ConvexHamiltonian, u0: Expression, t: float, q_grid):
 
 def lax_oleinik_grid(Hc: ConvexHamiltonian, u0: Expression, t_grid, q_grid) -> GridSolution:
     """u on the (t, q) grid, one conjugate table for all rows. The grid is
-    checked and its t = 0 rows written by `GridSolution.start`; the others
-    are solved by `_lax_oleinik_rows` in blocks of consecutive rows, each
-    as large as keeps one level of its `_monotone_argmin` within
-    ARGMIN_ENTRIES entries (a level asks a row for at most its seed count
-    plus its grid points)."""
+    checked and its t = 0 rows written by `GridSolution.start`, and an
+    empty abscissa grid is solved as it is; the other rows are solved by
+    `_lax_oleinik_rows` in blocks of consecutive rows, each as large as
+    keeps one level of its `_monotone_argmin` within ARGMIN_ENTRIES entries
+    (a level asks a row for at most its seed count plus its grid points)."""
     g = GridSolution.start(u0, t_grid, q_grid)
+    if not len(g.q):
+        return g
     table = _LegendreTable(Hc)
     rows = np.flatnonzero(g.t > 0)
     windows = [_seed_range(table, float(g.t[i]), g.q) for i in rows]

@@ -1,6 +1,7 @@
 """The (t, q) grid contract that `GridSolution.start` keeps for the three
 grid solvers: times sorted and not negative, abscissae strictly
-increasing, and an empty time grid solved as an empty grid."""
+increasing, and an empty time grid solved as an empty grid; so is an
+empty abscissa grid, except by Lax-Friedrichs, whose stencil needs two."""
 
 import numpy as np
 import pytest
@@ -42,6 +43,18 @@ def test_empty_time_grid(solve):
     # Lax-Friedrichs used to raise IndexError sampling its speeds to t_grid[-1]
     g = solve([], Q)
     assert g.u.shape == g.branch.shape == g.branch_count.shape == (0, len(Q))
+
+
+@pytest.mark.parametrize("solve", ["minimax_grid", "lax_oleinik_grid"], indirect=True)
+def test_empty_abscissa_grid(solve):
+    # Lax-Oleinik used to raise IndexError placing its seeds at q_grid[0]
+    g = solve([0.0, 1.0], [])
+    assert g.u.shape == g.branch.shape == g.branch_count.shape == (2, 0)
+
+
+def test_lax_friedrichs_refuses_empty_abscissa_grid(burgers_spec):
+    with pytest.raises(ValueError, match="two abscissae or more"):
+        viscosity.lax_friedrichs(burgers_spec, [0.0, 1.0], [])
 
 
 def test_t0_rows_are_u0(solve, burgers_spec):

@@ -26,8 +26,9 @@ def _peak_mb(fn):
 
 
 def test_lax_oleinik_grid_peak(burgers_spec):
-    # 6.1 MB in blocks of ARGMIN_ENTRIES, with the entry kernel working in
-    # place (6.6 MB before); 28.2 MB with all 127 rows in one
+    # 3.3 MB in blocks of ARGMIN_ENTRIES = 2^15 with each row's scan
+    # clipped to its admissible band (6.6 MB in blocks of 2^16 without the
+    # clipping); 17.8 MB with all 127 rows in one
     Hc = viscosity.ConvexHamiltonian(H=burgers_spec.H, p_window=(-4.0, 4.0))
     t_grid = np.linspace(0.0, 3.0, 128)
     q_grid = np.linspace(0.0, TWO_PI, 256, endpoint=False)

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hjminimax as hj
@@ -142,13 +142,20 @@ def _dense(matrix):
     return np.argmin(matrix, axis=1), matrix.min(axis=1)
 
 
-def _search(matrix):
+def _search(matrix, lo=None, hi=None):
+    """The one-block search of `matrix` within the column bounds lo..hi of
+    each row (the whole row by default), and the entries it asked for; it
+    must ask for none outside the bounds."""
+    n_rows, n_cols = matrix.shape
+    lo = np.zeros(n_rows, dtype=np.intp) if lo is None else lo
+    hi = np.full(n_rows, n_cols - 1) if hi is None else hi
     asked = []
 
     def f(rows, cols):
+        assert np.all((lo[rows] <= cols) & (cols <= hi[rows]))
         asked.append(len(rows))
         return matrix[rows, cols]
-    arg, val = viscosity._monotone_argmin(f, [matrix.shape[0]], [matrix.shape[1]])
+    arg, val = viscosity._monotone_argmin(f, [n_rows], lo, hi)
     return arg, val, sum(asked)
 
 
@@ -170,9 +177,11 @@ def test_monotone_argmin_takes_the_leftmost_tie(shape):
 
 @st.composite
 def _monge_matrix(draw):
-    """a[j] + (x_i - j)^2 with small integers a and sorted integers x, so
-    leftmost ties are common, and in some matrices inf outside a band of
-    columns that moves right down the rows."""
+    """(matrix, lo, hi): a[j] + (x_i - j)^2 with small integers a and sorted
+    integers x, so leftmost ties are common, in some matrices inf outside a
+    band of columns that moves right down the rows, and column bounds
+    lo[i]..hi[i] that cover row i's finite entries, from tight to the whole
+    row."""
     n_rows, n_cols = draw(st.integers(1, 9)), draw(st.integers(1, 12))
     x = np.sort(draw(st.lists(st.integers(0, n_cols - 1), min_size=n_rows, max_size=n_rows)))
     a = np.array(draw(st.lists(st.integers(0, 3), min_size=n_cols, max_size=n_cols)), float)
@@ -184,30 +193,44 @@ def _monge_matrix(draw):
                                                 min_size=n_rows, max_size=n_rows))), first + 1)
         cols = np.arange(n_cols)[None, :]
         matrix[(cols < first[:, None]) | (cols >= stop[:, None])] = np.inf
-    return matrix
+    finite = np.isfinite(matrix)
+    lo = [draw(st.integers(0, c)) for c in finite.argmax(axis=1)]
+    hi = [draw(st.integers(n_cols - 1 - c, n_cols - 1)) for c in finite[:, ::-1].argmax(axis=1)]
+    return matrix, np.array(lo, dtype=np.intp), np.array(hi, dtype=np.intp)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_monge_matrix(), min_size=1, max_size=5))
-def test_blocked_monotone_argmin_matches_one_block_calls(matrices):
+# a one-row block, then a two-row block whose last row's bounds start right
+# of its first row's argmin
+@example([(np.array([[2.0, 0.0, 1.0]]), np.array([0]), np.array([2])),
+          (np.array([[0.0, 1.0, np.inf, np.inf], [np.inf, np.inf, 1.0, 0.0]]),
+           np.array([0, 2]), np.array([1, 3]))])
+def test_blocked_monotone_argmin_matches_one_block_calls(blocks):
     # the rows of all blocks in one sequence; each block's columns its own
+    matrices = [m for m, _, _ in blocks]
+    lo = np.concatenate([lo for _, lo, _ in blocks])
+    hi = np.concatenate([hi for _, _, hi in blocks])
     n_rows = [len(m) for m in matrices]
     first_row = np.cumsum([0] + n_rows)
     block = np.repeat(np.arange(len(matrices)), n_rows)
 
     def f(rows, cols):
+        assert np.all((lo[rows] <= cols) & (cols <= hi[rows]))
         out = np.empty(len(rows))
         for b, m in enumerate(matrices):
             mine = block[rows] == b
             out[mine] = m[rows[mine] - first_row[b], cols[mine]]
         return out
-    arg, val = viscosity._monotone_argmin(f, n_rows, [m.shape[1] for m in matrices])
-    for b, m in enumerate(matrices):
-        want_arg, want_val, _ = _search(m)
+    arg, val = viscosity._monotone_argmin(f, n_rows, lo, hi)
+    for b, (m, m_lo, m_hi) in enumerate(blocks):
+        want_arg, want_val, asked = _search(m, m_lo, m_hi)
         rows = slice(first_row[b], first_row[b + 1])
-        assert arg[rows].tolist() == want_arg.tolist()
+        assert arg[rows].tobytes() == want_arg.tobytes()
         assert val[rows].tobytes() == want_val.tobytes()
-        assert want_arg.tolist() == np.argmin(m, axis=1).tolist()
+        assert want_arg.tobytes() == np.argmin(m, axis=1).tobytes()
+        assert want_val.tobytes() == m.min(axis=1).tobytes()
+        assert asked <= np.sum(m_hi - m_lo + 1)
 
 
 def test_monotone_argmin_flat_rows_give_column_zero():
@@ -216,7 +239,8 @@ def test_monotone_argmin_flat_rows_give_column_zero():
 
 
 def test_monotone_argmin_inf_outside_a_moving_band():
-    # an admissible band that moves right down the rows, inf outside it
+    # an admissible band that moves right down the rows, inf outside it,
+    # searched within the whole rows and within each row's band
     rng = np.random.default_rng(3)
     n_rows, n_cols = 80, 200
     for _ in range(20):
@@ -226,11 +250,33 @@ def test_monotone_argmin_inf_outside_a_moving_band():
         x = np.sort(rng.uniform(0, n_cols, n_rows))[:, None]
         matrix = np.where((cols >= first[:, None]) & (cols < stop[:, None]),
                           rng.integers(0, 3, n_cols)[None, :] + (x - cols) ** 2, np.inf)
-        arg, val, _ = _search(matrix)
         want_arg, want_val = _dense(matrix)
-        assert np.array_equal(arg, want_arg)
-        assert np.array_equal(val, want_val)
-        assert np.all(np.isfinite(val))
+        assert np.all(np.isfinite(want_val))
+        arg, val, _ = _search(matrix)
+        assert arg.tobytes() == want_arg.tobytes() and val.tobytes() == want_val.tobytes()
+        arg, val, asked = _search(matrix, first, stop - 1)
+        assert arg.tobytes() == want_arg.tobytes() and val.tobytes() == want_val.tobytes()
+        assert asked <= np.sum(stop - first)
+        assert np.any(first > want_arg[0])
+
+
+def test_burgers_grid_argmin_entries():
+    # the entries the search asks for on compare's Burgers 128x256 grid;
+    # 2,205,128 when every block's search started from its seed window's ends
+    asked = []
+    search = viscosity._monotone_argmin
+
+    def counting(f, *bounds):
+        def counted(rows, cols):
+            asked.append(len(rows))
+            return f(rows, cols)
+        return search(counted, *bounds)
+    Hc = viscosity.ConvexHamiltonian(H=hj.parse("p^2/2"), p_window=(-4.0, 4.0))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(viscosity, "_monotone_argmin", counting)
+        viscosity.lax_oleinik_grid(Hc, hj.parse("cos(q)"), np.linspace(0.0, 3.0, 128),
+                                   _periodic(256))
+    assert sum(asked) <= 996_545
 
 
 def test_narrow_band_rows_match_dense_scan():
@@ -265,6 +311,18 @@ def test_grid_blocks_match_dense_scan():
     for i, t in enumerate(t_grid):
         want = oracle.lax_oleinik(Hc, u0, float(t), q, table=table)
         assert got[i].tobytes() == want.tobytes(), f"t={t}"
+
+
+def test_band_edge_argmins_match_dense_scan():
+    # slopes of u0 reach past the p-window, so many feet sit on an edge of
+    # their admissible band, which the search must scan
+    u0, q = hj.parse("cos(q)"), _periodic(64)
+    Hc = viscosity.ConvexHamiltonian(H=hj.parse("p^2/2"), p_window=(-0.5, 0.5))
+    table = viscosity._LegendreTable(Hc)
+    t_grid = [0.05, 0.3, 1.0, 2.5]
+    got = viscosity.lax_oleinik_grid(Hc, u0, t_grid, q).u
+    for i, t in enumerate(t_grid):
+        assert got[i].tobytes() == oracle.lax_oleinik(Hc, u0, t, q, table=table).tobytes()
 
 
 def test_no_admissible_seed_raises():
