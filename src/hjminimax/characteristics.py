@@ -8,14 +8,17 @@ drawn, so a caller holds only the rows it is working on and no array of
 every output time exists; `evolve` is its one-row call. When H depends on p
 alone the strands are straight lines, q = q0 + t*H_p(p0),
 z = z0 + t*(p0*H_p - H), written in closed form row by row; any other H is
-integrated by classical RK4, one span per row. The RK4 stages are summed in
-place, in buffers the flow owns, with the rounding of the textbook
-out-of-place update; the slopes come straight from H's compiled program,
-unchecked, and the strands are checked for finiteness once per output
-span. Strands are independent; both paths are vectorized over seeds. An
-explicit step is used as given; without one the RK4 step is chosen by step
-doubling on a fixed subsample of the seeds (`_choose_step`), so the strands
-depend only on the spec, the times and the seeds.
+integrated by classical RK4, one span per row. A span keeps the strands'
+q, p and z as the rows of one (3, n) state, and the stage slopes and their
+sum in (3, n) buffers it owns, so each stage and update is one numpy call
+over all three; the stages are summed in place with the rounding of the
+textbook out-of-place update. The slopes come straight from H's compiled
+program into those rows (`char_rhs`), unchecked, and the strands are
+checked for finiteness once per output span. Strands are independent; both
+paths are vectorized over seeds. An explicit step is used as given; without
+one the RK4 step is chosen by step doubling on a fixed subsample of the
+seeds (`_choose_step`), so the strands depend only on the spec, the times
+and the seeds.
 
 On a periodic domain the strand from q0 + k*L is the strand from q0 moved
 by k*L, with the same p and z, when u0 and H repeat with period L. So when
@@ -34,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, NonFinite
-from .expr import Expression, own
+from .expr import Expression
 
 # relative agreement of u0 and H at seeds one period apart that lets
 # `evolve_states` flow one period only
@@ -85,17 +88,22 @@ class ProblemSpec:
         return self.t_max / 2000.0
 
 
-def char_rhs(H: Expression, t, q, p):
-    """(dq, dp, dz) = (H_p, -H_q, p*H_p - H) at the states q, p of one shape,
-    each a new array of that shape, from H's compiled program: its tangents
-    go through `expr.own` as `Expression.eval_d`'s do.
+def char_rhs(H: Expression, t, q, p, out):
+    """(dq, dp, dz) = (H_p, -H_q, p*H_p - H) at the states q, p of one
+    shape (n,), from H's compiled program, written into the rows of out, a
+    (3, n) array, and returned. A structurally zero H_p is +0.0 and a
+    structurally zero H_q gives -0.0, the negated zero `Expression.eval_d`
+    would give.
 
     Unchecked, like the program: call it under
     np.errstate(over="ignore", invalid="ignore") and check what it feeds."""
     hval, hp, hq = H.compiled(("p", "q"))(t, q, p)
-    shape = np.shape(q)
-    hp = own(hp, shape, (q, p))
-    return hp, -own(hq, shape, (q, p)), p * hp - hval
+    dq, dp, dz = out
+    np.copyto(dq, 0.0 if hp is None else hp)
+    np.negative(0.0 if hq is None else hq, out=dp)
+    np.multiply(p, dq, out=dz)
+    dz -= hval
+    return out
 
 
 def initial_state(spec: ProblemSpec, seeds):
@@ -113,62 +121,60 @@ def _freeze_mask(spec: ProblemSpec, q):
 def _rk4_span(spec, t0, t1, q, p, z, step):
     """Advance all strands from t0 to t1 with uniform classical RK4 substeps.
 
-    Returns new arrays and leaves q, p and z as they are. The stages are
-    summed in place, in the order of the textbook update
+    Returns new arrays, the rows of a fresh (3, n) state, and leaves q, p
+    and z as they are. The state, the stage slopes and their sum are (3, n)
+    buffers the span owns, and the state a stage reads is a (2, n) one, so
+    each stage and update is one numpy call over q, p and z together. They
+    are summed in place, in the order of the textbook update
     x + dt/6 * (((k1 + 2*k2) + 2*k3) + k4), so the bits are its bits.
     The slopes are unchecked (`char_rhs`): a DomainError of H's program
     raises at the stage that meets it, and NonFinite is raised once, when
     the strands are not finite at t1. A non-finite slope always reaches
     them there, unless a Windowed domain freezes its strand."""
-    q, p, z = q.copy(), p.copy(), z.copy()
+    x = np.array((q, p, z), dtype=float)
     if t1 == t0:
-        return q, p, z
+        return tuple(x)
     m = max(1, math.ceil((t1 - t0) / step - 1e-12))
     dt = (t1 - t0) / m
     half = 0.5 * dt
-    qs, ps = np.empty_like(q), np.empty_like(p)  # the state a stage reads
+    acc, k = np.empty_like(x), np.empty_like(x)  # the slopes' sum; a stage's slopes
+    s = np.empty_like(x[:2])  # the q, p a stage reads
+    xq, xp, x2, s_q, s_p, acc2, k2 = x[0], x[1], x[:2], s[0], s[1], acc[:2], k[:2]
+    window = spec.domain if isinstance(spec.domain, Windowed) else None
 
-    def rhs(t, qq, pp):
-        k = char_rhs(spec.H, t, qq, pp)
-        mask = _freeze_mask(spec, qq)
-        if mask is not None:
-            for d in k:
-                np.copyto(d, 0.0, where=~mask)
-        return k
+    def rhs(t, qq, pp, out):
+        char_rhs(spec.H, t, qq, pp, out)
+        if window is not None:  # freeze the strands outside it, a NaN one too
+            np.copyto(out, 0.0, where=~((qq >= window.qmin) & (qq <= window.qmax)))
 
-    def stage(h, k):
-        """The stage state q + h*kq, p + h*kp, into qs and ps."""
-        for out, x, d in ((qs, q, k[0]), (ps, p, k[1])):
-            np.multiply(h, d, out=out)
-            out += x
-
-    def add_twice(acc, k):
-        for a, d in zip(acc, k):
-            d *= 2
-            a += d
+    def stage(h, d):
+        """The stage state x + h*d, into s."""
+        np.multiply(h, d, out=s)
+        np.add(s, x2, out=s)
 
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             for i in range(m):
                 t = t0 + i * dt
-                acc = rhs(t, q, p)
-                stage(half, acc)
-                k = rhs(t + half, qs, ps)
-                stage(half, k)
-                add_twice(acc, k)
-                k = rhs(t + half, qs, ps)
-                stage(dt, k)
-                add_twice(acc, k)
-                k = rhs(t + dt, qs, ps)
-                for x, a, d in zip((q, p, z), acc, k):
-                    a += d
-                    a *= dt / 6.0
-                    x += a
+                rhs(t, xq, xp, acc)
+                stage(half, acc2)
+                rhs(t + half, s_q, s_p, k)
+                stage(half, k2)
+                k *= 2
+                acc += k
+                rhs(t + half, s_q, s_p, k)
+                stage(dt, k2)
+                k *= 2
+                acc += k
+                rhs(t + dt, s_q, s_p, k)
+                acc += k
+                acc *= dt / 6.0
+                x += acc
         except OverflowError:  # a Python float ** overflows by raising
             raise NonFinite(f"non-finite value in eval of {spec.H.source!r}") from None
-    if not (np.isfinite(q).all() and np.isfinite(p).all() and np.isfinite(z).all()):
+    if not np.isfinite(x).all():
         raise NonFinite(f"non-finite value in eval of {spec.H.source!r}")
-    return q, p, z
+    return tuple(x)
 
 
 def _choose_step(spec: ProblemSpec, t_end, q, p, z):
@@ -278,18 +284,29 @@ def _period_width(spec: ProblemSpec, seeds, p0, z0):
     return n
 
 
+def tile_q(spec: ProblemSpec, N: int, q):
+    """The abscissae q, shape (..., n), of one flowed period, repeated
+    along the last axis to N: period k moved by k*L, period 0 left as it
+    is. A new array of shape (..., N)."""
+    n = q.shape[-1]
+    out = np.empty(q.shape[:-1] + (N,))
+    for c in range(0, N, n):
+        block = out[..., c:c + n]
+        block[...] = q[..., :block.shape[-1]]
+        if c:
+            block += c // n * spec.domain.period
+    return out
+
+
 def tile_row(spec: ProblemSpec, N: int, q, p, z):
     """The N seed-sorted states of one `evolve_states` row q, p, z: the row
-    itself when it holds every strand, else its period repeated, period k
-    moved by k*L and period 0 left as it is."""
+    itself when it holds every strand, else its period repeated, q by
+    `tile_q` and p and z as they are."""
     n = len(q)
     if n == N:
         return q, p, z
     reps = math.ceil(N / n)
-    out = np.empty((3, reps, n))
-    out[0], out[1], out[2] = q, p, z
-    out[0, 1:] += np.arange(1, reps)[:, None] * spec.domain.period
-    return tuple(out.reshape(3, -1)[:, :N])
+    return tile_q(spec, N, q), np.tile(p, reps)[:N], np.tile(z, reps)[:N]
 
 
 def evolve_states(spec: ProblemSpec, times: Sequence[float], seeds,

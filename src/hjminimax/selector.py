@@ -78,8 +78,10 @@ class GridSolution:
     def start(cls, u0, t_grid, q_grid) -> GridSolution:
         """The solution on the (t, q) grid that every grid solver fills:
         u0(q) on the rows at t = 0, the other rows of u unset, branch 0 and
-        branch_count 1. ValueError unless the times are sorted and not
-        negative and the abscissae strictly increase."""
+        branch_count 1 as read-only constants that hold one value each (a
+        solver that picks branches puts arrays of its own there).
+        ValueError unless the times are sorted and not negative and the
+        abscissae strictly increase."""
         t = np.asarray(t_grid, dtype=float)
         q = np.asarray(q_grid, dtype=float)
         if not np.all(np.diff(t) >= 0):
@@ -89,8 +91,8 @@ class GridSolution:
         if not np.all(np.diff(q) > 0):
             raise ValueError("abscissae must strictly increase")
         shape = (len(t), len(q))
-        g = cls(t=t, q=q, u=np.empty(shape), branch=np.zeros(shape, dtype=int),
-                branch_count=np.ones(shape, dtype=int))
+        g = cls(t=t, q=q, u=np.empty(shape), branch=np.broadcast_to(0, shape),
+                branch_count=np.broadcast_to(1, shape))
         g.u[t == 0] = u0.eval(q=q)
         return g
 
@@ -658,7 +660,8 @@ def minimax_grid(spec: chars.ProblemSpec, t_grid, q_grid,
     crosses them with q_grid, each in one pass over the batch; the batch's
     fronts are released before the next is built. The fibers of all rows
     are coupled in one `couple_fibers` call. The grid is checked and its
-    t = 0 rows written by `GridSolution.start`.
+    t = 0 rows written by `GridSolution.start`; their branch ids are 0 and
+    their crossing counts 1.
 
     A flow error beats any other: once a batch fails, the flow is drawn
     to its end. Otherwise the first failing row in grid order raises, with
@@ -669,6 +672,7 @@ def minimax_grid(spec: chars.ProblemSpec, t_grid, q_grid,
     follows every row built. So a crossing or a coupling failure beats a
     build failure in a later row, and within a row abscissa order decides."""
     g = GridSolution.start(spec.u0, t_grid, q_grid)
+    g.branch, g.branch_count = np.zeros(g.u.shape, dtype=int), np.ones(g.u.shape, dtype=int)
     seeds = default_seeds(spec, n_seeds)
     rows = np.flatnonzero(g.t > 0).tolist()
     flow = chars.evolve_states(spec, g.t[rows].tolist(), seeds, step)
@@ -700,14 +704,12 @@ def minimax_grid(spec: chars.ProblemSpec, t_grid, q_grid,
 
 def _grid_rows(spec: chars.ProblemSpec, seeds, q, p, z):
     """The fronts of the `evolve_states` rows q, p, z over the sorted seeds,
-    each row expanded by `tile_row` and trimmed as `trim_long` trims, with
+    each row's q expanded by `tile_q` (p and z stay one period, as
+    `front.row_cusps` reads them) and trimmed as `trim_long` trims, with
     their cusps and sections: each stage one pass over the rows. Returns
     the FrontRows of the rows before the first front that cannot be built,
     and that front's error (None when every front is built)."""
-    N = len(seeds)
-    Q = np.empty((len(q), N))
-    for r in range(len(q)):
-        Q[r] = chars.tile_row(spec, N, q[r], p[r], z[r])[0]
+    Q = chars.tile_q(spec, len(seeds), q)
     dq = np.diff(Q, axis=1)
     lo, hi = _trim_rows(dq)
     long = frontmod.long_rows(dq, lo, hi)

@@ -20,11 +20,24 @@ def exact_burgers(q0, t):
 def test_rhs_signs():
     H = hj.parse("p^2/2 + 0.3*cos(q)")
     q, p = np.array([0.5]), np.array([1.2])
-    dq, dp, dz = chars.char_rhs(H, 0.0, q, p)
+    dq, dp, dz = chars.char_rhs(H, 0.0, q, p, np.empty((3, 1)))
     assert dq == pytest.approx(1.2)
     assert dp == pytest.approx(0.3 * np.sin(0.5))
     assert dz == pytest.approx(1.2 ** 2 - (1.2 ** 2 / 2 + 0.3 * np.cos(0.5)))
-    assert dq is not p  # H_p is p itself: the slope is an array of its own
+    assert not np.shares_memory(dq, p)  # H_p is p itself: copied into out
+
+
+@pytest.mark.parametrize("h", ["0.5*sin(q)*cos(t)", "p^2/2 + cos(t)"])
+def test_rhs_of_structurally_zero_tangents(h):
+    # a structurally zero H_p is +0.0 and -H_q of a zero H_q is -0.0, bit for
+    # bit as from `eval_d`'s tangents
+    H = hj.parse(h)
+    q, p = np.linspace(-1.0, 2.0, 7), np.linspace(-2.0, 1.0, 7)
+    hval, hp, hq = H.eval_d(t=0.3, q=q, p=p, wrt=("p", "q"))
+    out = np.full((3, 7), np.nan)
+    assert chars.char_rhs(H, 0.3, q, p, out) is out
+    for got, want in zip(out, (hp, -hq, p * hp - hval)):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_burgers_matches_closed_form(burgers_spec):
@@ -244,6 +257,32 @@ def test_no_step_probes_only_a_subsample(monkeypatch, tol):
     if not tol:
         assert steps[-1] == 2.0 / 3200  # the fine flow of the last level >= floor
     assert all(len(c[3]) == 101 and c[-1] == chosen for c in flow)
+
+
+def test_qflow_grid_slope_evaluations(monkeypatch):
+    # the 64x64 qflow grid, 4,096 seeds to a period: the probe flows every
+    # 16th strand of one period at 50, 100, 200 and 400 substeps (3,000
+    # slope evaluations on 256 strands) and picks the 200-substep step 0.01;
+    # the 63 rows after t = 0 take 4 substeps each (1,008 evaluations)
+    spec = hj.ProblemSpec(H=hj.parse(QFLOW_H), u0=hj.parse("cos(q)"),
+                          domain=hj.Periodic(2 * np.pi), t_max=2.0)
+    widths, steps = [], []
+    char_rhs, choose_step = chars.char_rhs, chars._choose_step
+
+    def counted_rhs(H, t, q, p, out):
+        widths.append(len(q))
+        return char_rhs(H, t, q, p, out)
+
+    def recorded_step(*args):
+        steps.append(choose_step(*args))
+        return steps[-1]
+    monkeypatch.setattr(chars, "char_rhs", counted_rhs)
+    monkeypatch.setattr(chars, "_choose_step", recorded_step)
+    selector.minimax_grid(spec, np.linspace(0.0, 2.0, 64),
+                          np.linspace(0.0, 2 * np.pi, 64, endpoint=False), n_seeds=4096)
+    assert steps == [0.01]
+    assert len(widths) == 4008
+    assert widths[:3000] == [256] * 3000 and widths[3000:] == [4096] * 1008
 
 
 @pytest.mark.parametrize("step", [0.0, -0.1, np.inf, np.nan])

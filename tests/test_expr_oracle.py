@@ -69,5 +69,5 @@ def test_char_rhs_matches_dense_oracle_bit_for_bit():
     for t in (0.0, 0.37, 2.5):
         hval, hp, hq = oracle.eval_d(H, t=t, q=q, p=p, wrt=("p", "q"))
         want = (hp, -hq, p * hp - hval)
-        for g, w in zip(char_rhs(H, t, q, p), want):
+        for g, w in zip(char_rhs(H, t, q, p, np.empty((3, len(q)))), want):
             assert _bits(g) == _bits(w)

@@ -1,7 +1,9 @@
 """The (t, q) grid contract that `GridSolution.start` keeps for the three
 grid solvers: times sorted and not negative, abscissae strictly
 increasing, and an empty time grid solved as an empty grid; so is an
-empty abscissa grid, except by Lax-Friedrichs, whose stencil needs two."""
+empty abscissa grid, except by Lax-Friedrichs, whose stencil needs two.
+A viscosity solution's branch ids (0) and crossing counts (1) are
+read-only constants that hold one value each."""
 
 import numpy as np
 import pytest
@@ -61,3 +63,14 @@ def test_t0_rows_are_u0(solve, burgers_spec):
     g = solve([0.0, 0.0, 0.5], Q)
     assert g.u[:2].tobytes() == np.tile(burgers_spec.u0.eval(q=Q), 2).tobytes()
     assert np.all(g.branch[:2] == 0) and np.all(g.branch_count[:2] == 1)
+
+
+@pytest.mark.parametrize("solve", ["lax_oleinik_grid", "lax_friedrichs"], indirect=True)
+def test_viscosity_branch_columns_are_constants(solve):
+    # no per-point pages: only `minimax_grid` fills branch ids and counts
+    g = solve([0.0, 0.5, 1.0], Q)
+    for a, value in ((g.branch, 0), (g.branch_count, 1)):
+        assert a.shape == g.u.shape and a.strides == (0, 0) and not a.flags.writeable
+        assert np.all(a == value)
+    ids = [line.rsplit(",", 1)[1] for line in g.to_csv().splitlines()[1:]]
+    assert ids == ["0"] * g.u.size

@@ -1,5 +1,5 @@
-"""The in-place RK4 stages of `hjminimax.characteristics` against the
-out-of-place arithmetic they replaced (`rk4_oracle`)."""
+"""The RK4 stages of `hjminimax.characteristics`, run in place in stacked
+buffers, against the out-of-place arithmetic they replaced (`rk4_oracle`)."""
 
 import numpy as np
 import pytest
@@ -28,6 +28,11 @@ _CASES = {
     "const_tangents": (hj.ProblemSpec(H=hj.parse("0.5*p + cos(t)"), u0=hj.parse("cos(q)"),
                                       domain=hj.Periodic(2 * np.pi), t_max=1.0),
                        [0.25, 1.0], np.linspace(-1.0, 7.3, 33), 0.01),
+    # H reads no p: its program gives H_p as None, so the q slope is +0.0
+    # and the z slope is -H
+    "p_free": (hj.ProblemSpec(H=hj.parse("0.5*sin(q)*cos(t)"), u0=hj.parse("cos(q)"),
+                              domain=hj.Periodic(2 * np.pi), t_max=2.0),
+               [0.4, 1.3, 2.0], np.linspace(-1.0, 7.3, 65), 0.02),
 }
 
 
@@ -43,6 +48,8 @@ def test_evolve_states_matches_out_of_place_rk4_bit_for_bit(case):
     for g, w in zip(got, want):
         assert g.shape == (len(times), len(seeds))
         assert _bits(g) == _bits(w)
+    if case == "p_free":
+        assert np.all(got[0] == seeds)  # no strand moves
     if case == "window":
         Q = got[0]
         inside = np.abs(seeds) <= 2.0
@@ -61,7 +68,7 @@ def test_rk4_span_leaves_its_arguments_unchanged(case):
         assert not np.shares_memory(o, x)
 
 
-@pytest.mark.parametrize("case", ["qflow", "window", "qp"])
+@pytest.mark.parametrize("case", ["qflow", "window", "qp", "p_free"])
 def test_chosen_step_is_the_out_of_place_probes(monkeypatch, case):
     spec, times, seeds, _ = _CASES[case]
     state = chars.initial_state(spec, seeds)
