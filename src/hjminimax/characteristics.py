@@ -58,11 +58,9 @@ class Periodic:
 
 @dataclass(frozen=True)
 class Windowed:
-    """u0 constant and H p-independent outside [qmin, qmax].
-
-    A strand that starts outside the window never moves. One inside stops
-    where it first meets qmin or qmax: exactly there at its exit time when
-    H depends on p alone, within one RK4 substep of it otherwise."""
+    """The Cauchy problem on the line, with u0 and H as given, reported on
+    [qmin, qmax]. Strands move freely across qmin and qmax, and the seeds
+    and the Lax-Friedrichs march reach past both ends."""
     qmin: float
     qmax: float
 
@@ -112,12 +110,6 @@ def initial_state(spec: ProblemSpec, seeds):
     return q0.copy(), du0, u0val
 
 
-def _freeze_mask(spec: ProblemSpec, q):
-    if isinstance(spec.domain, Windowed):
-        return (q >= spec.domain.qmin) & (q <= spec.domain.qmax)
-    return None
-
-
 def _rk4_span(spec, t0, t1, q, p, z, step):
     """Advance all strands from t0 to t1 with uniform classical RK4 substeps.
 
@@ -130,7 +122,7 @@ def _rk4_span(spec, t0, t1, q, p, z, step):
     The slopes are unchecked (`char_rhs`): a DomainError of H's program
     raises at the stage that meets it, and NonFinite is raised once, when
     the strands are not finite at t1. A non-finite slope always reaches
-    them there, unless a Windowed domain freezes its strand."""
+    them there."""
     x = np.array((q, p, z), dtype=float)
     if t1 == t0:
         return tuple(x)
@@ -140,12 +132,7 @@ def _rk4_span(spec, t0, t1, q, p, z, step):
     acc, k = np.empty_like(x), np.empty_like(x)  # the slopes' sum; a stage's slopes
     s = np.empty_like(x[:2])  # the q, p a stage reads
     xq, xp, x2, s_q, s_p, acc2, k2 = x[0], x[1], x[:2], s[0], s[1], acc[:2], k[:2]
-    window = spec.domain if isinstance(spec.domain, Windowed) else None
-
-    def rhs(t, qq, pp, out):
-        char_rhs(spec.H, t, qq, pp, out)
-        if window is not None:  # freeze the strands outside it, a NaN one too
-            np.copyto(out, 0.0, where=~((qq >= window.qmin) & (qq <= window.qmax)))
+    H = spec.H
 
     def stage(h, d):
         """The stage state x + h*d, into s."""
@@ -156,17 +143,17 @@ def _rk4_span(spec, t0, t1, q, p, z, step):
         try:
             for i in range(m):
                 t = t0 + i * dt
-                rhs(t, xq, xp, acc)
+                char_rhs(H, t, xq, xp, acc)
                 stage(half, acc2)
-                rhs(t + half, s_q, s_p, k)
+                char_rhs(H, t + half, s_q, s_p, k)
                 stage(half, k2)
                 k *= 2
                 acc += k
-                rhs(t + half, s_q, s_p, k)
+                char_rhs(H, t + half, s_q, s_p, k)
                 stage(dt, k2)
                 k *= 2
                 acc += k
-                rhs(t + dt, s_q, s_p, k)
+                char_rhs(H, t + dt, s_q, s_p, k)
                 acc += k
                 acc *= dt / 6.0
                 x += acc
@@ -206,34 +193,17 @@ def _choose_step(spec: ProblemSpec, t_end, q, p, z):
     return floor
 
 
-def _window_stops(domain: Windowed, q0, hp):
-    """(edge, t_exit): where and when each straight strand stops. A strand
-    outside the window stops at once where it is; one that never moves
-    (hp = 0) has t_exit = inf."""
-    outside = (q0 < domain.qmin) | (q0 > domain.qmax)
-    edge = np.where(outside, q0, np.where(hp > 0, domain.qmax, domain.qmin))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_exit = (edge - q0) / hp
-    t_exit[hp == 0] = np.inf
-    t_exit[outside] = 0.0
-    return edge, t_exit
-
-
-def _straight_lines(times, q0, p0, z0, hp, dz, stops):
+def _straight_lines(times, q0, p0, z0, hp, dz):
     """The rows of the exact flow of a p-only H at the times, each written
-    when it is drawn, from H_p = hp and the z slope dz at p0, and a Windowed
-    domain's `_window_stops` (None on a periodic one). p stays p0, which
-    `eval_d` checked; NonFinite names the first strand, in time then seed
-    order, whose q or z is not finite."""
+    when it is drawn, from H_p = hp and the z slope dz at p0. p stays p0,
+    which `eval_d` checked; NonFinite names the first strand, in time then
+    seed order, whose q or z is not finite."""
     for t in times:
-        tau = t if stops is None else np.minimum(t, stops[1])
         with np.errstate(over="ignore"):
-            q = np.multiply(tau, hp)
+            q = np.multiply(t, hp)
             q += q0
-            z = np.multiply(tau, dz)
+            z = np.multiply(t, dz)
             z += z0
-        if stops is not None:
-            np.copyto(q, stops[0], where=t >= stops[1])
         bad = ~(np.isfinite(q) & np.isfinite(z))
         if bad.any():
             raise NonFinite(f"strand with seed q0={q0[np.argmax(bad)]} diverged by t={t}")
@@ -341,8 +311,7 @@ def evolve_states(spec: ProblemSpec, times: Sequence[float], seeds,
     q, p, z = q[:n], p[:n], z[:n]
     if spec.H.variables <= {"p"}:
         hval, hp = spec.H.eval_d(p=p, wrt="p")
-        stops = _window_stops(spec.domain, q, hp) if isinstance(spec.domain, Windowed) else None
-        return _straight_lines(times, q, p, z, hp, p * hp - hval, stops)
+        return _straight_lines(times, q, p, z, hp, p * hp - hval)
     if step is None:
         step = _choose_step(spec, times[-1] if times else 0.0, q, p, z)
     return _rk4_rows(spec, times, q, p, z, step)

@@ -79,13 +79,19 @@ def load_config(path, grid_override=None):
         raise ConfigError(f"u0 may only use q, got {sorted(u0.variables)}")
 
     kind = prob.get("domain", "periodic").strip().lower()
+    if kind not in ("periodic", "window"):
+        raise ConfigError(f"domain must be 'periodic' or 'window', got {kind!r}")
+    own = ("period",) if kind == "periodic" else ("qmin", "qmax")
+    for key in ("period", "qmin", "qmax"):
+        if key in prob and key not in own:
+            raise ConfigError(f"[problem] key {key!r} does not apply to domain = {kind}")
+        if kind == "window" and key in own and key not in prob:
+            raise ConfigError(f"[problem] is missing key {key!r} for domain = window")
     try:
         if kind == "periodic":
             domain = Periodic(period=prob.getfloat("period", 2.0 * np.pi))
-        elif kind == "window":
-            domain = Windowed(qmin=prob.getfloat("qmin"), qmax=prob.getfloat("qmax"))
         else:
-            raise ConfigError(f"domain must be 'periodic' or 'window', got {kind!r}")
+            domain = Windowed(qmin=prob.getfloat("qmin"), qmax=prob.getfloat("qmax"))
         t_max = prob.getfloat("t_max")
         if t_max is None:
             raise ConfigError("[problem] t_max is required")

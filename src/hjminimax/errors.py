@@ -60,9 +60,9 @@ class NoVanishingTriangle(HJError):
     """Front is not smooth but the vanishing rule found no removable triangle."""
 
 
-# --- viscosity solvers ---
+# --- ranges a solver is set up for ---
 
 class OutOfRange(HJError):
-    """A viscosity solver left the range it was set up for: a Legendre
-    transform queried outside the attainable slope range, or a
-    Lax-Friedrichs step faster than its Courant bound."""
+    """A solver left the range it was set up for: a Legendre transform
+    queried outside the attainable slope range, a Lax-Friedrichs step faster
+    than its Courant bound, or a window's seed margin that does not settle."""

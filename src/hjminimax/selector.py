@@ -28,12 +28,13 @@ import numpy as np
 from . import characteristics as chars
 from . import front as frontmod
 from . import morse1d
-from .errors import DegenerateFiber, InconsistentSweep, NoVanishingTriangle
+from .errors import DegenerateFiber, InconsistentSweep, NoVanishingTriangle, OutOfRange
 from .front import FrontAnalysis, FrontCurve
 
 MAX_SURGERIES = 64   # rounds `eliminate` may take before giving up
 TRIM_FRAC = 0.25     # share of the vertices `trim_long` may drop per end
 FIBER_TOL = 1e-9     # bbox-scaled distance of a fiber from a cusp or double point
+SEED_ROUNDS = 4      # samples `_seed_window` may take of a Windowed domain's seed window
 # front vertices of a `minimax_grid` batch, before trimming: a batch is
 # BATCH_VERTICES // len(seeds) rows. With the flow streamed, on the qflow
 # 64x64 grid (8,662 vertices a row), 3 or 11 rows a batch took the time of
@@ -574,19 +575,31 @@ def eliminate(f: FrontCurve):
 def _seed_window(spec: chars.ProblemSpec, t: float | None):
     """(base_lo, base_hi, margin): the base domain, and how far past each of
     its ends the seeds must reach for every fiber over it to be covered up
-    to time t (t_max when None)."""
+    to time t (t_max when None): 1.5 t max|H_p| + 0.5, at u0's slopes on
+    257 points of one period, or of a window's seed window. That sample
+    starts as [qmin, qmax] and grows to twice the margin past each end until
+    the margin fits in it; OutOfRange, naming the margin, after SEED_ROUNDS."""
     t = spec.t_max if t is None else t
-    if isinstance(spec.domain, chars.Periodic):
-        base_lo, base_hi = 0.0, spec.domain.period
-    else:
-        base_lo, base_hi = spec.domain.qmin, spec.domain.qmax
-    probe = np.linspace(base_lo, base_hi, 257)
-    _, p0 = spec.u0.eval_d(q=probe, wrt="q")
-    vmax = 0.0
-    for tt in np.linspace(0.0, t, 5):
-        _, hp = spec.H.eval_d(t=tt, q=probe, p=p0, wrt="p")
-        vmax = max(vmax, float(np.max(np.abs(hp))))
-    return base_lo, base_hi, 1.5 * vmax * t + 0.5
+    d = spec.domain
+    periodic = isinstance(d, chars.Periodic)
+    base_lo, base_hi = (0.0, d.period) if periodic else (d.qmin, d.qmax)
+    sampled = 0.0
+    for _ in range(SEED_ROUNDS):
+        probe = np.linspace(base_lo - sampled, base_hi + sampled, 257)
+        _, p0 = spec.u0.eval_d(q=probe, wrt="q")
+        vmax = 0.0
+        for tt in np.linspace(0.0, t, 5):
+            _, hp = spec.H.eval_d(t=tt, q=probe, p=p0, wrt="p")
+            vmax = max(vmax, float(np.max(np.abs(hp))))
+        margin = 1.5 * vmax * t + 0.5
+        if periodic or margin <= sampled:
+            return base_lo, base_hi, margin
+        if not math.isfinite(margin):
+            break
+        sampled = 2.0 * margin
+    raise OutOfRange(f"seed margin {margin:.6g} past the window [{base_lo:g}, {base_hi:g}] "
+                     f"does not settle in {SEED_ROUNDS} samples at t={t:g}: strands from "
+                     "farther out may reach the window")
 
 
 def default_seeds(spec: chars.ProblemSpec, n: int, t: float | None = None):

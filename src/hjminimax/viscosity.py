@@ -60,7 +60,7 @@ import numpy as np
 from .characteristics import Periodic, ProblemSpec
 from .errors import MalformedInput, NonFinite, OutOfRange
 from .expr import Expression
-from .selector import GridSolution
+from .selector import GridSolution, _seed_window
 
 COURANT = 0.5               # Courant number of the `lax_friedrichs` time step
 CONVEXITY_SAMPLES = 2048    # p samples of the second-difference certificate
@@ -275,11 +275,15 @@ def lax_friedrichs(spec: ProblemSpec, t_grid, q_grid) -> GridSolution:
     u+ = u - dt [H(t, q, Dc u) - theta (u_{j+1} - 2 u_j + u_{j-1}) / (2 dq)],
     Dc the centered slope, theta = 1.05 x max |H_p| sampled at five times
     over slopes up to 1.5 max|u0'| + 1, and dt <= COURANT dq / theta. Every
-    row is marched from u0 at t = 0. The grid is checked by
-    `GridSolution.start`, and the stencil needs two abscissae or more,
-    equally spaced: ValueError otherwise. Each step checks its own slopes:
-    OutOfRange when max |H_p(t, q, Dc u)| exceeds theta, as the scheme is
-    then neither monotone nor stable."""
+    row is marched from u0 at t = 0, around the period on a periodic domain.
+    A window is marched on the line: widened at each end by the whole cells
+    of dq that cover `selector._seed_window`'s margin, u extrapolated
+    linearly one cell past that, theta sampled there and the window's
+    columns reported. The grid is checked by `GridSolution.start`, and the
+    stencil needs two abscissae or more, equally spaced: ValueError
+    otherwise. Each step checks its own slopes: OutOfRange when
+    max |H_p(t, q, Dc u)| exceeds theta, as the scheme is then neither
+    monotone nor stable."""
     g = GridSolution.start(spec.u0, t_grid, q_grid)
     steps = np.diff(g.q)
     if not len(steps):
@@ -288,16 +292,22 @@ def lax_friedrichs(spec: ProblemSpec, t_grid, q_grid) -> GridSolution:
     if np.any(np.abs(steps - dq) > 1e-9 * dq):
         raise ValueError("Lax-Friedrichs needs equally spaced abscissae")
     periodic = isinstance(spec.domain, Periodic)
+    t_end = g.t.max(initial=0.0)
+    q, k = g.q, 0
+    if not periodic:
+        k = math.ceil(_seed_window(spec, t_end)[2] / dq)
+        cells = dq * np.arange(1, k + 1)
+        q = np.concatenate([g.q[0] - cells[::-1], g.q, g.q[-1] + cells])
 
-    u = spec.u0.eval(q=g.q)
-    _, du0 = spec.u0.eval_d(q=g.q, wrt="q")
+    u = spec.u0.eval(q=q)
+    _, du0 = spec.u0.eval_d(q=q, wrt="q")
     pmax = 1.5 * float(np.max(np.abs(du0))) + 1.0
     ps = np.linspace(-pmax, pmax, 513)
     # an H that does not read q is sampled at one q: the same speeds, and
     # no (grid x slopes) array
-    qs = g.q[:, None] if "q" in spec.H.variables else 0.0
+    qs = q[:, None] if "q" in spec.H.variables else 0.0
     theta = 0.0
-    for tt in np.linspace(0.0, g.t.max(initial=0.0), 5):
+    for tt in np.linspace(0.0, t_end, 5):
         _, hp = spec.H.eval_d(t=tt, q=qs, p=ps, wrt="p")
         theta = max(theta, float(np.max(np.abs(hp))))
     theta *= 1.05
@@ -312,7 +322,7 @@ def lax_friedrichs(spec: ProblemSpec, t_grid, q_grid) -> GridSolution:
             w = np.concatenate([lo, u, hi])
             dc = (w[2:] - w[:-2]) / (2 * dq)
             diff2 = (w[2:] - 2 * u + w[:-2]) / (2 * dq)
-            h, hp = spec.H.eval_d(t=t, q=g.q, p=dc, wrt="p")
+            h, hp = spec.H.eval_d(t=t, q=q, p=dc, wrt="p")
             speed = float(np.max(np.abs(hp)))
             if speed > theta:
                 raise OutOfRange(f"Lax-Friedrichs step at t={t}: max|H_p| = {speed:.6g} "
@@ -322,5 +332,5 @@ def lax_friedrichs(spec: ProblemSpec, t_grid, q_grid) -> GridSolution:
             t += dt
             if not np.all(np.isfinite(u)):
                 raise NonFinite(f"Lax-Friedrichs blow-up at t={t}")
-        g.u[i] = u
+        g.u[i] = u[k:k + len(g.q)]
     return g

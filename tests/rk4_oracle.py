@@ -1,18 +1,18 @@
 """Out-of-place reference version of the RK4 flow in `hjminimax.characteristics`.
 
 This is the arithmetic the in-place stages replaced, kept only as a test
-oracle: every stage state, frozen slope, stage sum and update is a new
-array. Its slopes come from the checked `Expression.eval_d`, as the flow's
-did before it ran H's compiled program directly, so every stage raises
-NonFinite at a non-finite slope, of a frozen strand too. On the same input
-`evolve_states` must give the same strands bit for bit.
+oracle: every stage state, slope, stage sum and update is a new array. Its
+slopes come from the checked `Expression.eval_d`, as the flow's did before
+it ran H's compiled program directly, so every stage raises NonFinite at a
+non-finite slope. On the same input `evolve_states` must give the same
+strands bit for bit.
 """
 
 import math
 
 import numpy as np
 
-from hjminimax.characteristics import _freeze_mask, initial_state
+from hjminimax.characteristics import initial_state
 
 
 def rk4_span(spec, t0, t1, q, p, z, step):
@@ -27,13 +27,7 @@ def rk4_span(spec, t0, t1, q, p, z, step):
 
         def rhs(tt, qq, pp):
             hval, hp, hq = H.eval_d(t=tt, q=qq, p=pp, wrt=("p", "q"))
-            dq, dp, dz = hp, -hq, pp * hp - hval
-            mask = _freeze_mask(spec, qq)
-            if mask is not None:
-                dq = np.where(mask, dq, 0.0)
-                dp = np.where(mask, dp, 0.0)
-                dz = np.where(mask, dz, 0.0)
-            return dq, dp, dz
+            return hp, -hq, pp * hp - hval
 
         k1q, k1p, k1z = rhs(t, q, p)
         k2q, k2p, k2z = rhs(t + 0.5 * dt, q + 0.5 * dt * k1q, p + 0.5 * dt * k1p)

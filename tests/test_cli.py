@@ -127,10 +127,10 @@ def test_compare_nonconvex_report_only(tmp_path):
     assert "PASS" not in report and "FAIL" not in report
 
 
-def _small_cfg(tmp_path, name, H, u0, n_seeds, domain="domain = periodic\n"):
-    """A 16x16 grid to t_max = 1, written to tmp_path/name."""
+def _small_cfg(tmp_path, name, H, u0, n_seeds, domain="domain = periodic\n", t_max=1):
+    """A 16x16 grid to t_max, written to tmp_path/name."""
     path = tmp_path / f"{name}.ini"
-    path.write_text(f"[problem]\nH = {H}\nu0 = {u0}\n{domain}t_max = 1\n"
+    path.write_text(f"[problem]\nH = {H}\nu0 = {u0}\n{domain}t_max = {t_max}\n"
                     f"[grid]\nnt = 16\nnq = 16\n[solver]\nn_seeds = {n_seeds}\n"
                     f"[output]\ndir = {tmp_path / name}\n")
     return str(path)
@@ -169,6 +169,16 @@ def test_window_domain_grid(tmp_path):
     rows = (tmp_path / "win" / "solution.csv").read_text().strip().split("\n")[1:]
     q = [float(row.split(",")[1]) for row in rows[:16]]
     assert q == list(np.linspace(-3.0, 3.0, 16))
+    assert cli.main(["compare", "--config", path]) == 0
+    assert "convex pair PASS" in (tmp_path / "win" / "report.txt").read_text()
+
+
+@pytest.mark.parametrize("u0, t_max", [("cos(q) + 0.3*sin(2*q)", 2), ("cos(q) + 0.5*q", 1)])
+def test_window_compare_with_strands_past_the_edges(tmp_path, u0, t_max):
+    # strands stopped at the window's edges gave an even crossing count at
+    # q = 3, and compare exited 3
+    window = "domain = window\nqmin = -3\nqmax = 3\n"
+    path = _small_cfg(tmp_path, "win", "p^2/2", u0, 512, window, t_max)
     assert cli.main(["compare", "--config", path]) == 0
     assert "convex pair PASS" in (tmp_path / "win" / "report.txt").read_text()
 
@@ -370,7 +380,17 @@ _PROBLEM = "[problem]\nH = p^2/2\nu0 = cos(q)\nt_max = 1.0\n"
      "domain must be 'periodic' or 'window', got 'torus'"),
     ("[problem]\nH = p^2/2\nu0 = cos(q)\n", None, "[problem] t_max is required"),
     (_PROBLEM, "64by128", "--grid must look like 64x128, got '64by128'"),
-], ids=["no_problem", "no_u0", "u0_reads_p", "torus", "no_t_max", "grid"])
+    (_PROBLEM + "domain = window\nqmax = 3\n", None,
+     "[problem] is missing key 'qmin' for domain = window"),
+    (_PROBLEM + "domain = window\nqmin = -3\n", None,
+     "[problem] is missing key 'qmax' for domain = window"),
+    (_PROBLEM + "domain = window\nqmin = -3\nqmax = 3\nperiod = 6\n", None,
+     "[problem] key 'period' does not apply to domain = window"),
+    (_PROBLEM + "qmin = -3\n", None, "[problem] key 'qmin' does not apply to domain = periodic"),
+    (_PROBLEM + "domain = periodic\nqmax = 3\n", None,
+     "[problem] key 'qmax' does not apply to domain = periodic"),
+], ids=["no_problem", "no_u0", "u0_reads_p", "torus", "no_t_max", "grid", "window_no_qmin",
+        "window_no_qmax", "window_period", "periodic_qmin", "periodic_qmax"])
 def test_rejected_config_exit_2(tmp_path, monkeypatch, capsys, text, grid, message):
     def no_solver(*args, **kwargs):
         raise AssertionError("solver ran on a rejected config")

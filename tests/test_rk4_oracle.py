@@ -15,7 +15,8 @@ _CASES = {
     "qflow": (hj.ProblemSpec(H=hj.parse("p^2/2 + 0.5*sin(q)*cos(t)"), u0=hj.parse("cos(q)"),
                              domain=hj.Periodic(2 * np.pi), t_max=2.0),
               np.linspace(0.0, 2.0, 64), np.linspace(-1.0, 7.3, 257), 2.0 / 2000),
-    # strands that reach the window's edge freeze there, within a substep
+    # strands cross the window's edges and strands from outside it move:
+    # the flow is on the line
     "window": (hj.ProblemSpec(H=hj.parse("(1 + t)*p^2/2"), u0=hj.parse("2*sin(q)"),
                               domain=hj.Windowed(-2.0, 2.0), t_max=1.0),
                [0.1, 0.5, 0.5, 1.0], np.linspace(-3.0, 3.0, 61), 0.01),
@@ -53,8 +54,10 @@ def test_evolve_states_matches_out_of_place_rk4_bit_for_bit(case):
     if case == "window":
         Q = got[0]
         inside = np.abs(seeds) <= 2.0
-        assert np.any(inside & (np.abs(Q[-1]) >= 2.0))  # some stopped at an edge
-        assert np.all(Q[:, ~inside] == seeds[~inside])  # outside: never moves
+        crossed = inside & (np.abs(Q[-2]) > 2.0)  # past an edge by t = 0.5
+        assert np.any(crossed)
+        assert np.all(np.abs(Q[-1, crossed]) > np.abs(Q[-2, crossed]))  # and still moving
+        assert np.all(Q[-1, ~inside] != seeds[~inside])  # outside: moves too
 
 
 @pytest.mark.parametrize("case", list(_CASES))

@@ -7,15 +7,18 @@ tabulated before its closed parametric form. `lax_oleinik` scans every
 seed for every grid point, on the seed count of the solver's rule
 (`viscosity._seed_count`); on the same input and table the solver must
 give the same rows, bit for bit, and the same errors. `lax_friedrichs`
-steps with `np.roll` on a periodic grid and a padded array on a window;
-the solver must give the same values bit for bit.
+steps with `np.roll` on a periodic grid and a padded array on a window,
+marched on the window widened by whole cells over the seed margin; the
+solver must give the same values bit for bit.
 """
+
+import math
 
 import numpy as np
 
 from hjminimax.characteristics import Periodic, ProblemSpec
 from hjminimax.errors import NonFinite, OutOfRange
-from hjminimax.selector import GridSolution
+from hjminimax.selector import GridSolution, _seed_window
 from hjminimax.viscosity import COURANT, ConvexHamiltonian, _LegendreTable, _seed_count
 
 SLOPE_SAMPLES = 4097        # p samples of the attainable slope range H'(p)
@@ -94,11 +97,18 @@ def lax_oleinik(Hc, u0, t, q_grid, table=None):
 
 def lax_friedrichs(spec: ProblemSpec, t_grid, q_grid) -> GridSolution:
     """The Lax-Friedrichs scheme with its stencil written twice: four
-    `np.roll`s on a periodic grid, a linearly extrapolated pad on a window."""
+    `np.roll`s on a periodic grid, a linearly extrapolated pad on a window.
+    A window's grid gets ceil(margin / dq) more cells at each end, margin
+    the seed margin at the last time, and its own columns are returned."""
     t_grid = np.asarray(t_grid, dtype=float)
     q_grid = np.asarray(q_grid, dtype=float)
     dq = float(q_grid[1] - q_grid[0])
     periodic = isinstance(spec.domain, Periodic)
+    n, k = len(q_grid), 0
+    if not periodic:
+        k = math.ceil(_seed_window(spec, float(t_grid[-1]))[2] / dq)
+        q_grid = np.concatenate([q_grid[0] - dq * np.arange(k, 0, -1), q_grid,
+                                 q_grid[-1] + dq * np.arange(1, k + 1)])
 
     u = np.asarray(spec.u0.eval(q=q_grid), dtype=float) + 0.0 * q_grid
     _, du0 = spec.u0.eval_d(q=q_grid, wrt="q")
@@ -112,7 +122,7 @@ def lax_friedrichs(spec: ProblemSpec, t_grid, q_grid) -> GridSolution:
     theta = max(theta, 1e-8)
     dt_max = COURANT * dq / theta
 
-    out = np.empty((len(t_grid), len(q_grid)))
+    out = np.empty((len(t_grid), n))
     t = 0.0
 
     def slopes(w):
@@ -130,7 +140,7 @@ def lax_friedrichs(spec: ProblemSpec, t_grid, q_grid) -> GridSolution:
             t += dt
             if not np.all(np.isfinite(u)):
                 raise NonFinite(f"Lax-Friedrichs blow-up at t={t}")
-        out[i] = u
+        out[i] = u[k:k + n]
     zeros = np.zeros(out.shape, dtype=int)
-    return GridSolution(t=t_grid, q=q_grid, u=out, branch=zeros,
+    return GridSolution(t=t_grid, q=q_grid[k:k + n], u=out, branch=zeros,
                         branch_count=np.ones_like(zeros))
